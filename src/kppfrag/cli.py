@@ -38,7 +38,7 @@ from .experiments import (
 )
 from .fields import ResourceField, field_to_csv, make_crenel
 from .grids import Grid
-from .optimizer import OptimConfig, OptimizationError, optimize
+from .optimizer import OptimConfig, OptimizationError, optimize, pool_size
 from .plots import emit_plot
 from .fields import ProblemParams
 from .solver import SolverError, solve_steady_state, total_population
@@ -514,11 +514,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return parse_config(settings, args.command)
 
 
+def _check_environment() -> None:
+    try:
+        pool_size()
+    except ValueError as exc:
+        raise ConfigError("environment", str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
+        _check_environment()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

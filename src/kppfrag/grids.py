@@ -12,12 +12,14 @@ all integral-like functionals; see fields.mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
+
+_EPS = float(np.finfo(float).eps)
+_KRYLOV_MAXITER = 500
 
 
 class GridError(ValueError):
@@ -83,6 +85,14 @@ class Grid:
         return Grid(tuple((n - 1) * (1 << k) + 1 for n in self.counts))
 
 
+def residual_floor(grid: Grid, mu: float) -> float:
+    """Double-precision evaluation floor of mu * Lap(v) + O(1) * v per unit
+    of max|v|: about eps * 4 * dim * mu / h^2 from the stiff term, with a
+    safety factor of 8. Residuals below floor * max|v| are rounding noise."""
+    hmin = min(grid.spacings)
+    return 8.0 * _EPS * (1.0 + 4.0 * grid.dim * mu / (hmin * hmin))
+
+
 def _axis_weights(n: int) -> np.ndarray:
     w = np.ones(n)
     w[0] = 0.5
@@ -100,15 +110,33 @@ def _lap1d_csr(n: int) -> sp.csr_matrix:
     return (mat * scale).tocsr()
 
 
+@lru_cache(maxsize=8)
+def _axis_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of the symmetric
+    tridiagonal W1^(1/2) (-Lap1) W1^(-1/2) on n nodes: the interior stencil
+    (-1, 2, -1) / h^2, with the two boundary couplings -sqrt(2) / h^2.
+    Cached and shared, hence read-only."""
+    scale = (n - 1.0) ** 2
+    off = np.full(n - 1, -scale)
+    off[[0, -1]] = -np.sqrt(2.0) * scale
+    pairs = eigh_tridiagonal(np.full(n, 2.0 * scale), off)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 class NeumannLaplacian:
     """The discrete Laplacian with mirror (zero-flux) boundary rows.
 
-    Supports application to flat nodal vectors and direct solves of the
-    shifted systems (mu * (-Lap) + diag(d)) x = rhs that the Newton, Picard
-    and adjoint steps need. 1D systems go through the banded tridiagonal
-    solver; 2D through a sparse LU factorization, which the caller may keep
-    for reuse (the adjoint system at a converged state is the last Newton
-    matrix).
+    Supports application to flat nodal vectors and solves of the shifted
+    systems (mu * (-Lap) + diag(d)) x = rhs that the Newton, Picard and
+    adjoint steps need. 1D systems go through the banded tridiagonal solver.
+    2D systems go through preconditioned MINRES on the symmetric form
+    W^(1/2) (mu * (-Lap) + diag(d)) W^(-1/2); d may be indefinite (Newton
+    matrices d = 2 theta - m). The preconditioner mu * (-Lap) + c I, with c
+    the mean of |d|, is inverted exactly by fast diagonalization: the
+    eigenvectors of each axis's symmetrized 1D operator turn it into a
+    diagonal, so one application is four small dense matrix products.
     """
 
     def __init__(self, grid: Grid):
@@ -131,12 +159,17 @@ class NeumannLaplacian:
         # test oracle convenience; only sensible for small grids
         return self._mat.toarray()
 
+    @cached_property
+    def _symmetric(self) -> sp.csr_matrix:
+        """W^(1/2) (-Lap) W^(-1/2), symmetric (built on first 2D solve)."""
+        sw = np.sqrt(self.grid.node_weights)
+        return (sp.diags(sw) @ (-self._mat) @ sp.diags(1.0 / sw)).tocsr()
+
     def shifted_factor(self, mu: float, diag: np.ndarray):
-        """Factorization object for mu * (-Lap) + diag(d); has .solve(rhs)."""
+        """Solver object for mu * (-Lap) + diag(d); has .solve(rhs)."""
         if self.grid.dim == 1:
             return _Banded1D(self.grid.counts[0], self.grid.spacings[0], mu, diag)
-        mat = ((-mu) * self._mat + sp.diags(diag)).tocsc()
-        return spla.splu(mat)
+        return _Minres2D(self, mu, diag)
 
     def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return self.shifted_factor(mu, diag).solve(rhs)
@@ -158,7 +191,7 @@ class NeumannLaplacian:
 
 
 class _Banded1D:
-    """Tridiagonal factor-free solver wrapper matching the splu interface."""
+    """Tridiagonal banded solver with the same .solve(rhs) interface."""
 
     def __init__(self, n: int, h: float, mu: float, diag: np.ndarray):
         inv = mu / (h * h)
@@ -173,6 +206,105 @@ class _Banded1D:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return solve_banded((1, 1), self._ab, rhs)
+
+
+class _Minres2D:
+    """Preconditioned MINRES for one 2D shifted system A x = rhs.
+
+    The Krylov iteration (Paige-Saunders MINRES, as in SciPy's minres) runs
+    on the symmetric form S = W^(1/2) A W^(-1/2) and also recurs the
+    residual, so it can stop as soon as that residual, mapped back to A's
+    rows, is under half the rounding floor: residual_floor times
+    max(1, |d|) times the larger of |x| and |rhs| (sup norms). solve then
+    measures the true residual; above the floor it makes one refinement
+    pass for the correction, and if the residual is still above the floor
+    it raises numpy.linalg.LinAlgError, as the 1D banded solve does for a
+    singular matrix.
+    """
+
+    def __init__(self, lap: NeumannLaplacian, mu: float, diag: np.ndarray):
+        nx, ny = lap.grid.counts
+        lam_x, self._qx = _axis_eigenpairs(nx)
+        lam_y, self._qy = _axis_eigenpairs(ny)
+        diag = np.asarray(diag, dtype=float)
+        shift = max(float(np.mean(np.abs(diag))), 1e-12)
+        self._inv_eig = 1.0 / (mu * (lam_y[:, None] + lam_x[None, :]) + shift)
+        self._lap, self._mu, self._diag = lap, mu, diag
+        self._root_w = np.sqrt(lap.grid.node_weights)
+        self._floor = residual_floor(lap.grid, mu) * max(1.0, float(np.max(np.abs(diag))))
+
+    def _precondition(self, v: np.ndarray) -> np.ndarray:
+        """(mu * S_Lap + c I)^(-1) v by fast diagonalization."""
+        qx, qy = self._qx, self._qy
+        z = qy.T @ v.reshape(qy.shape[0], qx.shape[0]) @ qx
+        z *= self._inv_eig
+        return (qy @ z @ qx.T).ravel()
+
+    def _minres(self, rhs: np.ndarray) -> np.ndarray:
+        root_w = self._root_w
+        b = root_w * rhs
+        y = self._precondition(b)
+        beta1 = float(np.sqrt(b @ y))
+        if not beta1 > 0.0:
+            return np.zeros_like(rhs)
+        sym, mu, diag = self._lap._symmetric, self._mu, self._diag
+        limit = 0.5 * self._floor
+        rhs_max = float(np.max(np.abs(rhs)))
+        x = np.zeros_like(b)
+        res = b.copy()                      # recurred residual b - S x
+        w = np.zeros_like(b)
+        w2 = np.zeros_like(b)
+        sw = np.zeros_like(b)               # S w
+        sw2 = np.zeros_like(b)
+        r1 = r2 = b
+        oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
+        for itn in range(_KRYLOV_MAXITER):
+            v = y / beta
+            sv = mu * (sym @ v) + diag * v
+            y = sv - (beta / oldb) * r1 if itn else sv.copy()
+            alfa = float(v @ y)
+            y -= (alfa / beta) * r2
+            r1, r2 = r2, y
+            y = self._precondition(r2)
+            oldb, beta = beta, float(np.sqrt(max(r2 @ y, 0.0)))
+            oldeps = epsln
+            delta = cs * dbar + sn * alfa
+            gbar = sn * dbar - cs * alfa
+            epsln = sn * beta
+            dbar = -cs * beta
+            gamma = max(np.hypot(gbar, beta), _EPS)
+            cs, sn = gbar / gamma, beta / gamma
+            phi = cs * phibar
+            phibar *= sn
+            w2, w = w, (v - oldeps * w2 - delta * w) / gamma
+            sw2, sw = sw, (sv - oldeps * sw2 - delta * sw) / gamma
+            x += phi * w
+            res -= phi * sw
+            if beta == 0.0 or phibar <= _EPS * beta1:
+                break
+            res_max = float(np.max(np.abs(res / root_w)))
+            if res_max <= limit * max(rhs_max, float(np.max(np.abs(x / root_w)))):
+                break
+        return x / root_w
+
+    def _residual(self, x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """True residual rhs - A x, and its sup norm relative to max(|x|, |rhs|)."""
+        r = rhs - (self._mu * (-(self._lap._mat @ x)) + self._diag * x)
+        scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(rhs))))
+        return r, float(np.max(np.abs(r))) / max(scale, 1e-300)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        x = self._minres(rhs)
+        r, rel = self._residual(x, rhs)
+        if rel > self._floor:
+            x = x + self._minres(r)
+            r, rel = self._residual(x, rhs)
+        if not rel <= self._floor:
+            raise np.linalg.LinAlgError(
+                f"2D shifted solve: relative residual {rel:.3e} above the "
+                f"rounding floor {self._floor:.3e} after refinement")
+        return x
 
 
 def _fold_indices(n_out: int, stride: int, m_in: int) -> np.ndarray:

@@ -14,12 +14,13 @@ steady-state constraint, the sensitivity solves the shifted system
 
     (mu * (-Lap) + diag(2 theta - m)) p = 1                      (adjoint)
 
-and dF[xi] = sum_i g_i xi_i with g = (w . p . theta) / sum(w). The same
-shifted matrix is the final Newton Jacobian, so a converged solve hands its
-factorization to the adjoint for free. With the trapezoid weights w this g
-is the exact discrete gradient (not an O(h) approximation): w is the left
-null-structure of the non-symmetric Laplacian's boundary rows, which is
-what makes W * Lap symmetric.
+and dF[xi] = sum_i g_i xi_i with g = (w . p . theta) / sum(w). The shifted
+matrix is the final Newton Jacobian; the adjoint solves it afresh (a banded
+solve in 1D, preconditioned MINRES in 2D) and gates the result on its
+residual. With the trapezoid weights w this g is the exact discrete
+gradient (not an O(h) approximation): w is the left null-structure of the
+non-symmetric Laplacian's boundary rows, which is what makes W * Lap
+symmetric.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ProblemParams, ResourceField, ScalarField, mean
-from .grids import Grid, NeumannLaplacian
+from .grids import Grid, NeumannLaplacian, residual_floor
 from .solver import (
     NoConvergence,
     SolverConfig,
@@ -39,8 +40,6 @@ from .solver import (
     solve_steady_state,
     total_population,
 )
-
-_EPS = float(np.finfo(float).eps)
 
 
 class SingularAdjoint(RuntimeError):
@@ -118,33 +117,21 @@ def solve_adjoint(
     theta: ScalarField,
     params: ProblemParams,
     lap: NeumannLaplacian | None = None,
-    factor=None,
 ) -> AdjointState:
-    """Solve (mu * (-Lap) + diag(2 theta - m)) p = 1 directly.
-
-    `factor` may carry the factorization kept by a converged
-    solve_steady_state(keep_factor=True); otherwise the matrix is
-    factorized here.
-    """
+    """Solve (mu * (-Lap) + diag(2 theta - m)) p = 1 and check its residual."""
     grid = theta.grid
     mu = params.mu
     diag = 2.0 * theta.values - m.values
+    lap = lap or NeumannLaplacian(grid)
     try:
-        if factor is None:
-            lap = lap or NeumannLaplacian(grid)
-            factor = lap.shifted_factor(mu, diag)
-        p = factor.solve(np.ones(grid.num_nodes))
-    except Exception as exc:  # LinAlgError / singular splu
-        raise SingularAdjoint(f"adjoint factorization failed: {exc}") from exc
+        p = lap.solve_shifted(mu, diag, np.ones(grid.num_nodes))
+    except np.linalg.LinAlgError as exc:
+        raise SingularAdjoint(f"adjoint solve failed: {exc}") from exc
     if not np.all(np.isfinite(p)):
         raise SingularAdjoint("adjoint solve produced non-finite values")
-    lap = lap or NeumannLaplacian(grid)
     resid = mu * (-lap.apply(p)) + diag * p - 1.0
     rnorm = float(np.max(np.abs(resid)))
-    hmin = min(grid.spacings)
-    floor = 8.0 * _EPS * (1.0 + 4.0 * grid.dim * mu / (hmin * hmin)) * max(
-        1.0, float(np.max(np.abs(p)))
-    )
+    floor = residual_floor(grid, mu) * max(1.0, float(np.max(np.abs(p))))
     if rnorm > max(1e-10, floor):
         raise SingularAdjoint(
             f"adjoint residual {rnorm:.3e} above tolerance; "
@@ -329,7 +316,7 @@ def _run_single_start(args) -> tuple:
 
         lap = NeumannLaplacian(grid)
         m_cur = guess
-        state = solve_steady_state(m_cur, params, cfg.solver, lap=lap, keep_factor=True)
+        state = solve_steady_state(m_cur, params, cfg.solver, lap=lap)
         F_cur = total_population(state)
         trajectory: list = []
         plateau = 0
@@ -337,10 +324,7 @@ def _run_single_start(args) -> tuple:
         iterations = 0
         for _ in range(cfg.max_outer_iters):
             iterations += 1
-            adj = solve_adjoint(
-                m_cur, state.theta, params, lap=lap,
-                factor=getattr(state, "_factor", None),
-            )
+            adj = solve_adjoint(m_cur, state.theta, params, lap=lap)
             g = objective_gradient(state.theta, adj)
             xi, lp_value = best_perturbation(g, m_cur)
             if lp_value < cfg.stop_lp_value:
@@ -380,6 +364,19 @@ def _run_single_start(args) -> tuple:
         ), None
 
 
+def pool_size() -> int:
+    """Worker processes for the starts: KPPFRAG_THREADS, 1 when unset or
+    empty. Raises ValueError unless it is a positive integer."""
+    text = os.environ.get("KPPFRAG_THREADS", "").strip() or "1"
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"KPPFRAG_THREADS must be a positive integer, got {text!r}")
+    return threads
+
+
 def optimize(params: ProblemParams, grid: Grid, cfg: OptimConfig | None = None) -> OptimRun:
     """Multi-start ascent; returns the best start's result plus all records.
 
@@ -389,7 +386,7 @@ def optimize(params: ProblemParams, grid: Grid, cfg: OptimConfig | None = None) 
     """
     cfg = cfg or OptimConfig()
     jobs = [(params, grid, cfg, j) for j in range(cfg.starts)]
-    threads = int(os.environ.get("KPPFRAG_THREADS", "1") or "1")
+    threads = pool_size()
     if threads > 1 and cfg.starts > 1:
         with ProcessPoolExecutor(max_workers=min(threads, cfg.starts)) as pool:
             outcomes = list(pool.map(_run_single_start, jobs))

@@ -14,12 +14,14 @@ positivity-preserving fixed-point iteration
 
 carries the iterate into the Newton basin; the shifted matrix is an M-matrix
 for positive theta_k, so iterates stay strictly positive. Every accepted
-solution is strictly positive without clipping.
+solution is strictly positive without clipping, and has weighted mean at
+least mean(m); a solve that lands on the trivial state theta ~ 0 instead
+restarts once from theta = max(m).
 
 Residual tolerances: convergence means ||R||_inf <= newton_tol, or
 ||R||_inf below the floating-point evaluation floor of the stiff term
-(about eps * 4 * dim * mu / h^2 * ||theta||), which is the best any method
-can do in double precision at large mu / h^2.
+(grids.residual_floor times ||theta||), which is the best any method can do
+in double precision at large mu / h^2.
 """
 from __future__ import annotations
 
@@ -28,9 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fields import ProblemParams, ResourceField, ScalarField, mean
-from .grids import NeumannLaplacian
-
-_EPS = float(np.finfo(float).eps)
+from .grids import NeumannLaplacian, residual_floor
 
 
 class SolverError(RuntimeError):
@@ -81,11 +81,6 @@ def _residual(lap, theta, m_vals, mu):
     return mu * lap.apply(theta) + theta * (m_vals - theta)
 
 
-def _residual_floor(grid, mu):
-    hmin = min(grid.spacings)
-    return 8.0 * _EPS * (1.0 + 4.0 * grid.dim * mu / (hmin * hmin))
-
-
 def _picard_burst(lap, theta, m_vals, mu, steps):
     for _ in range(steps):
         theta = np.maximum(theta, 1e-300)
@@ -94,13 +89,58 @@ def _picard_burst(lap, theta, m_vals, mu, steps):
     return theta
 
 
+def _newton(lap, theta, m_vals, mu, cfg, floor_limit):
+    """Damped Newton with Picard rescue bursts from theta; returns
+    (theta, residual norm, Newton iterations, rescue steps)."""
+    r = _residual(lap, theta, m_vals, mu)
+    rnorm = float(np.max(np.abs(r)))
+    newton_iters = 0
+    fallback_used = 0
+    try:
+        while True:
+            if rnorm <= cfg.newton_tol or rnorm <= floor_limit * float(
+                np.max(np.abs(theta))
+            ):
+                break
+            if newton_iters >= cfg.max_newton_iters:
+                raise NoConvergence("Newton iteration cap exceeded", rnorm)
+            delta = lap.solve_shifted(mu, 2.0 * theta - m_vals, r)
+            newton_iters += 1
+            step = 1.0
+            accepted = False
+            while step >= cfg.damping_floor:
+                trial = np.maximum(theta + step * delta, cfg.positivity_floor)
+                rt = _residual(lap, trial, m_vals, mu)
+                rtn = float(np.max(np.abs(rt)))
+                if rtn < rnorm:
+                    theta, r, rnorm = trial, rt, rtn
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                if fallback_used + cfg.fallback_burst > cfg.fallback_steps:
+                    raise NoConvergence("Newton stalled and rescue budget spent", rnorm)
+                theta = _picard_burst(lap, theta, m_vals, mu, cfg.fallback_burst)
+                fallback_used += cfg.fallback_burst
+                r = _residual(lap, theta, m_vals, mu)
+                rnorm = float(np.max(np.abs(r)))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"linear solve failed: {exc}", rnorm) from exc
+    return theta, rnorm, newton_iters, fallback_used
+
+
+def _below_mean(theta, weights, mbar):
+    """True when the weighted mean of theta is under mean(m): no positive
+    steady state is (up to rounding slack), so theta sits near theta = 0."""
+    return float(weights @ theta) / float(weights.sum()) < (1.0 - 1e-8) * mbar
+
+
 def solve_steady_state(
     m: ResourceField,
     params: ProblemParams,
     cfg: SolverConfig | None = None,
     theta0: np.ndarray | None = None,
     lap: NeumannLaplacian | None = None,
-    keep_factor: bool = False,
 ) -> SteadyState:
     """Compute the positive steady state for resource field m.
 
@@ -112,14 +152,21 @@ def solve_steady_state(
         constant mean(m).
     lap : optional prebuilt Laplacian for m.grid (reused across solves in
         the optimizer loops).
-    keep_factor : if True, attach the factorization of the final Newton
-        matrix mu*(-Lap) + diag(2 theta - m) as state attribute `_factor`
-        (private, used by the adjoint solve which needs exactly that matrix).
+
+    Every positive discrete steady state has weighted mean at least mean(m):
+    dividing the equation by theta and summing with the trapezoid weights
+    leaves mu * sum_edges (d theta)^2 / (theta_i theta_j h^2) >= 0 on one side,
+    by the symmetry of W * Lap. An iterate that converges with a smaller
+    mean has found the trivial state theta ~ 0 (it happens from the start
+    mean(m) at small mu); the solve then restarts once from the
+    supersolution theta = max(m), which lies above the positive state and
+    away from theta = 0.
 
     Raises
     ------
     NonPositiveMeanResource : if mean(m) <= 0.
-    NoConvergence : if Newton plus the fixed-point rescue budget fail.
+    NoConvergence : if Newton plus the fixed-point rescue budget fail, a
+        linear solve fails, or both starts end at the trivial state.
     """
     cfg = cfg or SolverConfig()
     mbar = mean(m)
@@ -128,62 +175,39 @@ def solve_steady_state(
     lap = lap or NeumannLaplacian(m.grid)
     mu = params.mu
     m_vals = m.values
+    weights = m.grid.node_weights
 
     theta = (
         np.full(m.grid.num_nodes, mbar)
         if theta0 is None
         else np.maximum(np.asarray(theta0, dtype=float), 1e-300)
     )
-    floor_limit = _residual_floor(m.grid, mu)
-
-    r = _residual(lap, theta, m_vals, mu)
-    rnorm = float(np.max(np.abs(r)))
-    newton_iters = 0
-    fallback_used = 0
-
-    while True:
-        if rnorm <= cfg.newton_tol or rnorm <= floor_limit * float(
-            np.max(np.abs(theta))
-        ):
-            break
-        if newton_iters >= cfg.max_newton_iters:
-            raise NoConvergence("Newton iteration cap exceeded", rnorm)
-        delta = lap.solve_shifted(mu, 2.0 * theta - m_vals, r)
-        newton_iters += 1
-        step = 1.0
-        accepted = False
-        while step >= cfg.damping_floor:
-            trial = np.maximum(theta + step * delta, cfg.positivity_floor)
-            rt = _residual(lap, trial, m_vals, mu)
-            rtn = float(np.max(np.abs(rt)))
-            if rtn < rnorm:
-                theta, r, rnorm = trial, rt, rtn
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            if fallback_used + cfg.fallback_burst > cfg.fallback_steps:
-                raise NoConvergence("Newton stalled and rescue budget spent", rnorm)
-            theta = _picard_burst(lap, theta, m_vals, mu, cfg.fallback_burst)
-            fallback_used += cfg.fallback_burst
-            r = _residual(lap, theta, m_vals, mu)
-            rnorm = float(np.max(np.abs(r)))
+    floor_limit = residual_floor(m.grid, mu)
+    theta, rnorm, newton_iters, fallback_used = _newton(
+        lap, theta, m_vals, mu, cfg, floor_limit
+    )
+    if _below_mean(theta, weights, mbar):
+        theta, rnorm, more_iters, more_fallback = _newton(
+            lap, np.full(m.grid.num_nodes, float(np.max(m_vals))), m_vals, mu, cfg,
+            floor_limit,
+        )
+        newton_iters += more_iters
+        fallback_used += more_fallback
+        if _below_mean(theta, weights, mbar):
+            raise NoConvergence(
+                "both starts converged to the trivial state theta ~ 0", rnorm
+            )
 
     if float(np.min(theta)) <= 0.0:
         raise NoConvergence("converged iterate is not strictly positive", rnorm)
 
-    state = SteadyState(
+    return SteadyState(
         theta=ScalarField(m.grid, theta),
         residual_norm=rnorm,
         iterations=newton_iters,
         used_fallback=fallback_used > 0,
         params=params,
     )
-    if keep_factor:
-        object.__setattr__(
-            state, "_factor", lap.shifted_factor(mu, 2.0 * theta - m_vals)
-        )
-    return state
 
 
 def total_population(state: SteadyState) -> float:

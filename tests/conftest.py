@@ -68,3 +68,21 @@ def lp_bruteforce(g_vals: np.ndarray, m_vals: np.ndarray, kappa: float,
             if lo[free] - 5e-13 <= xi[free] <= hi[free] + 5e-13:
                 best = max(best, float(g_vals @ xi))
     return best
+
+
+def dense_shifted(grid: Grid, mu: float, diag: np.ndarray) -> np.ndarray:
+    """Dense mu * (-Lap) + diag(d), assembled node by node from the
+    mirrored-ghost stencil (x index fastest in 2D); test oracle only."""
+    counts = grid.counts
+    strides = [1] if grid.dim == 1 else [1, counts[0]]
+    n = grid.num_nodes
+    a = np.diag(np.asarray(diag, dtype=float))
+    for flat in range(n):
+        idx = [flat % counts[0]] if grid.dim == 1 else [flat % counts[0], flat // counts[0]]
+        for axis, (i, nn) in enumerate(zip(idx, counts)):
+            scale = mu * (nn - 1.0) ** 2
+            a[flat, flat] += 2.0 * scale
+            for nb in (i - 1, i + 1):
+                mirrored = 1 if nb < 0 else nn - 2 if nb >= nn else nb
+                a[flat, flat + (mirrored - i) * strides[axis]] -= scale
+    return a

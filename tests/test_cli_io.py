@@ -259,6 +259,15 @@ def test_exit_two_on_config_error(capsys):
     assert main(["sweep", "--grid", "33", "--mu", "0.001"]) == 2   # resolution
 
 
+@pytest.mark.parametrize("value", ["two", "0", "1.5"])
+def test_exit_two_on_bad_threads_setting(monkeypatch, capsys, value):
+    monkeypatch.setenv("KPPFRAG_THREADS", value)
+    assert main(["optimize", "--grid", "33", "--mu", "1", "--starts", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert f"KPPFRAG_THREADS must be a positive integer, got {value!r}" in err
+
+
 def test_exit_three_on_solver_failure(monkeypatch, capsys):
     def _stall(*args, **kwargs):
         raise NoConvergence("stalled", last_residual=1.0)

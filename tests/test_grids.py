@@ -10,7 +10,9 @@ from kppfrag import (
     periodise_values,
     refine_fold_values,
 )
+import kppfrag.grids as grids_mod
 from kppfrag.grids import periodise_axis_indices
+from conftest import dense_shifted
 
 
 def test_grid_validation():
@@ -115,6 +117,42 @@ def test_shifted_factor_reuse_matches_solve():
     fac = lap.shifted_factor(0.2, diag)
     rhs = np.ones(21)
     assert np.allclose(fac.solve(rhs), lap.solve_shifted(0.2, diag, rhs), rtol=1e-13)
+
+
+def test_dense_oracle_matches_operator():
+    g = Grid((5, 4))
+    diag = np.linspace(-1.0, 1.0, g.num_nodes)
+    v = np.random.default_rng(3).standard_normal(g.num_nodes)
+    lap = NeumannLaplacian(g)
+    assert np.allclose(dense_shifted(g, 0.3, diag) @ v,
+                       0.3 * (-lap.apply(v)) + diag * v, rtol=1e-13, atol=1e-12)
+
+
+@pytest.mark.parametrize("counts", [(9, 12), (12, 9)])
+def test_shifted_solve_indefinite_matches_dense_oracle(counts):
+    # Newton matrices mu*(-Lap) + diag(2 theta - m) can be indefinite
+    g = Grid(counts)
+    rng = np.random.default_rng(11)
+    diag = rng.uniform(-1.0, 1.0, g.num_nodes)
+    rhs = rng.standard_normal(g.num_nodes)
+    dense = dense_shifted(g, 0.05, diag)
+    eig = np.linalg.eigvals(dense).real
+    assert eig.min() < 0.0 < eig.max()
+    assert np.linalg.cond(dense) < 1e6
+    expect = np.linalg.solve(dense, rhs)
+    got = NeumannLaplacian(g).solve_shifted(0.05, diag, rhs)
+    assert np.allclose(got, expect, rtol=1e-9, atol=1e-11 * np.max(np.abs(expect)))
+
+
+def test_shifted_solve_2d_stall_raises_linalg_error(monkeypatch):
+    # one Krylov step per pass cannot reach the rounding floor on a
+    # variable shift; the solve must give up with a LinAlgError, not loop
+    g = Grid((10, 12))
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="above the rounding floor"):
+        NeumannLaplacian(g).solve_shifted(0.1, rng.uniform(-1.0, 1.0, g.num_nodes),
+                                          rng.standard_normal(g.num_nodes))
 
 
 def test_refined_counts():

@@ -9,6 +9,7 @@ from kppfrag import (
     ProblemParams,
     ResourceField,
     ScalarField,
+    SingularAdjoint,
     SolverConfig,
     armijo_ascent_step,
     best_perturbation,
@@ -21,7 +22,9 @@ from kppfrag import (
     solve_steady_state,
     total_population,
 )
+import kppfrag.grids as grids_mod
 import kppfrag.optimizer as optimizer_mod
+from kppfrag.grids import NeumannLaplacian, residual_floor
 from conftest import constant_resource, interior_resource, lp_bruteforce
 
 
@@ -45,13 +48,28 @@ def test_adjoint_positive_on_layered_instance(crenel_state_mu001):
     assert float(np.min(adj.p.values)) > 0.0
 
 
-def test_adjoint_reuses_kept_factorization():
-    m = make_crenel(Grid((129,)), 1.0, 0.3)
-    params = ProblemParams(mu=0.2, kappa=1.0, m0=0.3)
-    state = solve_steady_state(m, params, keep_factor=True)
-    via_factor = solve_adjoint(m, state.theta, params, factor=state._factor)
-    fresh = solve_adjoint(m, state.theta, params)
-    assert np.allclose(via_factor.p.values, fresh.p.values, rtol=1e-11)
+def test_adjoint_residual_gate_holds_on_2d_crenel():
+    # the 2D adjoint is a MINRES solve of the final Newton matrix; its
+    # residual must clear the same gate the direct solve did
+    m = make_crenel(Grid((120, 120)), 1.0, 0.3)
+    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
+    state = solve_steady_state(m, params)
+    adj = solve_adjoint(m, state.theta, params)
+    p = adj.p.values
+    diag = 2.0 * state.theta.values - m.values
+    resid = 0.01 * (-NeumannLaplacian(m.grid).apply(p)) + diag * p - 1.0
+    gate = max(1e-10, residual_floor(m.grid, 0.01) * max(1.0, float(np.max(np.abs(p)))))
+    assert adj.residual_norm == float(np.max(np.abs(resid))) <= gate
+    assert float(np.min(p)) > 0.0
+
+
+def test_adjoint_krylov_stall_raises_singular_adjoint(monkeypatch):
+    m = make_crenel(Grid((12, 12)), 1.0, 0.3)
+    params = ProblemParams(mu=0.1, kappa=1.0, m0=0.3)
+    state = solve_steady_state(m, params)
+    monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
+    with pytest.raises(SingularAdjoint, match="adjoint solve failed"):
+        solve_adjoint(m, state.theta, params)
 
 
 def test_gradient_constant_instance():

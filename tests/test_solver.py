@@ -3,7 +3,6 @@ import pytest
 
 from kppfrag import (
     Grid,
-    NeumannLaplacian,
     NoConvergence,
     NonPositiveMeanResource,
     ProblemParams,
@@ -15,11 +14,14 @@ from kppfrag import (
     energy_gradient,
     l1_distance,
     lou_identity_residual,
+    OptimConfig,
     make_crenel,
     mean,
+    optimize,
     solve_steady_state,
     total_population,
 )
+import kppfrag.grids as grids_mod
 from conftest import constant_resource, interior_resource
 
 # regression constants frozen from grid-refinement studies during oracle
@@ -229,14 +231,44 @@ def test_warm_start_converges_to_same_state():
     assert np.max(np.abs(warm.theta.values - cold.theta.values)) <= 1e-9
 
 
-def test_keep_factor_solves_final_jacobian():
-    m = make_crenel(Grid((65,)), 1.0, 0.3)
-    params = ProblemParams(mu=0.5, kappa=1.0, m0=0.3)
-    state = solve_steady_state(m, params, keep_factor=True)
-    lap = NeumannLaplacian(m.grid)
-    rhs = np.ones(m.grid.num_nodes)
-    direct = lap.solve_shifted(0.5, 2.0 * state.theta.values - m.values, rhs)
-    assert np.allclose(state._factor.solve(rhs), direct, rtol=1e-12)
+def _supersolution_solve(m, params):
+    return solve_steady_state(m, params, theta0=np.full(m.grid.num_nodes, m.kappa))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_default_start_avoids_trivial_state_2d(n):
+    # from mean(m) Newton lands on theta ~ 1e-14 here; the solve must
+    # notice mean(theta) < mean(m) and restart from max(m)
+    m = make_crenel(Grid((n, n)), 1.0, 0.3)
+    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
+    state = solve_steady_state(m, params)
+    ref = _supersolution_solve(m, params)
+    assert total_population(state) >= 0.3
+    assert abs(total_population(state) - total_population(ref)) <= 1e-12
+    assert np.max(np.abs(state.theta.values - ref.theta.values)) <= 1e-9
+
+
+def test_default_start_avoids_trivial_state_1d_winner():
+    # the winning layout of this small 1D run used to re-solve cold to theta ~ 0
+    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
+    run = optimize(params, Grid((65,)), OptimConfig(starts=2, seed=1))
+    state = solve_steady_state(run.best_m, params)
+    assert abs(total_population(state) - run.best_F) <= 1e-9
+    assert total_population(state) >= 0.3
+
+
+def test_positive_default_start_keeps_iteration_count():
+    # no restart when the first Newton run already reaches the positive state
+    m = make_crenel(Grid((60, 60)), 1.0, 0.3)
+    state = solve_steady_state(m, ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
+    assert state.iterations == 17 and state.used_fallback
+
+
+def test_krylov_stall_surfaces_as_no_convergence(monkeypatch):
+    m = make_crenel(Grid((12, 12)), 1.0, 0.3)
+    monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
+    with pytest.raises(NoConvergence, match="linear solve failed"):
+        solve_steady_state(m, ProblemParams(mu=0.1, kappa=1.0, m0=0.3))
 
 
 def test_continuity_ratio_battery_reported(capsys):
