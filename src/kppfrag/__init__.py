@@ -7,8 +7,6 @@ from .grids import (
     Grid,
     GridError,
     NeumannLaplacian,
-    PeriodiseDivisibilityError,
-    periodise_values,
     refine_fold_values,
 )
 from .fields import (
@@ -25,7 +23,6 @@ from .fields import (
     make_crenel,
     mean,
     near_bangbang_fraction,
-    periodise,
 )
 from .solver import (
     NoConvergence,
@@ -33,9 +30,6 @@ from .solver import (
     SolverConfig,
     SolverError,
     SteadyState,
-    energy,
-    energy_descent_guess,
-    energy_gradient,
     lou_identity_residual,
     solve_steady_state,
     total_population,
@@ -73,15 +67,13 @@ from .plots import emit_plot
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "GridError", "NeumannLaplacian", "PeriodiseDivisibilityError",
-    "periodise_values", "refine_fold_values",
+    "Grid", "GridError", "NeumannLaplacian", "refine_fold_values",
     "AdmissibilityError", "FieldError", "ProblemParams", "ResourceField",
     "ScalarField", "bv_seminorm", "field_from_csv", "field_to_csv",
     "jump_count", "l1_distance", "make_crenel", "mean",
-    "near_bangbang_fraction", "periodise",
+    "near_bangbang_fraction",
     "NoConvergence", "NonPositiveMeanResource", "SolverConfig", "SolverError",
-    "SteadyState", "energy", "energy_descent_guess", "energy_gradient",
-    "lou_identity_residual", "solve_steady_state", "total_population",
+    "SteadyState", "lou_identity_residual", "solve_steady_state", "total_population",
     "AdjointState", "DegenerateSample", "OptimConfig", "OptimizationError",
     "OptimRun", "SingularAdjoint", "StartRecord", "armijo_ascent_step",
     "best_perturbation", "objective_gradient", "optimize",

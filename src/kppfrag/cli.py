@@ -2,17 +2,23 @@
 
     kppfrag <command> [--config FILE] [--preset NAME] [--mu MU[,MU...]]
             [--m0 M0] [--kappa K] [--grid N[xM]] [--seed S] [--starts K]
-            [--out DIR] [--plot]
+            [--k-max K] [--out DIR] [--plot] [--allow-underresolved]
 
 Commands: solve, optimize, sweep, periodise-check, lemma2, efficiency.
 Commands that need a concrete resource layout (solve, periodise-check,
 lemma2, efficiency) act on the canonical left-packed block layout for the
 given (kappa, m0, grid); optimize and sweep search over layouts.
 
+All commands share one path: `_execute` computes a command's stdout lines,
+report body, field CSVs, plots and summary rows; `main` times that call,
+prints the lines and, given --out, makes the one `persist_results` call,
+adding `command` and `wall_time` to report.json.
+
 Settings merge in increasing precedence: built-in defaults, --preset,
 --config JSON file, explicit flags. Unknown keys in a config file are
-rejected. Exit codes: 0 success, 2 configuration error, 3 solver or
-optimization failure, 4 IO failure while persisting.
+rejected, and a sweep's mu ladder must strictly decrease. Exit codes:
+0 success, 2 configuration error, 3 solver or optimization failure, 4 IO
+failure while persisting.
 """
 from __future__ import annotations
 
@@ -36,11 +42,10 @@ from .experiments import (
     lemma2_bound_sweep,
     periodisation_check,
 )
-from .fields import ResourceField, field_to_csv, make_crenel
+from .fields import ProblemParams, field_to_csv, make_crenel
 from .grids import Grid
 from .optimizer import OptimConfig, OptimizationError, optimize, pool_size
 from .plots import emit_plot
-from .fields import ProblemParams
 from .solver import SolverError, solve_steady_state, total_population
 
 COMMANDS = ("solve", "optimize", "sweep", "periodise-check", "lemma2", "efficiency")
@@ -132,6 +137,8 @@ def parse_config(data: dict, command: str) -> RunConfig:
     mu = tuple(_as_float("mu", v) for v in mu)
     if any(v <= 0 for v in mu):
         raise ConfigError("mu", "diffusivities must be positive")
+    if command == "sweep" and any(b >= a for a, b in zip(mu, mu[1:])):
+        raise ConfigError("mu", "a sweep needs a strictly decreasing ladder")
 
     kappa = _as_float("kappa", merged["kappa"])
     m0 = _as_float("m0", merged["m0"])
@@ -291,56 +298,37 @@ def persist_results(out_dir: str, config: RunConfig, report: dict,
     return os.path.join(out_dir, "manifest.json")
 
 
-def _instance(cfg: RunConfig):
+@dataclass
+class _Result:
+    """What one command produced: stdout lines, the report body (main adds
+    command and wall_time), field CSVs, plots (written with --plot), summary
+    rows (sweeps only) and warnings for stderr."""
+
+    lines: list
+    report: dict
+    fields: dict
+    plots: dict = dataclasses.field(default_factory=dict)
+    rows: list | None = None
+    warnings: list = dataclasses.field(default_factory=list)
+
+
+def _execute(cfg: RunConfig) -> _Result:
+    """Compute the result of cfg.command."""
     grid = Grid(cfg.grid)
-    try:
-        params = ProblemParams(mu=cfg.mu[0], kappa=cfg.kappa, m0=cfg.m0)
-    except ValueError as exc:
-        raise ConfigError("m0", str(exc)) from exc
-    return grid, params
+    params = ProblemParams(mu=cfg.mu[0], kappa=cfg.kappa, m0=cfg.m0)
+    optim = OptimConfig(starts=cfg.starts, seed=cfg.seed,
+                        max_outer_iters=cfg.max_outer_iters)
 
-
-def _optim_config(cfg: RunConfig) -> OptimConfig:
-    return OptimConfig(starts=cfg.starts, seed=cfg.seed,
-                       max_outer_iters=cfg.max_outer_iters)
-
-
-def _cmd_solve(cfg: RunConfig) -> int:
-    grid, params = _instance(cfg)
-    m = make_crenel(grid, cfg.kappa, cfg.m0)
-    t0 = time.perf_counter()
-    state = solve_steady_state(m, params)
-    wall = time.perf_counter() - t0
-    F = total_population(state)
-    print(f"solve: mu={params.mu:g} grid={'x'.join(map(str, cfg.grid))} "
-          f"F={F:.12g} residual={state.residual_norm:.3e} "
-          f"iterations={state.iterations} fallback={state.used_fallback}")
-    if cfg.out:
-        report = {"command": "solve", "mu": params.mu, "F": F,
-                  "residual_norm": state.residual_norm,
-                  "iterations": state.iterations,
-                  "used_fallback": state.used_fallback, "wall_time": wall}
-        fields = {"m.csv": m, "theta.csv": state.theta}
-        plots = {"solve.svg": (m, state.theta)} if cfg.plot else None
-        persist_results(cfg.out, cfg, report, fields, plots)
-    return 0
-
-
-def _cmd_optimize(cfg: RunConfig) -> int:
-    grid, params = _instance(cfg)
-    t0 = time.perf_counter()
-    run = optimize(params, grid, _optim_config(cfg))
-    wall = time.perf_counter() - t0
-    state = solve_steady_state(run.best_m, params)
-    print(f"optimize: mu={params.mu:g} best_F={run.best_F:.12g} "
-          f"termination={run.termination} start={run.start_index} "
-          f"starts={len(run.starts)}")
-    if cfg.out:
+    if cfg.command == "optimize":
+        run = optimize(params, grid, optim)
+        state = solve_steady_state(run.best_m, params)
+        line = (f"optimize: mu={params.mu:g} best_F={run.best_F:.12g} "
+                f"termination={run.termination} start={run.start_index} "
+                f"starts={len(run.starts)}")
         report = {
-            "command": "optimize", "mu": params.mu, "best_F": run.best_F,
+            "mu": params.mu, "best_F": run.best_F,
             "termination": run.termination, "start_index": run.start_index,
-            "seed": run.seed, "wall_time": wall,
-            "trajectory": [list(t) for t in run.trajectory],
+            "seed": run.seed, "trajectory": [list(t) for t in run.trajectory],
             "starts": [
                 {"start_index": s.start_index,
                  "F": None if s.failed else s.F,
@@ -349,111 +337,66 @@ def _cmd_optimize(cfg: RunConfig) -> int:
                 for s in run.starts
             ],
         }
-        fields = {"best_m.csv": run.best_m, "theta.csv": state.theta}
-        plots = {"optimize.svg": (run.best_m, state.theta)} if cfg.plot else None
-        persist_results(cfg.out, cfg, report, fields, plots)
-    return 0
+        return _Result([line], report,
+                       {"best_m.csv": run.best_m, "theta.csv": state.theta},
+                       {"optimize.svg": (run.best_m, state.theta)})
 
-
-def _cmd_sweep(cfg: RunConfig) -> int:
-    grid, params = _instance(cfg)
-    report = fragmentation_sweep(params, grid, cfg.mu, _optim_config(cfg),
-                                 allow_underresolved=cfg.allow_underresolved)
-    for rec in report.records:
-        if rec.error is not None:
-            print(f"mu={rec.mu:g} FAILED: {rec.error}")
-        else:
-            jumps = "-" if rec.jumps is None else str(rec.jumps)
-            print(f"mu={rec.mu:g} best_F={rec.best_F:.12g} bv={rec.bv:.6g} "
-                  f"jumps={jumps} bangbang={rec.bangbang_frac:.3f} "
-                  f"[{rec.wall_time:.1f}s]")
-    print(f"bv_monotone={report.bv_monotone}")
-    for w in report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if cfg.out:
-        rep = {
-            "command": "sweep", "bv_monotone": report.bv_monotone,
-            "warnings": report.warnings, "seed": report.seed,
-            "records": [
-                {"mu": r.mu, "best_F": r.best_F, "bv": r.bv, "jumps": r.jumps,
-                 "bangbang_frac": r.bangbang_frac, "termination": r.termination,
-                 "wall_time": r.wall_time, "error": r.error}
-                for r in report.records
-            ],
-        }
-        fields = {}
-        plots = {}
-        for i, rec in enumerate(report.records):
-            if rec.best_m is None:
-                continue
-            fields[f"best_m_{i:02d}.csv"] = rec.best_m
-            if cfg.plot:
+    if cfg.command == "sweep":
+        sweep = fragmentation_sweep(params, grid, cfg.mu, optim,
+                                    allow_underresolved=cfg.allow_underresolved)
+        lines, fields, plots, records = [], {}, {}, []
+        for i, rec in enumerate(sweep.records):
+            if rec.error is not None:
+                lines.append(f"mu={rec.mu:g} FAILED: {rec.error}")
+            else:
+                jumps = "-" if rec.jumps is None else str(rec.jumps)
+                lines.append(f"mu={rec.mu:g} best_F={rec.best_F:.12g} bv={rec.bv:.6g} "
+                             f"jumps={jumps} bangbang={rec.bangbang_frac:.3f} "
+                             f"[{rec.wall_time:.1f}s]")
+            if rec.best_m is not None:
+                fields[f"best_m_{i:02d}.csv"] = rec.best_m
                 plots[f"best_m_{i:02d}.svg"] = (rec.best_m, None)
-        rows = [
-            {"mu": r.mu, "best_F": r.best_F, "bv": r.bv, "jumps": r.jumps,
-             "bangbang_frac": r.bangbang_frac, "seconds": r.wall_time}
-            for r in report.records
-        ]
-        persist_results(cfg.out, cfg, rep, fields, plots or None, rows)
-    return 0
+            records.append({"mu": rec.mu, "best_F": rec.best_F, "bv": rec.bv,
+                            "jumps": rec.jumps, "bangbang_frac": rec.bangbang_frac,
+                            "termination": rec.termination,
+                            "wall_time": rec.wall_time, "error": rec.error})
+        lines.append(f"bv_monotone={sweep.bv_monotone}")
+        report = {"bv_monotone": sweep.bv_monotone, "warnings": sweep.warnings,
+                  "seed": sweep.seed, "records": records}
+        rows = [{**r, "seconds": r["wall_time"]} for r in records]
+        return _Result(lines, report, fields, plots, rows, sweep.warnings)
 
-
-def _cmd_periodise(cfg: RunConfig) -> int:
-    grid, params = _instance(cfg)
     m = make_crenel(grid, cfg.kappa, cfg.m0)
-    t0 = time.perf_counter()
-    rows = periodisation_check(m, params, cfg.k_max)
-    wall = time.perf_counter() - t0
-    for r in rows:
-        print(f"k={r.k} mu={r.mu_k:.6g} F={r.F_k:.12g} deviation={r.deviation:.3e}")
-    if cfg.out:
-        report = {"command": "periodise-check", "wall_time": wall,
-                  "max_deviation": max(r.deviation for r in rows),
-                  "rows": [dataclasses.asdict(r) for r in rows]}
-        persist_results(cfg.out, cfg, report, {"m.csv": m})
-    return 0
+    if cfg.command == "solve":
+        state = solve_steady_state(m, params)
+        F = total_population(state)
+        line = (f"solve: mu={params.mu:g} grid={'x'.join(map(str, cfg.grid))} "
+                f"F={F:.12g} residual={state.residual_norm:.3e} "
+                f"iterations={state.iterations} fallback={state.used_fallback}")
+        report = {"mu": params.mu, "F": F, "residual_norm": state.residual_norm,
+                  "iterations": state.iterations,
+                  "used_fallback": state.used_fallback}
+        return _Result([line], report, {"m.csv": m, "theta.csv": state.theta},
+                       {"solve.svg": (m, state.theta)})
 
-
-def _cmd_lemma2(cfg: RunConfig) -> int:
-    grid, params = _instance(cfg)
-    m = make_crenel(grid, cfg.kappa, cfg.m0)
-    t0 = time.perf_counter()
-    eta, rows = lemma2_bound_sweep(m, params, cfg.mu[0], cfg.k_max)
-    wall = time.perf_counter() - t0
-    print(f"eta_hat={eta:.12g}")
-    for r in rows:
-        print(f"k={r.k} min_gap={r.min_gap:.12g} bound_ok={r.bound_ok}")
-    if cfg.out:
-        report = {"command": "lemma2", "eta_hat": eta, "wall_time": wall,
-                  "all_ok": all(r.bound_ok for r in rows),
-                  "rows": [dataclasses.asdict(r) for r in rows]}
-        persist_results(cfg.out, cfg, report, {"m.csv": m})
-    return 0
-
-
-def _cmd_efficiency(cfg: RunConfig) -> int:
-    grid, params = _instance(cfg)
-    m = make_crenel(grid, cfg.kappa, cfg.m0)
-    mus = cfg.mu if len(cfg.mu) > 1 else DEFAULT_EFFICIENCY_MUS
-    t0 = time.perf_counter()
-    ratio = efficiency_ratio(m, mus)
-    wall = time.perf_counter() - t0
-    print(f"efficiency: max F/m0 = {ratio:.12g} over {len(mus)} diffusivities")
-    if cfg.out:
-        report = {"command": "efficiency", "ratio": ratio,
-                  "mu_list": list(mus), "wall_time": wall}
-        persist_results(cfg.out, cfg, report, {"m.csv": m})
-    return 0
-
-
-_RUNNERS = {
-    "solve": _cmd_solve,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "periodise-check": _cmd_periodise,
-    "lemma2": _cmd_lemma2,
-    "efficiency": _cmd_efficiency,
-}
+    if cfg.command == "periodise-check":
+        table = periodisation_check(m, params, cfg.k_max)
+        lines = [f"k={r.k} mu={r.mu_k:.6g} F={r.F_k:.12g} deviation={r.deviation:.3e}"
+                 for r in table]
+        report = {"max_deviation": max(r.deviation for r in table),
+                  "rows": [dataclasses.asdict(r) for r in table]}
+    elif cfg.command == "lemma2":
+        eta, table = lemma2_bound_sweep(m, params, cfg.mu[0], cfg.k_max)
+        lines = [f"eta_hat={eta:.12g}"] + [
+            f"k={r.k} min_gap={r.min_gap:.12g} bound_ok={r.bound_ok}" for r in table]
+        report = {"eta_hat": eta, "all_ok": all(r.bound_ok for r in table),
+                  "rows": [dataclasses.asdict(r) for r in table]}
+    else:
+        mus = cfg.mu if len(cfg.mu) > 1 else DEFAULT_EFFICIENCY_MUS
+        ratio = efficiency_ratio(m, mus)
+        lines = [f"efficiency: max F/m0 = {ratio:.12g} over {len(mus)} diffusivities"]
+        report = {"ratio": ratio, "mu_list": list(mus)}
+    return _Result(lines, report, {"m.csv": m})
 
 
 def _parse_grid_flag(text: str):
@@ -522,20 +465,23 @@ def _check_environment() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         _check_environment()
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _RUNNERS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ResolutionError as exc:
+        t0 = time.perf_counter()
+        result = _execute(cfg)
+        wall = time.perf_counter() - t0
+        for line in result.lines:
+            print(line)
+        for w in result.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        if cfg.out:
+            report = {"command": cfg.command, **result.report, "wall_time": wall}
+            persist_results(cfg.out, cfg, report, result.fields,
+                            result.plots if cfg.plot else None, result.rows)
+        return 0
+    except (ConfigError, ResolutionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, OptimizationError) as exc:
@@ -544,7 +490,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)
         return 4
-
 
 if __name__ == "__main__":
     sys.exit(main())

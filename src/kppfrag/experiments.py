@@ -19,14 +19,13 @@ import numpy as np
 from .fields import (
     ProblemParams,
     ResourceField,
-    ScalarField,
     bv_seminorm,
     jump_count,
     mean,
     near_bangbang_fraction,
 )
 from .grids import Grid, refine_fold_values
-from .optimizer import OptimConfig, OptimizationError, OptimRun, optimize
+from .optimizer import OptimConfig, OptimizationError, optimize
 from .solver import SolverConfig, solve_steady_state, total_population
 
 IDENTITY_TOL = 1e-8
@@ -82,6 +81,24 @@ def _solve_F(
     return total_population(solve_steady_state(m, params, cfg))
 
 
+def _squeezed_F(
+    m: ResourceField, params: ProblemParams, mus, k_max: int, cfg: SolverConfig
+) -> list[list[float]]:
+    """F of the k-th dyadic squeeze of m at each mu / 4^k, for k = 0..k_max
+    (one row per k). The k-th problem is solved on the 2^k-refined grid,
+    where the squeeze is an exact index fold of the base problem."""
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    table = []
+    for k in range(k_max + 1):
+        grid = m.grid.refined(k)
+        vals = refine_fold_values(m.values, m.grid, k)
+        table.append(
+            [_solve_F(vals, grid, dc_replace(params, mu=mu / 4.0**k), cfg) for mu in mus]
+        )
+    return table
+
+
 def periodisation_check(
     m: ResourceField,
     params: ProblemParams,
@@ -89,23 +106,14 @@ def periodisation_check(
     solver_cfg: SolverConfig | None = None,
 ) -> list[PeriodisationRow]:
     """Table of (k, mu/4^k, F of the squeezed problem, |F_k - F_0|) for
-    k = 0..k_max. The k-th problem is solved on the 2^k-refined grid, where
-    the squeeze is an exact index fold of the base problem.
+    k = 0..k_max.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
     cfg = solver_cfg or SolverConfig(newton_tol=1e-12)
-    base_F = _solve_F(m.values, m.grid, params, cfg)
-    rows = [PeriodisationRow(k=0, mu_k=params.mu, F_k=base_F, deviation=0.0)]
-    for k in range(1, k_max + 1):
-        fine_grid = m.grid.refined(k)
-        fine_vals = refine_fold_values(m.values, m.grid, k)
-        mu_k = params.mu / 4.0**k
-        F_k = _solve_F(fine_vals, fine_grid, dc_replace(params, mu=mu_k), cfg)
-        rows.append(
-            PeriodisationRow(k=k, mu_k=mu_k, F_k=F_k, deviation=abs(F_k - base_F))
-        )
-    return rows
+    F = [row[0] for row in _squeezed_F(m, params, [params.mu], k_max, cfg)]
+    return [
+        PeriodisationRow(k=k, mu_k=params.mu / 4.0**k, F_k=F_k, deviation=abs(F_k - F[0]))
+        for k, F_k in enumerate(F)
+    ]
 
 
 def lemma2_bound_sweep(
@@ -128,26 +136,11 @@ def lemma2_bound_sweep(
         raise ValueError("underline_mu must be positive")
     cfg = solver_cfg or SolverConfig(newton_tol=1e-12)
     mus = np.geomspace(underline_mu, 4.0 * underline_mu, num_samples)
-    base_gaps = [
-        _solve_F(m.values, m.grid, dc_replace(params, mu=mu), cfg) - params.m0
-        for mu in mus
-    ]
-    eta_hat = float(min(base_gaps))
-    rows = [LemmaBoundRow(k=0, min_gap=eta_hat, bound_ok=True)]
-    for k in range(1, k_max + 1):
-        fine_grid = m.grid.refined(k)
-        fine_vals = refine_fold_values(m.values, m.grid, k)
-        gaps = [
-            _solve_F(fine_vals, fine_grid, dc_replace(params, mu=mu / 4.0**k), cfg)
-            - params.m0
-            for mu in mus
-        ]
-        min_gap = float(min(gaps))
-        rows.append(
-            LemmaBoundRow(
-                k=k, min_gap=min_gap, bound_ok=min_gap >= eta_hat - IDENTITY_TOL
-            )
-        )
+    gaps = [float(min(F - params.m0 for F in row))
+            for row in _squeezed_F(m, params, mus, k_max, cfg)]
+    eta_hat = gaps[0]
+    rows = [LemmaBoundRow(k=k, min_gap=gap, bound_ok=gap >= eta_hat - IDENTITY_TOL)
+            for k, gap in enumerate(gaps)]
     return eta_hat, rows
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, periodise_values
+from .grids import Grid, GridError, _axis_weights
 
 MEAN_TOL = 1e-10
 BOUND_TOL = 1e-12
@@ -152,11 +152,6 @@ def near_bangbang_fraction(f: ScalarField, kappa: float) -> float:
     return float(np.mean((v > 0.05 * kappa) & (v < 0.95 * kappa)))
 
 
-def periodise(f: ScalarField, k: int) -> ScalarField:
-    """Same-grid dyadic squeeze of the field (see grids.periodise_values)."""
-    return ScalarField(f.grid, periodise_values(f.values, f.grid, k))
-
-
 def make_crenel(grid: Grid, kappa: float, m0: float) -> ResourceField:
     """Single block of height kappa grown from x = 0 until the weighted mass
     reaches m0 * sum(weights), with one partial-value node absorbing the
@@ -164,16 +159,9 @@ def make_crenel(grid: Grid, kappa: float, m0: float) -> ResourceField:
     (y-independent)."""
     if not (0 < m0 < kappa):
         raise AdmissibilityError(f"need 0 < m0 < kappa, got m0={m0}, kappa={kappa}")
-    if grid.dim == 1:
-        w = grid.node_weights
-        vals = _fill_greedy(w, m0 * float(w.sum()) / kappa) * kappa
-        return ResourceField(grid, vals, kappa, m0)
-    nx, ny = grid.counts
-    wx = np.ones(nx)
-    wx[0] = 0.5
-    wx[-1] = 0.5
-    col = _fill_greedy(wx, m0 * float(wx.sum()) / kappa) * kappa
-    vals = np.tile(col, ny)
+    w = _axis_weights(grid.counts[0])
+    col = _fill_greedy(w, m0 * float(w.sum()) / kappa) * kappa
+    vals = col if grid.dim == 1 else np.tile(col, grid.counts[1])
     return ResourceField(grid, vals, kappa, m0)
 
 
@@ -204,19 +192,33 @@ def field_to_csv(f: ScalarField) -> str:
 
 
 def field_from_csv(text: str) -> ScalarField:
+    """Read field_to_csv output back. Reads are strict: the coordinate
+    columns must equal those of the uniform grid they span, in the writer's
+    row-major order, to the last bit (17 digits round-trip doubles). Empty
+    input, ragged rows, non-numeric cells, a wrong row order or a
+    non-uniform grid raise FieldError."""
     lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines:
+        raise FieldError("empty field CSV")
     header = lines[0].strip().split(",")
     if header not in (["x", "value"], ["x", "y", "value"]):
         raise FieldError(f"unrecognized field CSV header: {lines[0]!r}")
-    dim = len(header) - 1
-    rows = [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
-    values = np.array([r[-1] for r in rows])
-    xs = sorted({r[0] for r in rows})
-    if dim == 1:
-        grid = Grid((len(rows),))
-    else:
-        ys = sorted({r[1] for r in rows})
-        grid = Grid((len(xs), len(ys)))
-        if grid.num_nodes != len(rows):
-            raise FieldError("CSV rows do not form a full tensor grid")
-    return ScalarField(grid, values)
+    cells = [ln.split(",") for ln in lines[1:]]
+    for i, row in enumerate(cells, start=1):
+        if len(row) != len(header):
+            raise FieldError(f"data row {i}: {len(row)} cells, expected {len(header)}")
+    try:
+        table = np.array(cells, dtype=float).reshape(len(cells), len(header))
+    except ValueError as exc:
+        raise FieldError(f"non-numeric cell in field CSV: {exc}") from None
+    coords = table[:, :-1].T
+    try:
+        grid = Grid(tuple(np.unique(c).size for c in coords))
+    except GridError as exc:
+        raise FieldError(f"field CSV does not span a grid: {exc}") from None
+    if not all(np.array_equal(c, expect)
+               for c, expect in zip(coords, grid.coords_columns())):
+        raise FieldError(
+            "field CSV coordinates are not a uniform grid in row-major order "
+            "(x fastest)")
+    return ScalarField(grid, table[:, -1])

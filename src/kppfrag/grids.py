@@ -26,10 +26,6 @@ class GridError(ValueError):
     pass
 
 
-class PeriodiseDivisibilityError(ValueError):
-    """Raised when a fold level does not land on grid nodes."""
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform node-centered grid on (0,1)^dim, dim in {1, 2}.
@@ -152,13 +148,6 @@ class NeumannLaplacian:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self._mat @ v
 
-    def matrix(self) -> sp.csr_matrix:
-        return self._mat
-
-    def dense(self) -> np.ndarray:
-        # test oracle convenience; only sensible for small grids
-        return self._mat.toarray()
-
     @cached_property
     def _symmetric(self) -> sp.csr_matrix:
         """W^(1/2) (-Lap) W^(-1/2), symmetric (built on first 2D solve)."""
@@ -173,21 +162,6 @@ class NeumannLaplacian:
 
     def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return self.shifted_factor(mu, diag).solve(rhs)
-
-    def largest_eigenvalue_magnitude(self, iters: int = 2000, seed: int = 0) -> float:
-        """Power-iteration estimate of the spectral radius (test oracle)."""
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.grid.num_nodes)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(iters):
-            w = self._mat @ v
-            lam = float(v @ w)
-            nrm = np.linalg.norm(w)
-            if nrm == 0.0:
-                return 0.0
-            v = w / nrm
-        return abs(lam)
 
 
 class _Banded1D:
@@ -307,37 +281,11 @@ class _Minres2D:
         return x
 
 
-def _fold_indices(n_out: int, stride: int, m_in: int) -> np.ndarray:
-    """Even-periodic (period 2*m_in) fold of stride-sampled indices."""
-    r = (stride * np.arange(n_out)) % (2 * m_in)
+def _fold_indices(n_out: int, m_in: int) -> np.ndarray:
+    """Indices 0..n_out-1 folded even-periodically (period 2*m_in) onto
+    0..m_in."""
+    r = np.arange(n_out) % (2 * m_in)
     return np.minimum(r, 2 * m_in - r)
-
-
-def periodise_axis_indices(n: int, k: int) -> np.ndarray:
-    """Index map for the same-grid fold: node i reads input node
-    fold(2^k * i) where fold reflects across 0 and 1."""
-    m = n - 1
-    if m % (1 << k):
-        raise PeriodiseDivisibilityError(
-            f"fold level {k} needs (N-1) divisible by {1 << k}; "
-            f"N={n} has N-1={m}. Use a grid with N = j*{1 << k} + 1 nodes."
-        )
-    return _fold_indices(n, 1 << k, m)
-
-
-def periodise_values(values: np.ndarray, grid: Grid, k: int) -> np.ndarray:
-    """Same-grid dyadic squeeze: output(x) = input(fold(2^k x)) per axis."""
-    if k < 0 or int(k) != k:
-        raise ValueError(f"fold level must be a nonnegative integer, got {k}")
-    if k == 0:
-        return values.copy()
-    idx = periodise_axis_indices(grid.counts[0], k)
-    if grid.dim == 1:
-        return values[idx]
-    nx, ny = grid.counts
-    idy = periodise_axis_indices(ny, k)
-    square = values.reshape(ny, nx)
-    return square[np.ix_(idy, idx)].ravel()
 
 
 def refine_fold_values(values: np.ndarray, grid: Grid, k: int) -> np.ndarray:
@@ -346,14 +294,8 @@ def refine_fold_values(values: np.ndarray, grid: Grid, k: int) -> np.ndarray:
     2^k x. Every input edge is traversed exactly 2^k times per period, so
     trapezoid means are preserved exactly; used by the identity experiments.
     """
-    if k == 0:
-        return values.copy()
-    mx = grid.counts[0] - 1
-    idx = _fold_indices((1 << k) * mx + 1, 1, mx)
+    idx = [_fold_indices(((n - 1) << k) + 1, n - 1) for n in grid.counts]
     if grid.dim == 1:
-        return values[idx]
+        return values[idx[0]]
     nx, ny = grid.counts
-    my = ny - 1
-    idy = _fold_indices((1 << k) * my + 1, 1, my)
-    square = values.reshape(ny, nx)
-    return square[np.ix_(idy, idx)].ravel()
+    return values.reshape(ny, nx)[np.ix_(idx[1], idx[0])].ravel()

@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ProblemParams, ResourceField, ScalarField, mean
+from .fields import ProblemParams, ResourceField, ScalarField
 from .grids import Grid, NeumannLaplacian, residual_floor
 from .solver import (
     NoConvergence,
     SolverConfig,
     SolverError,
-    SteadyState,
     solve_steady_state,
     total_population,
 )

@@ -25,7 +25,7 @@ in double precision at large mu / h^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -248,78 +248,3 @@ def lou_identity_residual(
         )
     return abs(mu * q - (float(np.mean(th)) - float(np.mean(m.values))))
 
-
-def energy(theta: ScalarField, m: ResourceField, params: ProblemParams) -> float:
-    """Gradient-flow energy whose minimizer over positive fields is the
-    steady state:
-
-        J(theta) = (mu/2) <theta, -Lap theta>_w - sum_i w_i (theta_i^2 m_i / 2 - theta_i^3 / 3)
-
-    with w the trapezoid node weights. The weighted quadratic form equals
-    the sum over edges of (d theta)^2 / h^2, and the gradient of J is
-    exactly -w . R(theta), so stationarity at the steady state holds to
-    solver tolerance.
-    """
-    if theta.grid != m.grid:
-        raise ValueError("fields on different grids")
-    grid = theta.grid
-    w = grid.node_weights
-    lap = NeumannLaplacian(grid)
-    quad = 0.5 * params.mu * float(theta.values @ (w * (-lap.apply(theta.values))))
-    th = theta.values
-    pot = float(np.sum(w * (0.5 * th**2 * m.values - th**3 / 3.0)))
-    return quad - pot
-
-
-def energy_gradient(
-    theta: ScalarField, m: ResourceField, params: ProblemParams,
-    lap: NeumannLaplacian | None = None,
-) -> np.ndarray:
-    lap = lap or NeumannLaplacian(theta.grid)
-    w = theta.grid.node_weights
-    return -w * _residual(lap, theta.values, m.values, params.mu)
-
-
-def energy_descent_guess(
-    m: ResourceField, params: ProblemParams, iters: int = 80
-) -> ScalarField:
-    """Approximate energy minimizer used as a Newton warm start.
-
-    Projected gradient descent on J from the constant start, with the
-    descent direction preconditioned by the diagonal of the Hessian-like
-    shift (Jacobi scaling) and a doubling/halving backtracking line search
-    on the energy value. The positivity floor is enforced after every step.
-    Best effort by construction; the Newton solve validates the result.
-    """
-    grid = m.grid
-    lap = NeumannLaplacian(grid)
-    w = grid.node_weights
-    mu = params.mu
-    hmin = min(grid.spacings)
-    stiff = 4.0 * grid.dim * mu / (hmin * hmin)
-    floor = 1e-12
-
-    theta = np.full(grid.num_nodes, max(mean(m), floor))
-
-    def j_value(t):
-        quad = 0.5 * mu * float(t @ (w * (-lap.apply(t))))
-        return quad - float(np.sum(w * (0.5 * t**2 * m.values - t**3 / 3.0)))
-
-    current = j_value(theta)
-    step = 1.0
-    for _ in range(iters):
-        r = _residual(lap, theta, m.values, mu)
-        direction = r / (stiff + np.abs(m.values - 2.0 * theta) + 1e-30)
-        moved = False
-        while step >= 2.0 ** -30:
-            trial = np.maximum(theta + step * direction, floor)
-            jt = j_value(trial)
-            if jt < current:
-                theta, current = trial, jt
-                step = min(step * 2.0, 1.0)
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return ScalarField(grid, theta)

@@ -86,3 +86,19 @@ def dense_shifted(grid: Grid, mu: float, diag: np.ndarray) -> np.ndarray:
                 mirrored = 1 if nb < 0 else nn - 2 if nb >= nn else nb
                 a[flat, flat + (mirrored - i) * strides[axis]] -= scale
     return a
+
+
+def largest_eigenvalue_magnitude(lap, iters: int = 2000, seed: int = 0) -> float:
+    """Power-iteration estimate of the spectral radius of lap; test oracle."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(lap.grid.num_nodes)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(iters):
+        w = lap.apply(v)
+        lam = float(v @ w)
+        nrm = np.linalg.norm(w)
+        if nrm == 0.0:
+            return 0.0
+        v = w / nrm
+    return abs(lam)

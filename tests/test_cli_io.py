@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -66,11 +67,19 @@ def test_parse_config_scalar_coercions():
     ({"k_max": -2}, "k_max"),
     ({"plot": "yes"}, "plot"),
     ({"frobnicate": 1}, "frobnicate"),       # unknown keys name themselves
+    ({"mu": [0.5, 1.0]}, "mu"),              # a sweep ladder must decrease
 ])
 def test_parse_config_rejections(data, field):
+    # sweep validates every setting the other commands do, plus its ladder
     with pytest.raises(ConfigError) as exc:
-        parse_config(data, "solve")
+        parse_config(data, "sweep")
     assert exc.value.field == field
+
+
+def test_parse_config_mu_order_free_outside_sweeps():
+    assert parse_config({"mu": [0.5, 1.0]}, "efficiency").mu == (0.5, 1.0)
+    with pytest.raises(ConfigError):
+        parse_config({"mu": [1.0, 1.0]}, "sweep")
 
 
 def test_parse_config_rejects_unknown_command():
@@ -257,6 +266,10 @@ def test_exit_two_on_config_error(capsys):
     assert main(["solve", "--m0", "2.0"]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert main(["sweep", "--grid", "33", "--mu", "0.001"]) == 2   # resolution
+    capsys.readouterr()
+    assert main(["sweep", "--grid", "33", "--mu", "0.5,1.0"]) == 2  # ladder order
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: mu:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["two", "0", "1.5"])
@@ -335,3 +348,66 @@ def test_cmd_efficiency(capsys):
     assert "max F/m0" in out
     ratio = float(out.split("=")[1].split("over")[0])
     assert 1.0 <= ratio < 3.0
+
+
+_REAL = r"[-+0-9.e]+"
+COMMAND_RUNS = {
+    "solve": (
+        ["solve", "--grid", "65", "--mu", "0.5", "--plot"],
+        ["m.csv", "solve.svg", "theta.csv"],
+        {"F", "iterations", "mu", "residual_norm", "used_fallback"},
+        [rf"solve: mu=0\.5 grid=65 F={_REAL} residual={_REAL} iterations=\d+ "
+         r"fallback=(True|False)"],
+    ),
+    "optimize": (
+        ["optimize", "--grid", "33", "--mu", "1.0", "--starts", "2", "--seed", "1",
+         "--plot"],
+        ["best_m.csv", "optimize.svg", "theta.csv"],
+        {"best_F", "mu", "seed", "start_index", "starts", "termination", "trajectory"},
+        [rf"optimize: mu=1 best_F={_REAL} termination=\w+ start=\d+ starts=2"],
+    ),
+    "sweep": (
+        ["sweep", "--grid", "33", "--mu", "1.0,0.5", "--starts", "2", "--plot"],
+        ["best_m_00.csv", "best_m_00.svg", "best_m_01.csv", "best_m_01.svg"],
+        {"bv_monotone", "records", "seed", "warnings"},
+        [rf"mu={mu} best_F={_REAL} bv={_REAL} jumps=\d+ bangbang={_REAL} "
+         r"\[\d+\.\ds\]" for mu in ("1", r"0\.5")] + [r"bv_monotone=(True|False)"],
+    ),
+    "periodise-check": (
+        ["periodise-check", "--grid", "33", "--mu", "0.5", "--k-max", "2"],
+        ["m.csv"],
+        {"max_deviation", "rows"},
+        [rf"k={k} mu={_REAL} F={_REAL} deviation={_REAL}" for k in range(3)],
+    ),
+    "lemma2": (
+        ["lemma2", "--grid", "33", "--mu", "0.5", "--k-max", "1"],
+        ["m.csv"],
+        {"all_ok", "eta_hat", "rows"},
+        [rf"eta_hat={_REAL}"] + [rf"k={k} min_gap={_REAL} bound_ok=True" for k in range(2)],
+    ),
+    "efficiency": (
+        ["efficiency", "--grid", "65", "--mu", "1.0,0.1"],
+        ["m.csv"],
+        {"mu_list", "ratio"},
+        [rf"efficiency: max F/m0 = {_REAL} over 2 diffusivities"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+def test_command_run_directory(tmp_path, capsys, command):
+    argv, files, keys, patterns = COMMAND_RUNS[command]
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(patterns)
+    for line, pattern in zip(lines, patterns):
+        assert re.fullmatch(pattern, line), line
+    man = json.loads((out / "manifest.json").read_text())
+    volatile = ["report.json", "summary.csv"] if command == "sweep" else ["report.json"]
+    assert sorted(man["files"]) == files
+    assert man["volatile"] == volatile
+    assert sorted(os.listdir(out)) == sorted(files + volatile + ["manifest.json"])
+    rep = json.loads((out / "report.json").read_text())
+    assert set(rep) == keys | {"command", "wall_time"}
+    assert rep["command"] == command and rep["wall_time"] > 0.0

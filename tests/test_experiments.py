@@ -43,6 +43,8 @@ def test_periodisation_rejects_negative_k():
     m = constant_resource(g, 0.3)
     with pytest.raises(ValueError):
         periodisation_check(m, ProblemParams(mu=1.0, kappa=1.0, m0=0.3), k_max=-1)
+    with pytest.raises(ValueError):
+        lemma2_bound_sweep(m, ProblemParams(mu=1.0, kappa=1.0, m0=0.3), 1.0, k_max=-1)
 
 
 def test_lemma_bound_constant_field():

@@ -17,7 +17,7 @@ from kppfrag import (
     make_crenel,
     mean,
     near_bangbang_fraction,
-    periodise,
+    refine_fold_values,
 )
 
 
@@ -114,7 +114,7 @@ def test_bv_seminorm_1d_examples():
     assert bv_seminorm(ScalarField(g, np.full(9, 0.3))) == 0.0
     crenel = ScalarField(g, (g.axis_coords(0) < 0.3).astype(float))
     assert bv_seminorm(crenel) == 1.0          # one interior jump
-    two = periodise(crenel, 1)
+    two = ScalarField(g.refined(1), refine_fold_values(crenel.values, g, 1))
     assert bv_seminorm(two) == 2.0             # two blocks
 
 
@@ -151,7 +151,7 @@ def test_periodise_doubles_tv_and_jumps_on_aligned_crenels():
     v = (np.arange(17) <= 4).astype(float)      # edge on the k=2 sublattice
     f = ScalarField(g, v)
     for k in (1, 2):
-        fk = periodise(f, k)
+        fk = ScalarField(g.refined(k), refine_fold_values(v, g, k))
         assert bv_seminorm(fk) == (1 << k) * bv_seminorm(f)
         assert jump_count(fk, 0.5) == (1 << k) * jump_count(f, 0.5)
 
@@ -188,6 +188,39 @@ def test_csv_header_and_shape_errors():
     truncated = "\n".join(good.splitlines()[:-1]) + "\n"
     with pytest.raises(FieldError):
         field_from_csv(truncated)
+
+
+def _csv_lines(counts, values):
+    text = field_to_csv(ScalarField(Grid(counts), np.asarray(values, dtype=float)))
+    lines = text.splitlines()
+    return lines[0], lines[1:]
+
+
+def _reversed_1d():
+    head, rows = _csv_lines((5,), np.arange(5.0))
+    return "\n".join([head] + rows[::-1]) + "\n"
+
+
+def _column_major_2d():
+    head, rows = _csv_lines((4, 3), np.arange(12.0))
+    order = [j * 4 + i for i in range(4) for j in range(3)]
+    return "\n".join([head] + [rows[k] for k in order]) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    _reversed_1d(),
+    _column_major_2d(),
+    "x,value\n0,1\n0.1,2\n0.5,3\n1,4\n",          # non-uniform x
+    "x,value\n0,1\n0.5,2\n0.5,3\n",                # repeated x
+    "x,y,value\n0,0,1\n1,0,2\n0,1\n1,1,4\n",      # ragged row
+    "x,value\n0,1\n0.5,abc\n1,2\n",                # non-numeric cell
+    "",
+    "x,value\n",
+], ids=["reversed-1d", "column-major-2d", "nonuniform", "repeated", "ragged",
+        "non-numeric", "empty", "header-only"])
+def test_csv_strict_reads(text):
+    with pytest.raises(FieldError):
+        field_from_csv(text)
 
 
 def test_csv_header_matches_dim():

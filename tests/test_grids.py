@@ -6,13 +6,10 @@ from kppfrag import (
     Grid,
     GridError,
     NeumannLaplacian,
-    PeriodiseDivisibilityError,
-    periodise_values,
     refine_fold_values,
 )
 import kppfrag.grids as grids_mod
-from kppfrag.grids import periodise_axis_indices
-from conftest import dense_shifted
+from conftest import dense_shifted, largest_eigenvalue_magnitude
 
 
 def test_grid_validation():
@@ -54,8 +51,9 @@ def test_laplacian_matrix_n3():
     # h = 1/2, scale 4; boundary rows encode mirrored ghosts
     lap = NeumannLaplacian(Grid((3,)))
     expect = 4.0 * np.array([[-2, 2, 0], [1, -2, 1], [0, 2, -2]], dtype=float)
-    assert np.array_equal(lap.dense(), expect)
-    assert np.all(lap.dense().sum(axis=1) == 0.0)
+    dense = lap.apply(np.eye(3))
+    assert np.array_equal(dense, expect)
+    assert np.all(dense.sum(axis=1) == 0.0)
 
 
 def test_laplacian_annihilates_constants():
@@ -70,7 +68,7 @@ def test_laplacian_annihilates_constants():
 def test_laplacian_spectrum_small_dense():
     # eigenvalues real and nonpositive (similar to a symmetric matrix)
     for n in (3, 10, 50):
-        lam = np.linalg.eigvals(NeumannLaplacian(Grid((n,))).dense())
+        lam = np.linalg.eigvals(NeumannLaplacian(Grid((n,))).apply(np.eye(n)))
         scale = 4.0 * (n - 1) ** 2
         assert np.max(np.abs(lam.imag)) <= 1e-9 * scale
         assert np.max(lam.real) <= 1e-9 * scale
@@ -79,7 +77,7 @@ def test_laplacian_spectrum_small_dense():
 def test_power_iteration_extreme_eigenvalue():
     # the stencil's extreme eigenvalue is -4/h^2 exactly
     g = Grid((1000,))
-    lam = NeumannLaplacian(g).largest_eigenvalue_magnitude()
+    lam = largest_eigenvalue_magnitude(NeumannLaplacian(g))
     target = 4.0 * (999.0) ** 2
     assert abs(lam - target) <= 0.01 * target
 
@@ -161,16 +159,10 @@ def test_refined_counts():
     assert Grid((5,)).refined(0).counts == (5,)
 
 
-def test_periodise_divisibility_error_message():
-    with pytest.raises(PeriodiseDivisibilityError) as exc:
-        periodise_axis_indices(10, 1)
-    assert "divisible" in str(exc.value)
-
-
 def test_periodise_identity_k0():
     g = Grid((9,))
     v = np.arange(9.0)
-    out = periodise_values(v, g, 0)
+    out = refine_fold_values(v, g, 0)
     assert np.array_equal(out, v)
     assert out is not v
 
@@ -179,22 +171,29 @@ def test_periodise_crenel_reflection():
     # block on x < 0.3 folds to blocks at both ends (reflection at x=1)
     g = Grid((9,))
     v = (g.axis_coords(0) < 0.3).astype(float)
-    out = periodise_values(v, g, 1)
-    assert np.array_equal(out, [1, 1, 0, 0, 0, 0, 0, 1, 1])
+    out = refine_fold_values(v, g, 1)
+    assert np.array_equal(out, [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1])
 
 
 def test_periodise_2d_axiswise():
-    g = Grid((5, 5))
+    # x and y fold independently, each on its own node count; means stay exact
+    g = Grid((5, 3))
     x, y = np.meshgrid(g.axis_coords(0), g.axis_coords(1))
-    v = (x + 10.0 * y).ravel()
-    out = periodise_values(v, g, 1).reshape(5, 5)
-    idx = periodise_axis_indices(5, 1)
-    expect = (x[0][idx][None, :] + 10.0 * y[:, 0][idx][:, None])
-    assert np.array_equal(out, expect)
+    square = x + 10.0 * y
+    fine = g.refined(1)
+    out = refine_fold_values(square.ravel(), g, 1)
+    assert out.shape == (fine.num_nodes,)
+    got = out.reshape(fine.counts[1], fine.counts[0])
+    for j in range(fine.counts[1]):
+        for i in range(fine.counts[0]):
+            assert got[j, i] == square[_reference_fold(j, 2), _reference_fold(i, 4)]
+    mean_in = float(g.node_weights @ square.ravel()) / float(g.node_weights.sum())
+    mean_out = float(fine.node_weights @ out) / float(fine.node_weights.sum())
+    assert abs(mean_out - mean_in) <= 1e-13 * abs(mean_in)
 
 
-def _reference_fold(i, stride, m):
-    r = (stride * i) % (2 * m)
+def _reference_fold(i, m):
+    r = i % (2 * m)
     return min(r, 2 * m - r)
 
 
@@ -207,7 +206,7 @@ def test_refine_fold_index_pattern(n, k):
     m = n - 1
     assert out.shape == ((1 << k) * m + 1,)
     for i in range(out.size):
-        assert out[i] == v[_reference_fold(i, 1, m)]
+        assert out[i] == v[_reference_fold(i, m)]
 
 
 @given(n=st.integers(3, 30), k=st.integers(1, 3))
@@ -224,23 +223,6 @@ def test_refine_fold_preserves_trapezoid_mean(n, k):
     assert abs(mean_out - mean_in) <= 1e-13 * max(1.0, abs(mean_in))
 
 
-@given(nc=st.integers(3, 12), k=st.integers(1, 3))
-@settings(max_examples=40, deadline=None)
-def test_periodise_mean_preserved_on_coarse_interpolants(nc, k):
-    # same-grid periodise only reads the 2^k-coarse sublattice, so mean
-    # preservation is asserted for fields that are linear interpolants of
-    # coarse nodal values (crenels aligned to the fold lattice included)
-    coarse = Grid((nc,))
-    u = np.random.default_rng(nc * 7 + k).uniform(0.0, 1.0, nc)
-    fine = coarse.refined(k)
-    f = np.interp(fine.axis_coords(0), coarse.axis_coords(0), u)
-    out = periodise_values(f, fine, k)
-    w = fine.node_weights
-    mean_in = float(w @ f) / float(w.sum())
-    mean_out = float(w @ out) / float(w.sum())
-    assert abs(mean_out - mean_in) <= 1e-12
-
-
-def test_periodise_values_rejects_negative_level():
+def test_refine_fold_rejects_negative_level():
     with pytest.raises(ValueError):
-        periodise_values(np.zeros(5), Grid((5,)), -1)
+        refine_fold_values(np.zeros(5), Grid((5,)), -1)

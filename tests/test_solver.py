@@ -9,9 +9,6 @@ from kppfrag import (
     ResourceField,
     ScalarField,
     SolverConfig,
-    energy,
-    energy_descent_guess,
-    energy_gradient,
     l1_distance,
     lou_identity_residual,
     OptimConfig,
@@ -125,62 +122,6 @@ def test_large_mu_limit(crenel_1000):
     F = total_population(state)
     assert abs(F - 0.3) <= 1e-2
     assert F == pytest.approx(F_CRENEL_N1000_MU1000, rel=1e-6)
-
-
-def test_energy_zero_field():
-    g = Grid((33,))
-    m = constant_resource(g, 0.3)
-    z = ScalarField(g, np.zeros(33))
-    assert energy(z, m, ProblemParams(1.0, 1.0, 0.3)) == 0.0
-
-
-def test_energy_constant_closed_form():
-    # Laplacian term vanishes; weights sum to N-1 in 1D
-    g = Grid((41,))
-    m = constant_resource(g, 0.3)
-    c = 0.45
-    got = energy(ScalarField(g, np.full(41, c)), m, ProblemParams(2.0, 1.0, 0.3))
-    expect = -40.0 * (c**2 * 0.3 / 2.0 - c**3 / 3.0)
-    assert got == pytest.approx(expect, rel=1e-13)
-
-
-def test_energy_gradient_matches_finite_differences():
-    g = Grid((17,))
-    m = make_crenel(g, 1.0, 0.4)
-    params = ProblemParams(mu=0.3, kappa=1.0, m0=0.4)
-    rng = np.random.default_rng(5)
-    th = ScalarField(g, rng.uniform(0.2, 0.8, 17))
-    grad = energy_gradient(th, m, params)
-    t = 1e-6
-    for i in (0, 5, 16):
-        e = np.zeros(17)
-        e[i] = 1.0
-        jp = energy(th.with_values(th.values + t * e), m, params)
-        jm = energy(th.with_values(th.values - t * e), m, params)
-        fd = (jp - jm) / (2.0 * t)
-        assert fd == pytest.approx(grad[i], rel=1e-5, abs=1e-8)
-
-
-def test_energy_stationary_at_steady_state(crenel_state_mu001):
-    m, params, state = crenel_state_mu001
-    grad = energy_gradient(state.theta, m, params)
-    assert float(np.max(np.abs(grad))) <= 1e-8
-
-
-def test_energy_descent_guess_constant_instance():
-    g = Grid((129,))
-    m = constant_resource(g, 0.3)
-    guess = energy_descent_guess(m, ProblemParams(mu=1.0, kappa=1.0, m0=0.3))
-    assert np.max(np.abs(guess.values - 0.3)) <= 1e-3
-    assert float(np.min(guess.values)) >= 1e-12
-
-
-def test_energy_descent_guess_warm_starts_newton(crenel_1000):
-    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
-    guess = energy_descent_guess(crenel_1000, params)
-    state = solve_steady_state(crenel_1000, params, theta0=guess.values)
-    assert state.iterations <= 25
-    assert total_population(state) == pytest.approx(F_CRENEL_N1000_MU001, abs=1e-8)
 
 
 def test_fallback_engages_at_small_mu(crenel_state_mu001):
