@@ -16,7 +16,9 @@ adding `command` and `wall_time` to report.json.
 
 Settings merge in increasing precedence: built-in defaults, --preset,
 --config JSON file, explicit flags. Unknown keys in a config file are
-rejected, and a sweep's mu ladder must strictly decrease. Exit codes:
+rejected, and a sweep's mu ladder must strictly decrease. Without a mu
+setting, efficiency evaluates the 13 log-spaced diffusivities of
+DEFAULT_EFFICIENCY_MUS; every other command defaults to mu = 1. Exit codes:
 0 success, 2 configuration error, 3 solver or optimization failure, 4 IO
 failure while persisting.
 """
@@ -118,6 +120,8 @@ def parse_config(data: dict, command: str) -> RunConfig:
     merged = {f.name: getattr(RunConfig, f.name)
               for f in dataclasses.fields(RunConfig)
               if f.name not in ("command",)}
+    if command == "efficiency":
+        merged["mu"] = DEFAULT_EFFICIENCY_MUS
     merged.update(data)
 
     grid = merged["grid"]
@@ -392,10 +396,9 @@ def _execute(cfg: RunConfig) -> _Result:
         report = {"eta_hat": eta, "all_ok": all(r.bound_ok for r in table),
                   "rows": [dataclasses.asdict(r) for r in table]}
     else:
-        mus = cfg.mu if len(cfg.mu) > 1 else DEFAULT_EFFICIENCY_MUS
-        ratio = efficiency_ratio(m, mus)
-        lines = [f"efficiency: max F/m0 = {ratio:.12g} over {len(mus)} diffusivities"]
-        report = {"ratio": ratio, "mu_list": list(mus)}
+        ratio = efficiency_ratio(m, cfg.mu)
+        lines = [f"efficiency: max F/m0 = {ratio:.12g} over {len(cfg.mu)} diffusivities"]
+        report = {"ratio": ratio, "mu_list": list(cfg.mu)}
     return _Result(lines, report, {"m.csv": m})
 
 

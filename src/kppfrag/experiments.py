@@ -24,7 +24,7 @@ from .fields import (
     mean,
     near_bangbang_fraction,
 )
-from .grids import Grid, refine_fold_values
+from .grids import Grid, NeumannLaplacian, refine_fold_values
 from .optimizer import OptimConfig, OptimizationError, optimize
 from .solver import SolverConfig, solve_steady_state, total_population
 
@@ -75,10 +75,10 @@ class SweepReport:
 
 
 def _solve_F(
-    m_vals: np.ndarray, grid: Grid, params: ProblemParams, cfg: SolverConfig
+    m_vals: np.ndarray, lap: NeumannLaplacian, params: ProblemParams, cfg: SolverConfig
 ) -> float:
-    m = ResourceField(grid, m_vals, params.kappa, params.m0)
-    return total_population(solve_steady_state(m, params, cfg))
+    m = ResourceField(lap.grid, m_vals, params.kappa, params.m0)
+    return total_population(solve_steady_state(m, params, cfg, lap=lap))
 
 
 def _squeezed_F(
@@ -86,15 +86,16 @@ def _squeezed_F(
 ) -> list[list[float]]:
     """F of the k-th dyadic squeeze of m at each mu / 4^k, for k = 0..k_max
     (one row per k). The k-th problem is solved on the 2^k-refined grid,
-    where the squeeze is an exact index fold of the base problem."""
+    where the squeeze is an exact index fold of the base problem; all mus
+    of one k share that grid's Laplacian."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     table = []
     for k in range(k_max + 1):
-        grid = m.grid.refined(k)
+        lap = NeumannLaplacian(m.grid.refined(k))
         vals = refine_fold_values(m.values, m.grid, k)
         table.append(
-            [_solve_F(vals, grid, dc_replace(params, mu=mu / 4.0**k), cfg) for mu in mus]
+            [_solve_F(vals, lap, dc_replace(params, mu=mu / 4.0**k), cfg) for mu in mus]
         )
     return table
 
@@ -235,10 +236,11 @@ def efficiency_ratio(
     if mean(m) <= 0:
         raise ValueError("resource mean must be positive")
     cfg = solver_cfg or SolverConfig()
+    lap = NeumannLaplacian(m.grid)
     best = -np.inf
     for mu in mu_list:
         F = _solve_F(
-            m.values, m.grid, ProblemParams(mu=float(mu), kappa=m.kappa, m0=m.m0), cfg
+            m.values, lap, ProblemParams(mu=float(mu), kappa=m.kappa, m0=m.m0), cfg
         )
         best = max(best, F / m.m0)
     return float(best)

@@ -16,10 +16,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 _EPS = float(np.finfo(float).eps)
 _KRYLOV_MAXITER = 500
+(_GTSV,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
 class GridError(ValueError):
@@ -98,12 +99,10 @@ def _axis_weights(n: int) -> np.ndarray:
 
 def _lap1d_csr(n: int) -> sp.csr_matrix:
     scale = (n - 1.0) ** 2
-    mat = sp.diags(
-        [np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="lil"
-    )
-    mat[0, 1] = 2.0
-    mat[n - 1, n - 2] = 2.0
-    return (mat * scale).tocsr()
+    lower = np.full(n - 1, scale)
+    upper = np.full(n - 1, scale)
+    lower[-1] = upper[0] = 2.0 * scale
+    return sp.diags([lower, np.full(n, -2.0 * scale), upper], [-1, 0, 1], format="csr")
 
 
 @lru_cache(maxsize=8)
@@ -126,8 +125,10 @@ class NeumannLaplacian:
 
     Supports application to flat nodal vectors and solves of the shifted
     systems (mu * (-Lap) + diag(d)) x = rhs that the Newton, Picard and
-    adjoint steps need. 1D systems go through the banded tridiagonal solver.
-    2D systems go through preconditioned MINRES on the symmetric form
+    adjoint steps need. 1D systems are tridiagonal and go straight to
+    LAPACK's gtsv (Gaussian elimination with partial pivoting), O(N) per
+    solve with nothing kept between solves. 2D systems go through
+    preconditioned MINRES on the symmetric form
     W^(1/2) (mu * (-Lap) + diag(d)) W^(-1/2); d may be indefinite (Newton
     matrices d = 2 theta - m). The preconditioner mu * (-Lap) + c I, with c
     the mean of |d|, is inverted exactly by fast diagonalization: the
@@ -165,21 +166,29 @@ class NeumannLaplacian:
 
 
 class _Banded1D:
-    """Tridiagonal banded solver with the same .solve(rhs) interface."""
+    """1D shifted system mu * (-Lap) + diag(d) as its three diagonals
+    (dl, d, du), solved by LAPACK gtsv with no wrapper in between.
+
+    Non-finite entries in d or rhs raise numpy.linalg.LinAlgError before
+    LAPACK sees them, as does an exactly singular matrix (gtsv info > 0),
+    so callers handle every 1D and 2D solve failure the same way.
+    """
 
     def __init__(self, n: int, h: float, mu: float, diag: np.ndarray):
         inv = mu / (h * h)
-        ab = np.zeros((3, n))
-        ab[0, 1] = -2.0 * inv
-        if n > 2:
-            ab[0, 2:] = -1.0 * inv
-            ab[2, :-2] = -1.0 * inv
-        ab[1, :] = 2.0 * inv + diag
-        ab[2, n - 2] = -2.0 * inv
-        self._ab = ab
+        self._dl = np.full(n - 1, -inv)
+        self._du = np.full(n - 1, -inv)
+        self._dl[-1] = self._du[0] = -2.0 * inv
+        self._d = 2.0 * inv + np.asarray(diag, dtype=float)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), self._ab, rhs)
+        rhs = np.asarray(rhs, dtype=float)
+        if not (np.isfinite(self._d).all() and np.isfinite(rhs).all()):
+            raise np.linalg.LinAlgError("1D shifted solve: non-finite diagonal or rhs")
+        x, info = _GTSV(self._dl, self._d, self._du, rhs)[3:]
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return x
 
 
 class _Minres2D:
@@ -192,7 +201,7 @@ class _Minres2D:
     max(1, |d|) times the larger of |x| and |rhs| (sup norms). solve then
     measures the true residual; above the floor it makes one refinement
     pass for the correction, and if the residual is still above the floor
-    it raises numpy.linalg.LinAlgError, as the 1D banded solve does for a
+    it raises numpy.linalg.LinAlgError, as the 1D gtsv solve does for a
     singular matrix.
     """
 

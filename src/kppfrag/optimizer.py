@@ -15,12 +15,12 @@ steady-state constraint, the sensitivity solves the shifted system
     (mu * (-Lap) + diag(2 theta - m)) p = 1                      (adjoint)
 
 and dF[xi] = sum_i g_i xi_i with g = (w . p . theta) / sum(w). The shifted
-matrix is the final Newton Jacobian; the adjoint solves it afresh (a banded
-solve in 1D, preconditioned MINRES in 2D) and gates the result on its
-residual. With the trapezoid weights w this g is the exact discrete
-gradient (not an O(h) approximation): w is the left null-structure of the
-non-symmetric Laplacian's boundary rows, which is what makes W * Lap
-symmetric.
+matrix is the final Newton Jacobian; the adjoint solves it afresh (a direct
+LAPACK tridiagonal solve in 1D, preconditioned MINRES in 2D) and gates the
+result on its residual; a failed or non-finite solve raises SingularAdjoint.
+With the trapezoid weights w this g is the exact discrete gradient (not an
+O(h) approximation): w is the left null-structure of the non-symmetric
+Laplacian's boundary rows, which is what makes W * Lap symmetric.
 """
 from __future__ import annotations
 

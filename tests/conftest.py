@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 from kppfrag import (
     Grid,
@@ -102,3 +104,33 @@ def largest_eigenvalue_magnitude(lap, iters: int = 2000, seed: int = 0) -> float
             return 0.0
         v = w / nrm
     return abs(lam)
+
+
+def lil_lap1d_csr(n: int) -> sp.csr_matrix:
+    """The 1D Neumann Laplacian as it was first assembled: a LIL matrix with
+    the two boundary couplings assigned element by element, then scaled and
+    converted to CSR; bit-identity oracle for grids._lap1d_csr."""
+    scale = (n - 1.0) ** 2
+    mat = sp.diags(
+        [np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="lil"
+    )
+    mat[0, 1] = 2.0
+    mat[n - 1, n - 2] = 2.0
+    return (mat * scale).tocsr()
+
+
+def banded_shifted_solve(grid: Grid, mu: float, diag: np.ndarray,
+                         rhs: np.ndarray) -> np.ndarray:
+    """1D mu * (-Lap) + diag(d) packed in (3, n) diagonal-ordered form and
+    solved by scipy.linalg.solve_banded; bit-identity oracle for the 1D
+    shifted solve."""
+    (n,) = grid.counts
+    (h,) = grid.spacings
+    inv = mu / (h * h)
+    ab = np.zeros((3, n))
+    ab[0, 1] = -2.0 * inv
+    ab[0, 2:] = -1.0 * inv
+    ab[2, :-2] = -1.0 * inv
+    ab[1, :] = 2.0 * inv + diag
+    ab[2, n - 2] = -2.0 * inv
+    return solve_banded((1, 1), ab, rhs)

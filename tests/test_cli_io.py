@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kppfrag import (
+    DEFAULT_EFFICIENCY_MUS,
     Grid,
     NoConvergence,
     ProblemParams,
@@ -26,7 +27,6 @@ from kppfrag.cli import (
     parse_config,
     persist_results,
 )
-from conftest import constant_resource
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +348,22 @@ def test_cmd_efficiency(capsys):
     assert "max F/m0" in out
     ratio = float(out.split("=")[1].split("over")[0])
     assert 1.0 <= ratio < 3.0
+
+
+def test_efficiency_evaluates_a_single_mu(tmp_path, capsys):
+    out = tmp_path / "eff"
+    assert main(["efficiency", "--grid", "65", "--mu", "0.5", "--out", str(out)]) == 0
+    assert "over 1 diffusivities" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    assert manifest["config"]["mu"] == report["mu_list"] == [0.5]
+
+
+def test_efficiency_default_uses_thirteen_diffusivities(capsys):
+    assert parse_config({}, "efficiency").mu == DEFAULT_EFFICIENCY_MUS
+    assert parse_config({}, "lemma2").mu == (1.0,)
+    assert main(["efficiency", "--grid", "65"]) == 0
+    assert "over 13 diffusivities" in capsys.readouterr().out
 
 
 _REAL = r"[-+0-9.e]+"

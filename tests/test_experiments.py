@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from kppfrag import (
@@ -15,6 +14,7 @@ from kppfrag import (
     periodisation_check,
 )
 import kppfrag.experiments as experiments_mod
+from kppfrag.grids import NeumannLaplacian
 from conftest import constant_resource
 
 
@@ -156,6 +156,28 @@ def test_sweep_survives_failed_diffusivity(monkeypatch):
     assert [r.mu for r in bad] == [0.5]
     assert bad[0].best_F is None and bad[0].best_m is None
     assert [r.mu for r in ok] == [1.0, 0.25]
+
+
+def test_identity_experiments_build_one_laplacian_per_grid(monkeypatch):
+    lap_builds = []
+    init = NeumannLaplacian.__init__
+
+    def counting_init(self, grid):
+        lap_builds.append(grid.counts)
+        init(self, grid)
+
+    monkeypatch.setattr(NeumannLaplacian, "__init__", counting_init)
+    m = make_crenel(Grid((33,)), 1.0, 0.3)
+    params = ProblemParams(mu=0.5, kappa=1.0, m0=0.3)
+    refined = [(33,), (65,), (129,), (257,)]
+    periodisation_check(m, params, k_max=3)
+    assert lap_builds == refined
+    lap_builds.clear()
+    lemma2_bound_sweep(m, params, 0.5, k_max=3, num_samples=4)
+    assert lap_builds == refined
+    lap_builds.clear()
+    efficiency_ratio(m, [1.0, 0.5, 0.1])
+    assert lap_builds == [(33,)]
 
 
 def test_efficiency_constant_unity():

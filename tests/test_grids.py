@@ -9,7 +9,12 @@ from kppfrag import (
     refine_fold_values,
 )
 import kppfrag.grids as grids_mod
-from conftest import dense_shifted, largest_eigenvalue_magnitude
+from conftest import (
+    banded_shifted_solve,
+    dense_shifted,
+    largest_eigenvalue_magnitude,
+    lil_lap1d_csr,
+)
 
 
 def test_grid_validation():
@@ -126,7 +131,7 @@ def test_dense_oracle_matches_operator():
                        0.3 * (-lap.apply(v)) + diag * v, rtol=1e-13, atol=1e-12)
 
 
-@pytest.mark.parametrize("counts", [(9, 12), (12, 9)])
+@pytest.mark.parametrize("counts", [(9, 12), (12, 9), (40,)])
 def test_shifted_solve_indefinite_matches_dense_oracle(counts):
     # Newton matrices mu*(-Lap) + diag(2 theta - m) can be indefinite
     g = Grid(counts)
@@ -151,6 +156,40 @@ def test_shifted_solve_2d_stall_raises_linalg_error(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match="above the rounding floor"):
         NeumannLaplacian(g).solve_shifted(0.1, rng.uniform(-1.0, 1.0, g.num_nodes),
                                           rng.standard_normal(g.num_nodes))
+
+
+@pytest.mark.parametrize("n", [3, 4, 1000, 8193])
+def test_lap1d_csr_bytes_match_lil_oracle(n):
+    got, expect = grids_mod._lap1d_csr(n), lil_lap1d_csr(n)
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(got, attr).tobytes() == getattr(expect, attr).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 1000])
+def test_shifted_solve_1d_bytes_match_solve_banded_oracle(n):
+    g = Grid((n,))
+    rng = np.random.default_rng(n)
+    lap = NeumannLaplacian(g)
+    for mu in (1.0, 0.01):
+        diag = rng.uniform(-1.0, 1.0, n)
+        rhs = rng.standard_normal(n)
+        got = lap.shifted_factor(mu, diag).solve(rhs)
+        assert got.tobytes() == banded_shifted_solve(g, mu, diag, rhs).tobytes()
+
+
+@pytest.mark.parametrize("diag, rhs", [
+    ([1.0, np.nan, 1.0], [1.0, 1.0, 1.0]),
+    ([1.0, 1.0, 1.0], [1.0, np.inf, 1.0]),
+])
+def test_shifted_solve_1d_nonfinite_raises_linalg_error(diag, rhs):
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        NeumannLaplacian(Grid((3,))).solve_shifted(0.25, np.array(diag), np.array(rhs))
+
+
+def test_shifted_solve_1d_singular_raises_linalg_error():
+    # zero shift: constants span the kernel of the Neumann Laplacian
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        NeumannLaplacian(Grid((3,))).solve_shifted(0.25, np.zeros(3), np.ones(3))
 
 
 def test_refined_counts():

@@ -1,11 +1,14 @@
-"""Lint: every import in the package modules is used (stdlib ast only)."""
+"""Lint (stdlib ast only): every import in the package modules and the test
+files is used, and the package's __init__ exports exactly what it imports."""
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kppfrag"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "kppfrag"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    (ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -23,12 +26,36 @@ def unused_imports(source: str) -> list[str]:
             sorted((line, name) for name, line in bound.items()) if name not in used]
 
 
+def imports_and_exports(source: str) -> tuple[set[str], set[str]]:
+    """Names a package __init__ imports, and the names its __all__ lists."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return imported, exported
+
+
 def test_checker_flags_unused_and_accepts_used():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "from a.b import c, d\nx: c = np.zeros(1)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: d"]
 
 
+def test_export_checker_reads_imports_and_all():
+    source = "from .a import b, c\nfrom .d import e as f\n__all__ = ['b', 'f', 'g']\n"
+    assert imports_and_exports(source) == ({"b", "c", "f"}, {"b", "f", "g"})
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_init_exports_what_it_imports():
+    source = (SRC / "__init__.py").read_text(encoding="utf-8")
+    imported, exported = imports_and_exports(source)
+    assert imported == exported

@@ -10,7 +10,6 @@ from kppfrag import (
     ResourceField,
     ScalarField,
     SingularAdjoint,
-    SolverConfig,
     armijo_ascent_step,
     best_perturbation,
     make_crenel,
@@ -70,6 +69,15 @@ def test_adjoint_krylov_stall_raises_singular_adjoint(monkeypatch):
     monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
     with pytest.raises(SingularAdjoint, match="adjoint solve failed"):
         solve_adjoint(m, state.theta, params)
+
+
+def test_adjoint_nonfinite_1d_solve_raises_singular_adjoint():
+    # a finite but huge theta overflows the adjoint matrix 2 theta - m to inf
+    m = make_crenel(Grid((33,)), 1.0, 0.3)
+    theta = ScalarField(m.grid, np.full(33, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(SingularAdjoint,
+                                                   match="adjoint solve failed"):
+        solve_adjoint(m, theta, ProblemParams(mu=0.1, kappa=1.0, m0=0.3))
 
 
 def test_gradient_constant_instance():

@@ -6,7 +6,6 @@ from kppfrag import (
     NoConvergence,
     NonPositiveMeanResource,
     ProblemParams,
-    ResourceField,
     ScalarField,
     SolverConfig,
     l1_distance,
@@ -19,7 +18,7 @@ from kppfrag import (
     total_population,
 )
 import kppfrag.grids as grids_mod
-from conftest import constant_resource, interior_resource
+from conftest import constant_resource
 
 # regression constants frozen from grid-refinement studies during oracle
 # construction (N=4000/8000 Richardson limit for the mu=0.01 crenel)
@@ -210,6 +209,15 @@ def test_krylov_stall_surfaces_as_no_convergence(monkeypatch):
     monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
     with pytest.raises(NoConvergence, match="linear solve failed"):
         solve_steady_state(m, ProblemParams(mu=0.1, kappa=1.0, m0=0.3))
+
+
+def test_nonfinite_1d_solve_surfaces_as_no_convergence():
+    # a NaN warm start reaches the first Newton solve, whose failure must
+    # surface as the solver's own error
+    m = make_crenel(Grid((33,)), 1.0, 0.3)
+    with pytest.raises(NoConvergence, match="linear solve failed"):
+        solve_steady_state(m, ProblemParams(mu=0.1, kappa=1.0, m0=0.3),
+                           theta0=np.full(33, np.nan))
 
 
 def test_continuity_ratio_battery_reported(capsys):
