@@ -19,8 +19,8 @@ Settings merge in increasing precedence: built-in defaults, --preset,
 rejected, and a sweep's mu ladder must strictly decrease. Without a mu
 setting, efficiency evaluates the 13 log-spaced diffusivities of
 DEFAULT_EFFICIENCY_MUS; every other command defaults to mu = 1. Exit codes:
-0 success, 2 configuration error, 3 solver or optimization failure, 4 IO
-failure while persisting.
+0 success, 2 configuration error, 3 solver or optimization failure
+(out of memory included), 4 IO failure while persisting.
 """
 from __future__ import annotations
 
@@ -165,8 +165,8 @@ def parse_config(data: dict, command: str) -> RunConfig:
         raise ConfigError("k_max", "must be nonnegative")
 
     out = merged["out"]
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out", "expected a directory path")
+    if out is not None and not (isinstance(out, str) and out):
+        raise ConfigError("out", "expected a nonempty directory path")
     plot = merged["plot"]
     if not isinstance(plot, bool):
         raise ConfigError("plot", "expected true or false")
@@ -479,7 +479,7 @@ def main(argv=None) -> int:
             print(line)
         for w in result.warnings:
             print(f"warning: {w}", file=sys.stderr)
-        if cfg.out:
+        if cfg.out is not None:
             report = {"command": cfg.command, **result.report, "wall_time": wall}
             persist_results(cfg.out, cfg, report, result.fields,
                             result.plots if cfg.plot else None, result.rows)
@@ -489,6 +489,10 @@ def main(argv=None) -> int:
         return 2
     except (SolverError, OptimizationError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("solver failure: out of memory; use a smaller grid or k-max",
+              file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ from .solver import SolverConfig, solve_steady_state, total_population
 
 IDENTITY_TOL = 1e-8
 RESOLUTION_FACTOR = 10.0
+IDENTITY_SOLVER = SolverConfig(newton_tol=1e-12)   # the two identity checks
 
 
 class ResolutionError(ValueError):
@@ -67,22 +68,21 @@ class SweepRecord:
 @dataclass(frozen=True)
 class SweepReport:
     records: list            # SweepRecord, in mu_list order (decreasing mu)
-    params: ProblemParams
-    grid: Grid
     seed: int
     bv_monotone: bool
     warnings: list
 
 
 def _solve_F(
-    m_vals: np.ndarray, lap: NeumannLaplacian, params: ProblemParams, cfg: SolverConfig
+    m_vals: np.ndarray, lap: NeumannLaplacian, params: ProblemParams,
+    cfg: SolverConfig | None = None,
 ) -> float:
     m = ResourceField(lap.grid, m_vals, params.kappa, params.m0)
     return total_population(solve_steady_state(m, params, cfg, lap=lap))
 
 
 def _squeezed_F(
-    m: ResourceField, params: ProblemParams, mus, k_max: int, cfg: SolverConfig
+    m: ResourceField, params: ProblemParams, mus, k_max: int
 ) -> list[list[float]]:
     """F of the k-th dyadic squeeze of m at each mu / 4^k, for k = 0..k_max
     (one row per k). The k-th problem is solved on the 2^k-refined grid,
@@ -95,22 +95,19 @@ def _squeezed_F(
         lap = NeumannLaplacian(m.grid.refined(k))
         vals = refine_fold_values(m.values, m.grid, k)
         table.append(
-            [_solve_F(vals, lap, dc_replace(params, mu=mu / 4.0**k), cfg) for mu in mus]
+            [_solve_F(vals, lap, dc_replace(params, mu=mu / 4.0**k), IDENTITY_SOLVER)
+             for mu in mus]
         )
     return table
 
 
 def periodisation_check(
-    m: ResourceField,
-    params: ProblemParams,
-    k_max: int,
-    solver_cfg: SolverConfig | None = None,
+    m: ResourceField, params: ProblemParams, k_max: int
 ) -> list[PeriodisationRow]:
     """Table of (k, mu/4^k, F of the squeezed problem, |F_k - F_0|) for
     k = 0..k_max.
     """
-    cfg = solver_cfg or SolverConfig(newton_tol=1e-12)
-    F = [row[0] for row in _squeezed_F(m, params, [params.mu], k_max, cfg)]
+    F = [row[0] for row in _squeezed_F(m, params, [params.mu], k_max)]
     return [
         PeriodisationRow(k=k, mu_k=params.mu / 4.0**k, F_k=F_k, deviation=abs(F_k - F[0]))
         for k, F_k in enumerate(F)
@@ -123,7 +120,6 @@ def lemma2_bound_sweep(
     underline_mu: float,
     k_max: int,
     num_samples: int = 16,
-    solver_cfg: SolverConfig | None = None,
 ) -> tuple[float, list[LemmaBoundRow]]:
     """Empirical uniform lower bound for the squeezed family.
 
@@ -135,10 +131,9 @@ def lemma2_bound_sweep(
     """
     if underline_mu <= 0:
         raise ValueError("underline_mu must be positive")
-    cfg = solver_cfg or SolverConfig(newton_tol=1e-12)
     mus = np.geomspace(underline_mu, 4.0 * underline_mu, num_samples)
     gaps = [float(min(F - params.m0 for F in row))
-            for row in _squeezed_F(m, params, mus, k_max, cfg)]
+            for row in _squeezed_F(m, params, mus, k_max)]
     eta_hat = gaps[0]
     rows = [LemmaBoundRow(k=k, min_gap=gap, bound_ok=gap >= eta_hat - IDENTITY_TOL)
             for k, gap in enumerate(gaps)]
@@ -216,32 +211,23 @@ def fragmentation_sweep(
     bv_monotone = dips == 0 and soft <= 1
     return SweepReport(
         records=records,
-        params=params,
-        grid=grid,
         seed=cfg.seed,
         bv_monotone=bv_monotone,
         warnings=warnings,
     )
 
 
-def efficiency_ratio(
-    m: ResourceField,
-    mu_list,
-    solver_cfg: SolverConfig | None = None,
-) -> float:
+def efficiency_ratio(m: ResourceField, mu_list) -> float:
     """Best population-per-resource ratio max_mu F(m, mu) / m0 over the
     sampled diffusivity grid (a lower bound for the supremum over all mu).
     Equals 1 exactly for constant m; theory caps it below 3 in 1D.
     """
     if mean(m) <= 0:
         raise ValueError("resource mean must be positive")
-    cfg = solver_cfg or SolverConfig()
     lap = NeumannLaplacian(m.grid)
     best = -np.inf
     for mu in mu_list:
-        F = _solve_F(
-            m.values, lap, ProblemParams(mu=float(mu), kappa=m.kappa, m0=m.m0), cfg
-        )
+        F = _solve_F(m.values, lap, ProblemParams(mu=float(mu), kappa=m.kappa, m0=m.m0))
         best = max(best, F / m.m0)
     return float(best)
 

@@ -5,9 +5,15 @@ The loop implemented by `optimize` is, per start:
     solve PDE -> solve adjoint -> nodal gradient -> exact LP direction
     -> Armijo backtracking ascent
 
-repeated until the LP value vanishes (a vertex of the admissible polytope),
-the objective plateaus, or the iteration cap is hit. Multi-start plays the
-global-search role; starts are seeded Fourier fields and fully reproducible.
+repeated until the LP value drops under STOP_LP_VALUE (a vertex of the
+admissible polytope), the relative objective change stays under
+STOP_REL_OBJECTIVE for STOP_PLATEAU_ITERS steps, no Armijo step is accepted,
+or OptimConfig.max_outer_iters is hit. The line search starts at
+INITIAL_STEP, shrinks by ARMIJO_SHRINK and asks for the fraction ARMIJO_C of
+the LP gain; the steady states use SolverConfig(). These constants are fixed;
+OptimConfig carries only the number of starts, the seed and the
+outer-iteration cap. Multi-start plays the global-search role; starts are
+seeded Fourier fields and fully reproducible.
 
 Gradient derivation: with the objective F = weighted mean of theta and the
 steady-state constraint, the sensitivity solves the shifted system
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +40,6 @@ from .fields import ProblemParams, ResourceField, ScalarField
 from .grids import Grid, NeumannLaplacian, residual_floor
 from .solver import (
     NoConvergence,
-    SolverConfig,
     SolverError,
     solve_steady_state,
     total_population,
@@ -61,24 +66,21 @@ class AdjointState:
     residual_norm: float
 
 
+ARMIJO_C = 1e-4               # sufficient-increase fraction of the LP gain
+ARMIJO_SHRINK = 0.5           # backtracking factor
+INITIAL_STEP = 1.0            # first trial step along the LP direction
+STOP_REL_OBJECTIVE = 1e-9     # relative F change counted as a plateau step
+STOP_PLATEAU_ITERS = 5        # consecutive plateau steps that stop a start
+STOP_LP_VALUE = 1e-10         # LP value under which m is a vertex
+
+
 @dataclass(frozen=True)
 class OptimConfig:
     max_outer_iters: int = 500
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    initial_step: float = 1.0
-    stop_rel_objective: float = 1e-9
-    stop_plateau_iters: int = 5
-    stop_lp_value: float = 1e-10
     starts: int = 20
     seed: int = 0
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError(f"armijo_c must be in (0,1), got {self.armijo_c}")
-        if not (0.0 < self.armijo_shrink < 1.0):
-            raise ValueError(f"armijo_shrink must be in (0,1), got {self.armijo_shrink}")
         if self.starts < 1 or self.max_outer_iters < 1:
             raise ValueError("starts and max_outer_iters must be at least 1")
 
@@ -195,11 +197,11 @@ def armijo_ascent_step(
     F_current: float,
     lp_value: float,
     params: ProblemParams,
-    cfg: OptimConfig,
     theta0: np.ndarray | None = None,
     lap: NeumannLaplacian | None = None,
 ):
-    """Largest backtracked step t with F(m + t xi) >= F(m) + c t lp_value.
+    """Largest backtracked step t with F(m + t xi) >= F(m) + c t lp_value,
+    c = ARMIJO_C, trying t = INITIAL_STEP, then shrinking by ARMIJO_SHRINK.
 
     Convexity of the admissible class keeps every trial iterate admissible
     (m + xi is admissible by LP construction, and t in [0, 1]); the clip
@@ -210,21 +212,19 @@ def armijo_ascent_step(
     """
     if lp_value <= 0.0 or not np.any(xi.values):
         return m, F_current, 0.0, None
-    step = cfg.initial_step
+    step = INITIAL_STEP
     while step >= 2.0 ** -20:
         trial_vals = np.clip(m.values + step * xi.values, 0.0, m.kappa)
         trial = m.with_values(trial_vals)
         try:
-            state = solve_steady_state(
-                trial, params, cfg.solver, theta0=theta0, lap=lap
-            )
+            state = solve_steady_state(trial, params, theta0=theta0, lap=lap)
         except NoConvergence:
-            step *= cfg.armijo_shrink
+            step *= ARMIJO_SHRINK
             continue
         F_trial = total_population(state)
-        if F_trial >= F_current + cfg.armijo_c * step * lp_value:
+        if F_trial >= F_current + ARMIJO_C * step * lp_value:
             return trial, F_trial, step, state
-        step *= cfg.armijo_shrink
+        step *= ARMIJO_SHRINK
     return m, F_current, 0.0, None
 
 
@@ -315,7 +315,7 @@ def _run_single_start(args) -> tuple:
 
         lap = NeumannLaplacian(grid)
         m_cur = guess
-        state = solve_steady_state(m_cur, params, cfg.solver, lap=lap)
+        state = solve_steady_state(m_cur, params, lap=lap)
         F_cur = total_population(state)
         trajectory: list = []
         plateau = 0
@@ -326,12 +326,12 @@ def _run_single_start(args) -> tuple:
             adj = solve_adjoint(m_cur, state.theta, params, lap=lap)
             g = objective_gradient(state.theta, adj)
             xi, lp_value = best_perturbation(g, m_cur)
-            if lp_value < cfg.stop_lp_value:
+            if lp_value < STOP_LP_VALUE:
                 trajectory.append((F_cur, 0.0, lp_value))
                 termination = "lp_value"
                 break
             m_next, F_next, step, state_next = armijo_ascent_step(
-                m_cur, xi, F_cur, lp_value, params, cfg,
+                m_cur, xi, F_cur, lp_value, params,
                 theta0=state.theta.values, lap=lap,
             )
             trajectory.append((F_next, step, lp_value))
@@ -339,9 +339,9 @@ def _run_single_start(args) -> tuple:
                 termination = "step_zero"
                 break
             rel_change = abs(F_next - F_cur) / max(1.0, abs(F_next))
-            plateau = plateau + 1 if rel_change < cfg.stop_rel_objective else 0
+            plateau = plateau + 1 if rel_change < STOP_REL_OBJECTIVE else 0
             m_cur, F_cur, state = m_next, F_next, state_next
-            if plateau >= cfg.stop_plateau_iters:
+            if plateau >= STOP_PLATEAU_ITERS:
                 termination = "objective_plateau"
                 break
         return StartRecord(

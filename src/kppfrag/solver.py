@@ -25,7 +25,8 @@ in double precision at large mu / h^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,20 +49,20 @@ class NoConvergence(SolverError):
         self.last_residual = last_residual
 
 
+MAX_NEWTON_ITERS = 100
+DAMPING_FLOOR = 2.0 ** -20             # smallest backtracking fraction
+POSITIVITY_FLOOR = 1e-14               # line-search clip only, never the answer
+FALLBACK_STEPS = 200                   # total fixed-point step budget
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-11          # inf-norm of the discrete residual
-    max_newton_iters: int = 100
-    damping_floor: float = 2.0 ** -20  # smallest backtracking fraction
-    positivity_floor: float = 1e-14    # line-search clip only, never the answer
-    fallback_steps: int = 200          # total fixed-point step budget
-    fallback_burst: int = 6            # steps per rescue burst
+    fallback_burst: ClassVar[int] = 6  # fixed-point steps per rescue burst
 
     def __post_init__(self):
-        if not (self.newton_tol > 0 and self.positivity_floor > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_newton_iters < 1 or self.fallback_steps < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if not self.newton_tol > 0:
+            raise ValueError("newton_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,6 @@ class SteadyState:
     residual_norm: float
     iterations: int                    # Newton iterations (rescue steps excluded)
     used_fallback: bool = False
-    params: ProblemParams = field(default=None, repr=False)
-
-    @property
-    def grid(self):
-        return self.theta.grid
 
 
 def _residual(lap, theta, m_vals, mu):
@@ -102,14 +98,14 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit):
                 np.max(np.abs(theta))
             ):
                 break
-            if newton_iters >= cfg.max_newton_iters:
+            if newton_iters >= MAX_NEWTON_ITERS:
                 raise NoConvergence("Newton iteration cap exceeded", rnorm)
             delta = lap.solve_shifted(mu, 2.0 * theta - m_vals, r)
             newton_iters += 1
             step = 1.0
             accepted = False
-            while step >= cfg.damping_floor:
-                trial = np.maximum(theta + step * delta, cfg.positivity_floor)
+            while step >= DAMPING_FLOOR:
+                trial = np.maximum(theta + step * delta, POSITIVITY_FLOOR)
                 rt = _residual(lap, trial, m_vals, mu)
                 rtn = float(np.max(np.abs(rt)))
                 if rtn < rnorm:
@@ -118,7 +114,7 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit):
                     break
                 step *= 0.5
             if not accepted:
-                if fallback_used + cfg.fallback_burst > cfg.fallback_steps:
+                if fallback_used + cfg.fallback_burst > FALLBACK_STEPS:
                     raise NoConvergence("Newton stalled and rescue budget spent", rnorm)
                 theta = _picard_burst(lap, theta, m_vals, mu, cfg.fallback_burst)
                 fallback_used += cfg.fallback_burst
@@ -147,7 +143,11 @@ def solve_steady_state(
     Parameters
     ----------
     m, params : the problem instance; params.mu is the diffusivity.
-    cfg : solver tolerances and caps; defaults are fine for all presets.
+    cfg : the residual tolerance newton_tol; the default 1e-11 serves every
+        preset. The caps are fixed: MAX_NEWTON_ITERS Newton iterations per
+        start, backtracking down to DAMPING_FLOOR, trial iterates clipped at
+        POSITIVITY_FLOOR, and FALLBACK_STEPS fixed-point steps spent in
+        bursts of SolverConfig.fallback_burst.
     theta0 : optional warm start (flat nodal array). Defaults to the
         constant mean(m).
     lap : optional prebuilt Laplacian for m.grid (reused across solves in
@@ -206,7 +206,6 @@ def solve_steady_state(
         residual_norm=rnorm,
         iterations=newton_iters,
         used_fallback=fallback_used > 0,
-        params=params,
     )
 
 

@@ -68,6 +68,7 @@ def test_parse_config_scalar_coercions():
     ({"plot": "yes"}, "plot"),
     ({"frobnicate": 1}, "frobnicate"),       # unknown keys name themselves
     ({"mu": [0.5, 1.0]}, "mu"),              # a sweep ladder must decrease
+    ({"out": ""}, "out"),                    # an empty path would write nothing
 ])
 def test_parse_config_rejections(data, field):
     # sweep validates every setting the other commands do, plus its ladder
@@ -270,6 +271,9 @@ def test_exit_two_on_config_error(capsys):
     assert main(["sweep", "--grid", "33", "--mu", "0.5,1.0"]) == 2  # ladder order
     err = capsys.readouterr().err
     assert err.startswith("configuration error: mu:") and err.count("\n") == 1
+    assert main(["solve", "--grid", "33", "--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: out:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["two", "0", "1.5"])
@@ -288,6 +292,16 @@ def test_exit_three_on_solver_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_steady_state", _stall)
     assert main(["solve", "--grid", "65"]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_exit_three_on_out_of_memory(monkeypatch, capsys):
+    def _exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB")
+
+    monkeypatch.setattr(cli, "periodisation_check", _exhaust)
+    assert main(["periodise-check", "--grid", "65", "--k-max", "40"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: out of memory") and err.count("\n") == 1
 
 
 def test_exit_four_on_io_failure(tmp_path, capsys):

@@ -126,7 +126,6 @@ def test_sweep_records_structure():
             "lp_value", "step_zero", "objective_plateau", "max_iters"
         }
     assert report.seed == 0
-    assert report.grid is report.records[0].best_m.grid
 
 
 def test_sweep_2d_has_no_jump_count():

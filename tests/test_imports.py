@@ -1,14 +1,20 @@
 """Lint (stdlib ast only): every import in the package modules and the test
-files is used, and the package's __init__ exports exactly what it imports."""
+files is used, the package's __init__ exports exactly what it imports, and
+every config field is set by some caller outside the tests."""
 import ast
+import dataclasses
 import pathlib
 
 import pytest
+
+from kppfrag import OptimConfig, SolverConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kppfrag"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
     (ROOT / "tests").glob("*.py"))
+CALLERS = sorted(SRC.glob("*.py")) + sorted(
+    p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,10 +45,29 @@ def imports_and_exports(source: str) -> tuple[set[str], set[str]]:
     return imported, exported
 
 
+def keywords_passed(source: str, class_names) -> dict[str, set[str]]:
+    """Keyword arguments passed to calls of each named class, whether called
+    by bare name or as a module attribute."""
+    passed = {name: set() for name in class_names}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in passed:
+                passed[name].update(kw.arg for kw in node.keywords if kw.arg)
+    return passed
+
+
 def test_checker_flags_unused_and_accepts_used():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "from a.b import c, d\nx: c = np.zeros(1)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: d"]
+
+
+def test_keyword_checker_reads_bare_and_attribute_calls():
+    source = ("a = Cfg(x=1, **extra)\nb = mod.Cfg(y=2)\nc = Other(z=3)\n"
+              "d = Cfg\n")
+    assert keywords_passed(source, ["Cfg"]) == {"Cfg": {"x", "y"}}
 
 
 def test_export_checker_reads_imports_and_all():
@@ -59,3 +84,15 @@ def test_init_exports_what_it_imports():
     source = (SRC / "__init__.py").read_text(encoding="utf-8")
     imported, exported = imports_and_exports(source)
     assert imported == exported
+
+
+def test_every_config_field_has_a_caller():
+    # a setting that no code outside the tests sets is a constant
+    passed = {cls.__name__: set() for cls in (SolverConfig, OptimConfig)}
+    for path in CALLERS:
+        for name, kws in keywords_passed(path.read_text(encoding="utf-8"),
+                                         passed).items():
+            passed[name] |= kws
+    unset = [f"{cls.__name__}.{f.name}" for cls in (SolverConfig, OptimConfig)
+             for f in dataclasses.fields(cls) if f.name not in passed[cls.__name__]]
+    assert unset == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kppfrag import (
     DegenerateSample,
@@ -198,7 +199,7 @@ def test_armijo_zero_direction_is_noop():
     m = constant_resource(g, 0.3)
     params = ProblemParams(mu=1.0, kappa=1.0, m0=0.3)
     xi = ScalarField(g, np.zeros(33))
-    m2, F2, step, state = armijo_ascent_step(m, xi, 0.3, 0.0, params, OptimConfig())
+    m2, F2, step, state = armijo_ascent_step(m, xi, 0.3, 0.0, params)
     assert m2 is m and F2 == 0.3 and step == 0.0 and state is None
 
 
@@ -226,13 +227,12 @@ def test_armijo_first_step_increases_objective():
     grad = objective_gradient(state.theta, adj)
     xi, lp_value = best_perturbation(grad, m)
     assert lp_value > 0.0
-    cfg = OptimConfig()
     m1, F1, step, _ = armijo_ascent_step(
-        m, xi, F0, lp_value, params, cfg, theta0=state.theta.values
+        m, xi, F0, lp_value, params, theta0=state.theta.values
     )
     assert step > 0.0
     assert F1 > F0
-    assert F1 >= F0 + cfg.armijo_c * step * lp_value
+    assert F1 >= F0 + optimizer_mod.ARMIJO_C * step * lp_value
 
 
 def test_constant_resource_is_stationary_at_lp_level():
@@ -369,6 +369,39 @@ def test_optimize_all_starts_failing(monkeypatch):
     assert "start 0" in str(exc.value) and "start 1" in str(exc.value)
 
 
+@given(n=st.integers(17, 65), mu=st.sampled_from([1.0, 0.1, 0.03]),
+       max_outer_iters=st.integers(1, 15), seed=st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_ascent_properties(n, mu, max_outer_iters, seed):
+    # every finished start: F never drops along its trajectory, the
+    # termination label agrees with the last row, and the winner is admissible
+    params = ProblemParams(mu=mu, kappa=1.0, m0=0.3)
+    run = optimize(params, Grid((n,)),
+                   OptimConfig(starts=2, seed=seed, max_outer_iters=max_outer_iters))
+    for rec in run.starts:
+        if rec.failed:
+            continue
+        Fs = [row[0] for row in rec.trajectory]
+        assert len(Fs) == rec.iterations >= 1 and rec.F == Fs[-1]
+        assert all(b >= a for a, b in zip(Fs, Fs[1:]))
+        _, step, lp_value = rec.trajectory[-1]
+        if rec.termination == "lp_value":
+            assert step == 0.0 and lp_value < optimizer_mod.STOP_LP_VALUE
+        elif rec.termination == "step_zero":
+            assert step == 0.0
+        elif rec.termination == "objective_plateau":
+            # the change from the unrecorded start F is not in the trajectory
+            plateau = optimizer_mod.STOP_PLATEAU_ITERS
+            changes = [abs(b - a) / max(1.0, abs(b)) for a, b in zip(Fs, Fs[1:])]
+            assert len(Fs) >= plateau
+            assert all(c < optimizer_mod.STOP_REL_OBJECTIVE for c in changes[-plateau:])
+        else:
+            assert rec.termination == "max_iters"
+            assert rec.iterations == max_outer_iters
+    best = run.best_m
+    ResourceField(best.grid, best.values, best.kappa, best.m0)
+
+
 def test_optimize_process_pool_matches_serial(monkeypatch):
     g = Grid((33,))
     params = ProblemParams(mu=0.5, kappa=1.0, m0=0.3)
@@ -382,9 +415,5 @@ def test_optimize_process_pool_matches_serial(monkeypatch):
 
 
 def test_optim_config_validation():
-    with pytest.raises(ValueError):
-        OptimConfig(armijo_c=1.5)
-    with pytest.raises(ValueError):
-        OptimConfig(armijo_shrink=0.0)
     with pytest.raises(ValueError):
         OptimConfig(starts=0)

@@ -18,6 +18,7 @@ from kppfrag import (
     total_population,
 )
 import kppfrag.grids as grids_mod
+import kppfrag.solver as solver_mod
 from conftest import constant_resource
 
 # regression constants frozen from grid-refinement studies during oracle
@@ -75,7 +76,7 @@ def test_weighted_balance_identity_exact(crenel_state_mu001):
     # O(h) diagnostic below
     m, params, state = crenel_state_mu001
     th = state.theta.values
-    g = state.grid
+    g = state.theta.grid
     (h,) = g.spacings
     w = g.node_weights
     edge_sum = float(np.sum(np.diff(th) ** 2 / (th[1:] * th[:-1]) / h**2))
@@ -137,19 +138,18 @@ def test_nonpositive_mean_rejected():
         solve_steady_state(dead, ProblemParams(mu=1.0, kappa=1.0, m0=0.3))
 
 
-def test_no_convergence_raises_with_residual():
+def test_no_convergence_raises_with_residual(monkeypatch):
     m = make_crenel(Grid((257,)), 1.0, 0.3)
-    cfg = SolverConfig(max_newton_iters=2, fallback_steps=2, fallback_burst=6)
+    monkeypatch.setattr(solver_mod, "MAX_NEWTON_ITERS", 2)
+    monkeypatch.setattr(solver_mod, "FALLBACK_STEPS", 2)   # below one burst of 6
     with pytest.raises(NoConvergence) as exc:
-        solve_steady_state(m, ProblemParams(mu=0.001, kappa=1.0, m0=0.3), cfg)
+        solve_steady_state(m, ProblemParams(mu=0.001, kappa=1.0, m0=0.3))
     assert exc.value.last_residual > 0.0
 
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_newton_iters=0)
 
 
 def test_bit_determinism():
