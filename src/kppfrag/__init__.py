@@ -19,7 +19,6 @@ from .fields import (
     field_from_csv,
     field_to_csv,
     jump_count,
-    l1_distance,
     make_crenel,
     mean,
     near_bangbang_fraction,
@@ -30,12 +29,10 @@ from .solver import (
     SolverConfig,
     SolverError,
     SteadyState,
-    lou_identity_residual,
     solve_steady_state,
     total_population,
 )
 from .optimizer import (
-    AdjointState,
     DegenerateSample,
     OptimConfig,
     OptimizationError,
@@ -70,12 +67,11 @@ __all__ = [
     "Grid", "GridError", "NeumannLaplacian", "refine_fold_values",
     "AdmissibilityError", "FieldError", "ProblemParams", "ResourceField",
     "ScalarField", "bv_seminorm", "field_from_csv", "field_to_csv",
-    "jump_count", "l1_distance", "make_crenel", "mean",
-    "near_bangbang_fraction",
+    "jump_count", "make_crenel", "mean", "near_bangbang_fraction",
     "NoConvergence", "NonPositiveMeanResource", "SolverConfig", "SolverError",
-    "SteadyState", "lou_identity_residual", "solve_steady_state", "total_population",
-    "AdjointState", "DegenerateSample", "OptimConfig", "OptimizationError",
-    "OptimRun", "SingularAdjoint", "StartRecord", "armijo_ascent_step",
+    "SteadyState", "solve_steady_state", "total_population",
+    "DegenerateSample", "OptimConfig", "OptimizationError", "OptimRun",
+    "SingularAdjoint", "StartRecord", "armijo_ascent_step",
     "best_perturbation", "objective_gradient", "optimize",
     "random_fourier_guess", "solve_adjoint",
     "DEFAULT_EFFICIENCY_MUS", "LemmaBoundRow", "PeriodisationRow",

@@ -20,7 +20,10 @@ rejected, and a sweep's mu ladder must strictly decrease. Without a mu
 setting, efficiency evaluates the 13 log-spaced diffusivities of
 DEFAULT_EFFICIENCY_MUS; every other command defaults to mu = 1. Exit codes:
 0 success, 2 configuration error, 3 solver or optimization failure
-(out of memory included), 4 IO failure while persisting.
+(out of memory and a dead worker process included), 4 IO failure while
+persisting. A failing command writes one line to stderr; numpy's
+floating-point warnings are silenced, since the solver checks its own
+results for non-finite values.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,7 +336,7 @@ def _execute(cfg: RunConfig) -> _Result:
         report = {
             "mu": params.mu, "best_F": run.best_F,
             "termination": run.termination, "start_index": run.start_index,
-            "seed": run.seed, "trajectory": [list(t) for t in run.trajectory],
+            "seed": cfg.seed, "trajectory": [list(t) for t in run.trajectory],
             "starts": [
                 {"start_index": s.start_index,
                  "F": None if s.failed else s.F,
@@ -366,7 +370,7 @@ def _execute(cfg: RunConfig) -> _Result:
                             "wall_time": rec.wall_time, "error": rec.error})
         lines.append(f"bv_monotone={sweep.bv_monotone}")
         report = {"bv_monotone": sweep.bv_monotone, "warnings": sweep.warnings,
-                  "seed": sweep.seed, "records": records}
+                  "seed": cfg.seed, "records": records}
         rows = [{**r, "seconds": r["wall_time"]} for r in records]
         return _Result(lines, report, fields, plots, rows, sweep.warnings)
 
@@ -473,7 +477,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         _check_environment()
         t0 = time.perf_counter()
-        result = _execute(cfg)
+        with np.errstate(all="ignore"):
+            result = _execute(cfg)
         wall = time.perf_counter() - t0
         for line in result.lines:
             print(line)
@@ -493,6 +498,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("solver failure: out of memory; use a smaller grid or k-max",
               file=sys.stderr)
+        return 3
+    except BrokenExecutor as exc:
+        print(f"solver failure: a worker process died: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)

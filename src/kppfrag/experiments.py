@@ -31,6 +31,7 @@ from .solver import SolverConfig, solve_steady_state, total_population
 IDENTITY_TOL = 1e-8
 RESOLUTION_FACTOR = 10.0
 IDENTITY_SOLVER = SolverConfig(newton_tol=1e-12)   # the two identity checks
+LEMMA2_SAMPLES = 16      # log-spaced mu samples per dyadic level
 
 
 class ResolutionError(ValueError):
@@ -68,7 +69,6 @@ class SweepRecord:
 @dataclass(frozen=True)
 class SweepReport:
     records: list            # SweepRecord, in mu_list order (decreasing mu)
-    seed: int
     bv_monotone: bool
     warnings: list
 
@@ -119,11 +119,10 @@ def lemma2_bound_sweep(
     params: ProblemParams,
     underline_mu: float,
     k_max: int,
-    num_samples: int = 16,
 ) -> tuple[float, list[LemmaBoundRow]]:
     """Empirical uniform lower bound for the squeezed family.
 
-    Estimates eta_hat as the minimum of F(m, mu) - m0 over num_samples
+    Estimates eta_hat as the minimum of F(m, mu) - m0 over LEMMA2_SAMPLES
     log-spaced mu in [underline_mu, 4 underline_mu], then verifies that the
     whole dyadic family k <= k_max stays above m0 + eta_hat - 1e-8 on the
     rescaled intervals. Constant m gives eta_hat = 0 exactly; any
@@ -131,7 +130,7 @@ def lemma2_bound_sweep(
     """
     if underline_mu <= 0:
         raise ValueError("underline_mu must be positive")
-    mus = np.geomspace(underline_mu, 4.0 * underline_mu, num_samples)
+    mus = np.geomspace(underline_mu, 4.0 * underline_mu, LEMMA2_SAMPLES)
     gaps = [float(min(F - params.m0 for F in row))
             for row in _squeezed_F(m, params, mus, k_max)]
     eta_hat = gaps[0]
@@ -209,12 +208,7 @@ def fragmentation_sweep(
     )
     soft = sum(1 for a, b in zip(bvs, bvs[1:]) if not (b > a))
     bv_monotone = dips == 0 and soft <= 1
-    return SweepReport(
-        records=records,
-        seed=cfg.seed,
-        bv_monotone=bv_monotone,
-        warnings=warnings,
-    )
+    return SweepReport(records=records, bv_monotone=bv_monotone, warnings=warnings)
 
 
 def efficiency_ratio(m: ResourceField, mu_list) -> float:

@@ -47,9 +47,6 @@ class ScalarField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -103,13 +100,6 @@ def mean(f: ScalarField) -> float:
     linear interpolants and is exact on constants."""
     w = f.grid.node_weights
     return float(w @ f.values) / float(w.sum())
-
-
-def l1_distance(a: ScalarField, b: ScalarField) -> float:
-    if a.grid != b.grid:
-        raise FieldError("fields on different grids")
-    w = a.grid.node_weights
-    return float(w @ np.abs(a.values - b.values)) / float(w.sum())
 
 
 def bv_seminorm(f: ScalarField) -> float:

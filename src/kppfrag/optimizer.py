@@ -53,17 +53,11 @@ class SingularAdjoint(RuntimeError):
 
 class DegenerateSample(RuntimeError):
     """Random field sampler produced an (almost) constant field; the affine
-    normalization is undefined. Resample with the next substream."""
+    normalization is undefined. The start that drew it fails."""
 
 
 class OptimizationError(RuntimeError):
     """Every start failed; carries the per-start error messages."""
-
-
-@dataclass(frozen=True)
-class AdjointState:
-    p: ScalarField
-    residual_norm: float
 
 
 ARMIJO_C = 1e-4               # sufficient-increase fraction of the LP gain
@@ -106,7 +100,6 @@ class OptimRun:
     trajectory: list           # (F, step, lp_value) rows of the winning start
     termination: str
     start_index: int
-    seed: int
     starts: list               # StartRecord per start, in start order
 
 
@@ -118,8 +111,11 @@ def solve_adjoint(
     theta: ScalarField,
     params: ProblemParams,
     lap: NeumannLaplacian | None = None,
-) -> AdjointState:
-    """Solve (mu * (-Lap) + diag(2 theta - m)) p = 1 and check its residual."""
+) -> ScalarField:
+    """Solve (mu * (-Lap) + diag(2 theta - m)) p = 1 and return the adjoint
+    field p. Raises SingularAdjoint when the solve fails, p is not finite,
+    or the residual ||A p - 1||_inf exceeds max(1e-10,
+    residual_floor(grid, mu) * max(1, ||p||_inf))."""
     grid = theta.grid
     mu = params.mu
     diag = 2.0 * theta.values - m.values
@@ -138,15 +134,16 @@ def solve_adjoint(
             f"adjoint residual {rnorm:.3e} above tolerance; "
             "steady state is not a stable branch"
         )
-    return AdjointState(p=ScalarField(grid, p), residual_norm=rnorm)
+    return ScalarField(grid, p)
 
 
-def objective_gradient(theta: ScalarField, adj: AdjointState) -> ScalarField:
-    """Nodal gradient of the objective: g = (w . p . theta) / sum(w), so that
+def objective_gradient(theta: ScalarField, p: ScalarField) -> ScalarField:
+    """Nodal gradient of the objective from the steady state theta and the
+    adjoint field p of solve_adjoint: g = (w . p . theta) / sum(w), so that
     dF in direction xi is exactly sum_i g_i xi_i."""
     grid = theta.grid
     w = grid.node_weights
-    g = w * adj.p.values * theta.values / float(w.sum())
+    g = w * p.values * theta.values / float(w.sum())
     return ScalarField(grid, g)
 
 
@@ -287,12 +284,11 @@ def random_fourier_guess(
     return ResourceField(grid, vals, kappa, m0)
 
 
-def _start_seed(seed: int, start_index: int, attempt: int = 0):
-    """Documented substream split: SeedSequence(entropy=seed,
-    spawn_key=(start_index,)) for the first attempt, (start_index, attempt)
-    for degenerate-sample retries."""
-    key = (start_index,) if attempt == 0 else (start_index, attempt)
-    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+def _start_seed(seed: int, start_index: int):
+    """Documented substream split: start j draws its guess from
+    SeedSequence(entropy=seed, spawn_key=(j,)), once; a degenerate draw
+    fails the start."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(start_index,))
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +297,10 @@ def _start_seed(seed: int, start_index: int, attempt: int = 0):
 def _run_single_start(args) -> tuple:
     params, grid, cfg, start_index = args
     try:
-        guess = None
-        for attempt in range(16):
-            try:
-                guess = random_fourier_guess(
-                    grid, params.kappa, params.m0, _start_seed(cfg.seed, start_index, attempt)
-                )
-                break
-            except DegenerateSample:
-                continue
-        if guess is None:
-            raise DegenerateSample("16 consecutive degenerate samples")
-
+        m_cur = random_fourier_guess(
+            grid, params.kappa, params.m0, _start_seed(cfg.seed, start_index)
+        )
         lap = NeumannLaplacian(grid)
-        m_cur = guess
         state = solve_steady_state(m_cur, params, lap=lap)
         F_cur = total_population(state)
         trajectory: list = []
@@ -323,8 +309,8 @@ def _run_single_start(args) -> tuple:
         iterations = 0
         for _ in range(cfg.max_outer_iters):
             iterations += 1
-            adj = solve_adjoint(m_cur, state.theta, params, lap=lap)
-            g = objective_gradient(state.theta, adj)
+            p = solve_adjoint(m_cur, state.theta, params, lap=lap)
+            g = objective_gradient(state.theta, p)
             xi, lp_value = best_perturbation(g, m_cur)
             if lp_value < STOP_LP_VALUE:
                 trajectory.append((F_cur, 0.0, lp_value))
@@ -409,6 +395,5 @@ def optimize(params: ProblemParams, grid: Grid, cfg: OptimConfig | None = None) 
         trajectory=rec.trajectory,
         termination=rec.termination,
         start_index=rec.start_index,
-        seed=cfg.seed,
         starts=records,
     )

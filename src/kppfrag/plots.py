@@ -65,7 +65,7 @@ def _ticks_1d(parts: list, x0, y0, w, h, ymax) -> None:
         )
 
 
-def _panel_1d(parts: list, m: ResourceField, theta) -> None:
+def _panel_1d(parts: list, m: ResourceField, theta: np.ndarray | None) -> None:
     x0, y0 = MARGIN, MARGIN // 2
     w, h = PANEL_W - 2 * MARGIN, PANEL_H - MARGIN - MARGIN // 2
     xs = m.grid.axis_coords(0)
@@ -87,7 +87,7 @@ def _panel_1d(parts: list, m: ResourceField, theta) -> None:
     )
     if theta is not None:
         parts.append(
-            f'<polyline points="{_polyline(px, py(np.asarray(theta)))}" '
+            f'<polyline points="{_polyline(px, py(theta))}" '
             f'fill="none" stroke="#d62728" stroke-width="2"/>'
         )
     _frame(parts, x0, y0, w, h)
@@ -123,17 +123,17 @@ def _panel_heat(parts: list, values: np.ndarray, grid, offset_x: float,
     )
 
 
-def emit_plot(m: ResourceField, theta, path) -> None:
+def emit_plot(m: ResourceField, theta: ScalarField | None, path) -> None:
     """Write an SVG figure for a resource layout and (optionally) its
-    population density. 1D: one 800x500 overlay panel. 2D: two 800x500
-    heatmap panels side by side (layout left, density right; layout only
-    if theta is None).
+    population density theta, a field on m's grid. 1D: one 800x500 overlay
+    panel. 2D: two 800x500 heatmap panels side by side (layout left,
+    density right; layout only if theta is None). Raises ValueError when
+    theta lives on another grid.
     """
     if theta is not None:
-        theta = np.asarray(theta.values if isinstance(theta, ScalarField) else theta,
-                           dtype=float)
-        if theta.shape != m.values.shape:
-            raise ValueError("density shape does not match the grid")
+        if theta.grid != m.grid:
+            raise ValueError("density grid does not match the layout grid")
+        theta = theta.values
     parts: list[str] = []
     if m.grid.dim == 1:
         width = PANEL_W

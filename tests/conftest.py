@@ -4,9 +4,12 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from kppfrag import (
+    FieldError,
     Grid,
     ProblemParams,
     ResourceField,
+    ScalarField,
+    SteadyState,
     make_crenel,
     solve_steady_state,
 )
@@ -134,3 +137,44 @@ def banded_shifted_solve(grid: Grid, mu: float, diag: np.ndarray,
     ab[1, :] = 2.0 * inv + diag
     ab[2, n - 2] = -2.0 * inv
     return solve_banded((1, 1), ab, rhs)
+
+
+def l1_distance(a: ScalarField, b: ScalarField) -> float:
+    if a.grid != b.grid:
+        raise FieldError("fields on different grids")
+    w = a.grid.node_weights
+    return float(w @ np.abs(a.values - b.values)) / float(w.sum())
+
+
+def lou_identity_residual(
+    state: SteadyState, m: ResourceField, params: ProblemParams
+) -> float:
+    """Defect of the mass-balance identity relating the relative Dirichlet
+    energy to the population excess:
+
+        mu * avg(|grad theta|^2 / theta^2) = avg(theta) - m0.
+
+    The left side is quadrature over cell edges (squared one-sided
+    difference over the squared edge midpoint value); both averages on the
+    right are plain nodal means. The deliberate mismatch of the two
+    quadratures makes this an O(h) diagnostic that shrinks under refinement
+    for a converged solve and blows up for a wrong one.
+    """
+    th = state.theta.values
+    grid = state.theta.grid
+    mu = params.mu
+    if grid.dim == 1:
+        (h,) = grid.spacings
+        mid = 0.5 * (th[1:] + th[:-1])
+        q = float(np.sum(h * ((th[1:] - th[:-1]) / h) ** 2 / mid**2))
+    else:
+        nx, ny = grid.counts
+        hx, hy = grid.spacings
+        sq = th.reshape(ny, nx)
+        midx = 0.5 * (sq[:, 1:] + sq[:, :-1])
+        midy = 0.5 * (sq[1:, :] + sq[:-1, :])
+        q = float(
+            np.sum(hx * hy * (np.diff(sq, axis=1) / hx) ** 2 / midx**2)
+            + np.sum(hx * hy * (np.diff(sq, axis=0) / hy) ** 2 / midy**2)
+        )
+    return abs(mu * q - (float(np.mean(th)) - float(np.mean(m.values))))

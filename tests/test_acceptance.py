@@ -25,9 +25,7 @@ from kppfrag import (
     field_from_csv,
     fragmentation_sweep,
     jump_count,
-    l1_distance,
     lemma2_bound_sweep,
-    lou_identity_residual,
     make_crenel,
     mean,
     objective_gradient,
@@ -43,6 +41,8 @@ from kppfrag.grids import NeumannLaplacian
 from conftest import (
     constant_resource,
     interior_resource,
+    l1_distance,
+    lou_identity_residual,
     lp_bruteforce,
     zero_mean_direction,
 )

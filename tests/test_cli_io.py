@@ -3,7 +3,10 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from kppfrag import (
     Grid,
     NoConvergence,
     ProblemParams,
+    ScalarField,
     emit_plot,
     make_crenel,
     solve_steady_state,
@@ -248,7 +252,7 @@ def test_svg_rejects_mismatched_density(tmp_path):
     g = Grid((11,))
     m = make_crenel(g, 1.0, 0.3)
     with pytest.raises(ValueError):
-        emit_plot(m, np.zeros(7), str(tmp_path / "bad.svg"))
+        emit_plot(m, ScalarField(Grid((7,)), np.zeros(7)), str(tmp_path / "bad.svg"))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +306,31 @@ def test_exit_three_on_out_of_memory(monkeypatch, capsys):
     assert main(["periodise-check", "--grid", "65", "--k-max", "40"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure: out of memory") and err.count("\n") == 1
+
+
+def test_exit_three_on_dead_worker(monkeypatch, capsys):
+    def _killed(*args, **kwargs):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(cli, "optimize", _killed)
+    assert main(["optimize", "--grid", "33", "--starts", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: a worker process died: A process")
+    assert err.count("\n") == 1
+
+
+def test_exit_three_on_overflow_prints_one_line():
+    # run as a user would: numpy's overflow warning would reach stderr
+    # ahead of the failure message
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kppfrag.cli", "solve", "--grid", "33",
+         "--kappa", "1e200", "--m0", "1e199"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("solver failure: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_exit_four_on_io_failure(tmp_path, capsys):

@@ -13,12 +13,12 @@ from kppfrag import (
     field_from_csv,
     field_to_csv,
     jump_count,
-    l1_distance,
     make_crenel,
     mean,
     near_bangbang_fraction,
     refine_fold_values,
 )
+from conftest import l1_distance
 
 
 def test_scalar_field_validation():

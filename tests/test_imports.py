@@ -1,6 +1,7 @@
 """Lint (stdlib ast only): every import in the package modules and the test
 files is used, the package's __init__ exports exactly what it imports, and
-every config field is set by some caller outside the tests."""
+every config field and every public function and class of the package is
+used by some caller outside the tests."""
 import ast
 import dataclasses
 import pathlib
@@ -11,9 +12,10 @@ from kppfrag import OptimConfig, SolverConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kppfrag"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
-    (ROOT / "tests").glob("*.py"))
-CALLERS = sorted(SRC.glob("*.py")) + sorted(
+PACKAGE = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# the package __init__ only re-exports, so it calls nothing
+CALLERS = PACKAGE + sorted(
     p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts)
 
 
@@ -58,6 +60,27 @@ def keywords_passed(source: str, class_names) -> dict[str, set[str]]:
     return passed
 
 
+def public_definitions(source: str) -> list[str]:
+    """Public functions and classes defined at a module's top level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def names_referenced(source: str) -> set[str]:
+    """Names a module refers to: bare names, attribute names and the names
+    it imports from other modules. Definitions do not count."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
 def test_checker_flags_unused_and_accepts_used():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "from a.b import c, d\nx: c = np.zeros(1)\n")
@@ -68,6 +91,17 @@ def test_keyword_checker_reads_bare_and_attribute_calls():
     source = ("a = Cfg(x=1, **extra)\nb = mod.Cfg(y=2)\nc = Other(z=3)\n"
               "d = Cfg\n")
     assert keywords_passed(source, ["Cfg"]) == {"Cfg": {"x", "y"}}
+
+
+def test_reference_checker_reads_names_attributes_and_imports():
+    defs = ("def by_import(): pass\nclass ByAttribute: pass\n"
+            "def by_name(): pass\ndef unused(): pass\ndef _private(): pass\n"
+            "CONSTANT = 1\n")
+    assert public_definitions(defs) == ["by_import", "ByAttribute", "by_name", "unused"]
+    user = ("from pkg.mod import by_import\nmod.ByAttribute()\nf = by_name\n"
+            "def unused(): pass\n")
+    refs = names_referenced(user)
+    assert [n for n in public_definitions(defs) if n not in refs] == ["unused"]
 
 
 def test_export_checker_reads_imports_and_all():
@@ -96,3 +130,14 @@ def test_every_config_field_has_a_caller():
     unset = [f"{cls.__name__}.{f.name}" for cls in (SolverConfig, OptimConfig)
              for f in dataclasses.fields(cls) if f.name not in passed[cls.__name__]]
     assert unset == []
+
+
+def test_every_public_name_has_a_caller():
+    # a function or class that only tests use is a test oracle: it lives
+    # in tests/conftest.py, not in the package
+    referenced = set().union(*(names_referenced(path.read_text(encoding="utf-8"))
+                               for path in CALLERS))
+    uncalled = [f"{path.stem}.{name}" for path in PACKAGE
+                for name in public_definitions(path.read_text(encoding="utf-8"))
+                if name not in referenced]
+    assert uncalled == []

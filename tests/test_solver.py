@@ -8,8 +8,6 @@ from kppfrag import (
     ProblemParams,
     ScalarField,
     SolverConfig,
-    l1_distance,
-    lou_identity_residual,
     OptimConfig,
     make_crenel,
     mean,
@@ -19,7 +17,7 @@ from kppfrag import (
 )
 import kppfrag.grids as grids_mod
 import kppfrag.solver as solver_mod
-from conftest import constant_resource
+from conftest import constant_resource, l1_distance, lou_identity_residual
 
 # regression constants frozen from grid-refinement studies during oracle
 # construction (N=4000/8000 Richardson limit for the mu=0.01 crenel)
