@@ -11,6 +11,7 @@ all integral-like functionals; see fields.mean.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -56,7 +57,7 @@ class Grid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.counts[axis])
@@ -127,19 +128,28 @@ class NeumannLaplacian:
     systems (mu * (-Lap) + diag(d)) x = rhs that the Newton, Picard and
     adjoint steps need. 1D systems are tridiagonal and go straight to
     LAPACK's gtsv (Gaussian elimination with partial pivoting), O(N) per
-    solve with nothing kept between solves. 2D systems go through
+    solve; the Laplacian keeps the constant off-diagonals of the last mu it
+    saw and hands them to every 1D solve. 2D systems go through
     preconditioned MINRES on the symmetric form
     W^(1/2) (mu * (-Lap) + diag(d)) W^(-1/2); d may be indefinite (Newton
     matrices d = 2 theta - m). The preconditioner mu * (-Lap) + c I, with c
     the mean of |d|, is inverted exactly by fast diagonalization: the
     eigenvectors of each axis's symmetrized 1D operator turn it into a
     diagonal, so one application is four small dense matrix products.
+
+    Tolerance contract of solve_shifted(mu, d, rhs, rtol): a 2D solve
+    returns x whose residual sup norm is at most max(floor, rtol) times
+    max(|x|, |rhs|), floor being the rounding floor of _Minres2D; rtol=None
+    (the default) asks for the floor itself. A Newton step passes its
+    forcing term as rtol; every other caller takes the floor. The 1D solve
+    is direct, ignores rtol and is bit-identical for every rtol.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         if grid.dim == 1:
             self._mat = _lap1d_csr(grid.counts[0])
+            self._band = None
         else:
             nx, ny = grid.counts
             self._mat = (
@@ -155,33 +165,53 @@ class NeumannLaplacian:
         sw = np.sqrt(self.grid.node_weights)
         return (sp.diags(sw) @ (-self._mat) @ sp.diags(1.0 / sw)).tocsr()
 
+    def _off_diagonals(self, mu: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """(mu, dl, du): the off-diagonals of the 1D system
+        mu * (-Lap) + diag(d) for the last mu asked for. Read-only and
+        shared by every factor with that mu; gtsv works on copies."""
+        if self._band is None or self._band[0] != mu:
+            n = self.grid.counts[0]
+            h = self.grid.spacings[0]
+            inv = mu / (h * h)
+            dl = np.full(n - 1, -inv)
+            du = np.full(n - 1, -inv)
+            dl[-1] = du[0] = -2.0 * inv
+            dl.setflags(write=False)
+            du.setflags(write=False)
+            self._band = (mu, dl, du)
+        return self._band
+
     def shifted_factor(self, mu: float, diag: np.ndarray):
-        """Solver object for mu * (-Lap) + diag(d); has .solve(rhs)."""
+        """Solver object for mu * (-Lap) + diag(d); has .solve(rhs, rtol=None).
+        Every shifted solve goes through here."""
         if self.grid.dim == 1:
-            return _Banded1D(self.grid.counts[0], self.grid.spacings[0], mu, diag)
+            return _Banded1D(self._off_diagonals(mu), self.grid.spacings[0], diag)
         return _Minres2D(self, mu, diag)
 
-    def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return self.shifted_factor(mu, diag).solve(rhs)
+    def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray,
+                      rtol: float | None = None) -> np.ndarray:
+        return self.shifted_factor(mu, diag).solve(rhs, rtol)
 
 
 class _Banded1D:
     """1D shifted system mu * (-Lap) + diag(d) as its three diagonals
-    (dl, d, du), solved by LAPACK gtsv with no wrapper in between.
+    (dl, d, du), solved by LAPACK gtsv with no wrapper in between. The
+    shared off-diagonals come from NeumannLaplacian._off_diagonals.
 
     Non-finite entries in d or rhs raise numpy.linalg.LinAlgError before
     LAPACK sees them, as does an exactly singular matrix (gtsv info > 0),
-    so callers handle every 1D and 2D solve failure the same way.
+    so callers handle every 1D and 2D solve failure the same way. The check
+    on d stays even though gtsv would run: an inf in d can still give a
+    finite x.
     """
 
-    def __init__(self, n: int, h: float, mu: float, diag: np.ndarray):
-        inv = mu / (h * h)
-        self._dl = np.full(n - 1, -inv)
-        self._du = np.full(n - 1, -inv)
-        self._dl[-1] = self._du[0] = -2.0 * inv
-        self._d = 2.0 * inv + np.asarray(diag, dtype=float)
+    def __init__(self, band: tuple[float, np.ndarray, np.ndarray], h: float,
+                 diag: np.ndarray):
+        mu, self._dl, self._du = band
+        self._d = 2.0 * (mu / (h * h)) + np.asarray(diag, dtype=float)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
+        """Direct solve; rtol is accepted for the common interface and ignored."""
         rhs = np.asarray(rhs, dtype=float)
         if not (np.isfinite(self._d).all() and np.isfinite(rhs).all()):
             raise np.linalg.LinAlgError("1D shifted solve: non-finite diagonal or rhs")
@@ -197,12 +227,14 @@ class _Minres2D:
     The Krylov iteration (Paige-Saunders MINRES, as in SciPy's minres) runs
     on the symmetric form S = W^(1/2) A W^(-1/2) and also recurs the
     residual, so it can stop as soon as that residual, mapped back to A's
-    rows, is under half the rounding floor: residual_floor times
-    max(1, |d|) times the larger of |x| and |rhs| (sup norms). solve then
-    measures the true residual; above the floor it makes one refinement
-    pass for the correction, and if the residual is still above the floor
-    it raises numpy.linalg.LinAlgError, as the 1D gtsv solve does for a
-    singular matrix.
+    rows, is under half the tolerance times the larger of |x| and |rhs|
+    (sup norms). The tolerance is max(floor, rtol), where floor is the
+    rounding floor residual_floor times max(1, |d|) and rtol the optional
+    relative tolerance of solve (None: the floor alone). solve then
+    measures the true residual; above the tolerance it makes one refinement
+    pass for the correction, and if the residual is still above the
+    tolerance it raises numpy.linalg.LinAlgError naming the tolerance it
+    enforced, as the 1D gtsv solve does for a singular matrix.
     """
 
     def __init__(self, lap: NeumannLaplacian, mu: float, diag: np.ndarray):
@@ -223,7 +255,7 @@ class _Minres2D:
         z *= self._inv_eig
         return (qy @ z @ qx.T).ravel()
 
-    def _minres(self, rhs: np.ndarray) -> np.ndarray:
+    def _minres(self, rhs: np.ndarray, tol: float) -> np.ndarray:
         root_w = self._root_w
         b = root_w * rhs
         y = self._precondition(b)
@@ -231,7 +263,7 @@ class _Minres2D:
         if not beta1 > 0.0:
             return np.zeros_like(rhs)
         sym, mu, diag = self._lap._symmetric, self._mu, self._diag
-        limit = 0.5 * self._floor
+        limit = 0.5 * tol
         rhs_max = float(np.max(np.abs(rhs)))
         x = np.zeros_like(b)
         res = b.copy()                      # recurred residual b - S x
@@ -276,17 +308,21 @@ class _Minres2D:
         scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(rhs))))
         return r, float(np.max(np.abs(r))) / max(scale, 1e-300)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        x = self._minres(rhs)
+        tol = self._floor if rtol is None else max(self._floor, rtol)
+        x = self._minres(rhs, tol)
         r, rel = self._residual(x, rhs)
-        if rel > self._floor:
-            x = x + self._minres(r)
+        if rel > tol:
+            x = x + self._minres(r, tol)
             r, rel = self._residual(x, rhs)
-        if not rel <= self._floor:
+        if not rel <= tol:
+            enforced = (f"the rounding floor {self._floor:.3e}" if rtol is None else
+                        f"the tolerance {tol:.3e} = max(requested rtol {rtol:.3e}, "
+                        f"rounding floor {self._floor:.3e})")
             raise np.linalg.LinAlgError(
-                f"2D shifted solve: relative residual {rel:.3e} above the "
-                f"rounding floor {self._floor:.3e} after refinement")
+                f"2D shifted solve: relative residual {rel:.3e} above "
+                f"{enforced} after refinement")
         return x
 
 

@@ -158,6 +158,37 @@ def test_shifted_solve_2d_stall_raises_linalg_error(monkeypatch):
                                           rng.standard_normal(g.num_nodes))
 
 
+def test_shifted_solve_2d_rtol_bounds_relative_residual():
+    g = Grid((20, 17))
+    lap = NeumannLaplacian(g)
+    rng = np.random.default_rng(5)
+    mu, diag = 0.05, rng.uniform(-1.0, 1.0, g.num_nodes)
+    rhs = rng.standard_normal(g.num_nodes)
+    x = lap.solve_shifted(mu, diag, rhs, rtol=1e-3)
+    resid = mu * (-lap.apply(x)) + diag * x - rhs
+    floor = grids_mod.residual_floor(g, mu) * max(1.0, np.max(np.abs(diag)))
+    rel = np.max(np.abs(resid)) / max(np.max(np.abs(x)), np.max(np.abs(rhs)))
+    assert rel <= max(floor, 1e-3)
+
+
+def test_shifted_solve_1d_ignores_rtol():
+    g = Grid((101,))
+    lap = NeumannLaplacian(g)
+    rng = np.random.default_rng(9)
+    diag, rhs = rng.uniform(-1.0, 1.0, 101), rng.standard_normal(101)
+    exact = lap.solve_shifted(0.01, diag, rhs)
+    assert lap.solve_shifted(0.01, diag, rhs, rtol=1e-2).tobytes() == exact.tobytes()
+
+
+def test_shifted_solve_2d_stall_with_rtol_names_the_tolerance(monkeypatch):
+    g = Grid((10, 12))
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="requested rtol 1.000e-06"):
+        NeumannLaplacian(g).solve_shifted(0.1, rng.uniform(-1.0, 1.0, g.num_nodes),
+                                          rng.standard_normal(g.num_nodes), rtol=1e-6)
+
+
 @pytest.mark.parametrize("n", [3, 4, 1000, 8193])
 def test_lap1d_csr_bytes_match_lil_oracle(n):
     got, expect = grids_mod._lap1d_csr(n), lil_lap1d_csr(n)

@@ -1,0 +1,38 @@
+"""The benchmark's span tracer (perfbench/tracing.py) still sees every
+shifted solve: it counts them by wrapping NeumannLaplacian.shifted_factor,
+so a solve that bypasses that factory would silently corrupt its counts."""
+import sys
+from pathlib import Path
+from time import perf_counter
+
+from kppfrag import Grid, NeumannLaplacian, ProblemParams, make_crenel
+import kppfrag.solver as solver_mod
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+
+def test_traced_factor_counts_match_shifted_solves(monkeypatch):
+    solves = []
+    real_solve = NeumannLaplacian.solve_shifted
+
+    def counting_solve(self, *args, **kwargs):
+        solves.append(1)
+        return real_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(NeumannLaplacian, "solve_shifted", counting_solve)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    t0 = perf_counter()
+    try:
+        for counts, mu in (((33,), 0.05), ((12, 12), 0.1)):
+            # looked up on the module at call time, so the traced wrapper runs
+            solver_mod.solve_steady_state(make_crenel(Grid(counts), 1.0, 0.3),
+                                          ProblemParams(mu=mu, kappa=1.0, m0=0.3))
+    finally:
+        uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, tracer.run_id, perf_counter() - t0)
+    assert metrics["solver.calls"] == 2
+    assert metrics["grids.factor.calls"] > 0
+    assert metrics["grids.factor.calls"] == metrics["grids.factor_solve.calls"] == len(solves)
+    assert metrics["solver.picard_steps"] >= 0
