@@ -41,7 +41,7 @@ class ScalarField:
                 f"values shape {vals.shape} does not match grid with "
                 f"{self.grid.num_nodes} nodes"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise FieldError("field values must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
@@ -77,8 +77,8 @@ class ResourceField(ScalarField):
         super().__init__(grid, values)
         if not (0 < m0 < kappa):
             raise AdmissibilityError(f"need 0 < m0 < kappa, got m0={m0}, kappa={kappa}")
-        lo = float(np.min(self.values))
-        hi = float(np.max(self.values))
+        lo = float(self.values.min())
+        hi = float(self.values.max())
         if lo < -BOUND_TOL or hi > kappa + BOUND_TOL:
             raise AdmissibilityError(
                 f"values outside [0, kappa={kappa}]: min={lo}, max={hi}"

@@ -121,6 +121,32 @@ def _axis_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _read_only(mat: sp.csr_matrix) -> sp.csr_matrix:
+    for a in (mat.data, mat.indices, mat.indptr):
+        a.setflags(write=False)
+    return mat
+
+
+@lru_cache(maxsize=1)
+def _grid_operators(counts: tuple[int, ...]) -> tuple:
+    """(Lap, S, W^(1/2)) of the grid with these node counts: the Laplacian
+    as CSR and, in 2D, its symmetric form S = W^(1/2) (-Lap) W^(-1/2) and
+    the root trapezoid weights (None in 1D). S scales Lap's entries and
+    shares its index arrays. Built once per grid and shared by every
+    NeumannLaplacian on it, hence read-only; one entry, so a process holds
+    the operators of one grid at a time."""
+    if len(counts) == 1:
+        return _read_only(_lap1d_csr(counts[0])), None, None
+    nx, ny = counts
+    mat = (sp.kron(sp.eye(ny), _lap1d_csr(nx)) + sp.kron(_lap1d_csr(ny), sp.eye(nx))).tocsr()
+    root_w = np.sqrt(Grid(counts).node_weights)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    sym = sp.csr_matrix(((root_w[rows] * -mat.data) * (1.0 / root_w)[mat.indices],
+                         mat.indices, mat.indptr), shape=mat.shape)
+    root_w.setflags(write=False)
+    return _read_only(mat), _read_only(sym), root_w
+
+
 class NeumannLaplacian:
     """The discrete Laplacian with mirror (zero-flux) boundary rows.
 
@@ -137,6 +163,12 @@ class NeumannLaplacian:
     eigenvectors of each axis's symmetrized 1D operator turn it into a
     diagonal, so one application is four small dense matrix products.
 
+    The CSR Laplacian and, in 2D, its symmetric form and W^(1/2) are built
+    once per grid (_grid_operators, keyed by the node counts) and shared,
+    read-only, by every NeumannLaplacian on that grid; only the 1D
+    off-diagonals of the last mu belong to the instance. The constructor
+    stays the one construction point, cached or not.
+
     Tolerance contract of solve_shifted(mu, d, rhs, rtol): a 2D solve
     returns x whose residual sup norm is at most max(floor, rtol) times
     max(|x|, |rhs|), floor being the rounding floor of _Minres2D; rtol=None
@@ -147,29 +179,18 @@ class NeumannLaplacian:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        if grid.dim == 1:
-            self._mat = _lap1d_csr(grid.counts[0])
-            self._band = None
-        else:
-            nx, ny = grid.counts
-            self._mat = (
-                sp.kron(sp.eye(ny), _lap1d_csr(nx)) + sp.kron(_lap1d_csr(ny), sp.eye(nx))
-            ).tocsr()
+        self._mat, self._symmetric, self._root_w = _grid_operators(grid.counts)
+        self._last_band = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self._mat @ v
 
-    @cached_property
-    def _symmetric(self) -> sp.csr_matrix:
-        """W^(1/2) (-Lap) W^(-1/2), symmetric (built on first 2D solve)."""
-        sw = np.sqrt(self.grid.node_weights)
-        return (sp.diags(sw) @ (-self._mat) @ sp.diags(1.0 / sw)).tocsr()
-
-    def _off_diagonals(self, mu: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """(mu, dl, du): the off-diagonals of the 1D system
-        mu * (-Lap) + diag(d) for the last mu asked for. Read-only and
-        shared by every factor with that mu; gtsv works on copies."""
-        if self._band is None or self._band[0] != mu:
+    def _band(self, mu: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(mu, c, dl, du): the constant part c = 2 mu / h^2 of the diagonal
+        and the off-diagonals of the 1D system mu * (-Lap) + diag(d) for the
+        last mu asked for. Read-only and shared by every factor with that
+        mu; gtsv works on copies."""
+        if self._last_band is None or self._last_band[0] != mu:
             n = self.grid.counts[0]
             h = self.grid.spacings[0]
             inv = mu / (h * h)
@@ -178,14 +199,14 @@ class NeumannLaplacian:
             dl[-1] = du[0] = -2.0 * inv
             dl.setflags(write=False)
             du.setflags(write=False)
-            self._band = (mu, dl, du)
-        return self._band
+            self._last_band = (mu, 2.0 * inv, dl, du)
+        return self._last_band
 
     def shifted_factor(self, mu: float, diag: np.ndarray):
         """Solver object for mu * (-Lap) + diag(d); has .solve(rhs, rtol=None).
         Every shifted solve goes through here."""
         if self.grid.dim == 1:
-            return _Banded1D(self._off_diagonals(mu), self.grid.spacings[0], diag)
+            return _Banded1D(self._band(mu), diag)
         return _Minres2D(self, mu, diag)
 
     def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray,
@@ -195,8 +216,9 @@ class NeumannLaplacian:
 
 class _Banded1D:
     """1D shifted system mu * (-Lap) + diag(d) as its three diagonals
-    (dl, d, du), solved by LAPACK gtsv with no wrapper in between. The
-    shared off-diagonals come from NeumannLaplacian._off_diagonals.
+    (dl, c + d, du), solved by LAPACK gtsv with no wrapper in between. The
+    shared constant c = 2 mu / h^2 and off-diagonals come from
+    NeumannLaplacian._band.
 
     Non-finite entries in d or rhs raise numpy.linalg.LinAlgError before
     LAPACK sees them, as does an exactly singular matrix (gtsv info > 0),
@@ -205,10 +227,10 @@ class _Banded1D:
     finite x.
     """
 
-    def __init__(self, band: tuple[float, np.ndarray, np.ndarray], h: float,
+    def __init__(self, band: tuple[float, float, np.ndarray, np.ndarray],
                  diag: np.ndarray):
-        mu, self._dl, self._du = band
-        self._d = 2.0 * (mu / (h * h)) + np.asarray(diag, dtype=float)
+        _, centre, self._dl, self._du = band
+        self._d = centre + np.asarray(diag, dtype=float)
 
     def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
         """Direct solve; rtol is accepted for the common interface and ignored."""
@@ -224,17 +246,29 @@ class _Banded1D:
 class _Minres2D:
     """Preconditioned MINRES for one 2D shifted system A x = rhs.
 
-    The Krylov iteration (Paige-Saunders MINRES, as in SciPy's minres) runs
-    on the symmetric form S = W^(1/2) A W^(-1/2) and also recurs the
-    residual, so it can stop as soon as that residual, mapped back to A's
-    rows, is under half the tolerance times the larger of |x| and |rhs|
-    (sup norms). The tolerance is max(floor, rtol), where floor is the
-    rounding floor residual_floor times max(1, |d|) and rtol the optional
-    relative tolerance of solve (None: the floor alone). solve then
-    measures the true residual; above the tolerance it makes one refinement
-    pass for the correction, and if the residual is still above the
-    tolerance it raises numpy.linalg.LinAlgError naming the tolerance it
-    enforced, as the 1D gtsv solve does for a singular matrix.
+    The Krylov iteration (Paige and Saunders 1975, SIAM J. Numer. Anal. 12,
+    in the form and sign convention of SciPy's minres) runs on the
+    symmetric form S = W^(1/2) A W^(-1/2), with S and W^(1/2) taken from
+    the grid's shared read-only operators. It also carries the
+    residual r = b - S x, so it can stop as soon as that residual, mapped
+    back to A's rows, is under half the tolerance times the larger of |x|
+    and |rhs| (sup norms). The residual costs no product with S: after the
+    rotation (cs, sn) of step k,
+
+        r_k = sn^2 r_(k-1) - (phibar cs / beta) r2,
+
+    r2 the new unpreconditioned Lanczos vector and beta its preconditioned
+    norm (the residual recurrence of Choi, Paige and Saunders 2011, SIAM J.
+    Sci. Comput. 33, MINRES-QLP, with cs starting at -1 as here). The
+    vectors are updated in place in a few work arrays.
+
+    The tolerance is max(floor, rtol), where floor is the rounding floor
+    residual_floor times max(1, |d|) and rtol the optional relative
+    tolerance of solve (None: the floor alone). solve then measures the
+    true residual; above the tolerance it makes one refinement pass for the
+    correction, and if the residual is still above the tolerance it raises
+    numpy.linalg.LinAlgError naming the tolerance it enforced, as the 1D
+    gtsv solve does for a singular matrix.
     """
 
     def __init__(self, lap: NeumannLaplacian, mu: float, diag: np.ndarray):
@@ -245,8 +279,7 @@ class _Minres2D:
         shift = max(float(np.mean(np.abs(diag))), 1e-12)
         self._inv_eig = 1.0 / (mu * (lam_y[:, None] + lam_x[None, :]) + shift)
         self._lap, self._mu, self._diag = lap, mu, diag
-        self._root_w = np.sqrt(lap.grid.node_weights)
-        self._floor = residual_floor(lap.grid, mu) * max(1.0, float(np.max(np.abs(diag))))
+        self._floor = residual_floor(lap.grid, mu) * max(1.0, float(np.abs(diag).max()))
 
     def _precondition(self, v: np.ndarray) -> np.ndarray:
         """(mu * S_Lap + c I)^(-1) v by fast diagonalization."""
@@ -256,7 +289,7 @@ class _Minres2D:
         return (qy @ z @ qx.T).ravel()
 
     def _minres(self, rhs: np.ndarray, tol: float) -> np.ndarray:
-        root_w = self._root_w
+        root_w = self._lap._root_w
         b = root_w * rhs
         y = self._precondition(b)
         beta1 = float(np.sqrt(b @ y))
@@ -264,41 +297,52 @@ class _Minres2D:
             return np.zeros_like(rhs)
         sym, mu, diag = self._lap._symmetric, self._mu, self._diag
         limit = 0.5 * tol
-        rhs_max = float(np.max(np.abs(rhs)))
+        rhs_max = float(np.abs(rhs).max())
         x = np.zeros_like(b)
         res = b.copy()                      # recurred residual b - S x
         w = np.zeros_like(b)
         w2 = np.zeros_like(b)
-        sw = np.zeros_like(b)               # S w
-        sw2 = np.zeros_like(b)
+        v = np.empty_like(b)
+        tmp = np.empty_like(b)
         r1 = r2 = b
         oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
         for itn in range(_KRYLOV_MAXITER):
-            v = y / beta
-            sv = mu * (sym @ v) + diag * v
-            y = sv - (beta / oldb) * r1 if itn else sv.copy()
+            np.divide(y, beta, out=v)
+            y = sym @ v
+            y *= mu
+            y += np.multiply(diag, v, out=tmp)
+            if itn:
+                y -= np.multiply(r1, beta / oldb, out=tmp)
             alfa = float(v @ y)
-            y -= (alfa / beta) * r2
+            y -= np.multiply(r2, alfa / beta, out=tmp)
             r1, r2 = r2, y
             y = self._precondition(r2)
-            oldb, beta = beta, float(np.sqrt(max(r2 @ y, 0.0)))
+            oldb, beta = beta, math.sqrt(max(float(r2 @ y), 0.0))
             oldeps = epsln
             delta = cs * dbar + sn * alfa
             gbar = sn * dbar - cs * alfa
             epsln = sn * beta
             dbar = -cs * beta
-            gamma = max(np.hypot(gbar, beta), _EPS)
+            gamma = max(float(np.hypot(gbar, beta)), _EPS)
             cs, sn = gbar / gamma, beta / gamma
             phi = cs * phibar
             phibar *= sn
-            w2, w = w, (v - oldeps * w2 - delta * w) / gamma
-            sw2, sw = sw, (sv - oldeps * sw2 - delta * sw) / gamma
-            x += phi * w
-            res -= phi * sw
-            if beta == 0.0 or phibar <= _EPS * beta1:
+            # w <- (v - oldeps * w2 - delta * w) / gamma, the old w becoming w2
+            w2 *= -oldeps
+            w2 += v
+            w2 -= np.multiply(w, delta, out=tmp)
+            w2 /= gamma
+            w, w2 = w2, w
+            x += np.multiply(w, phi, out=tmp)
+            if beta == 0.0:
                 break
-            res_max = float(np.max(np.abs(res / root_w)))
-            if res_max <= limit * max(rhs_max, float(np.max(np.abs(x / root_w)))):
+            res *= sn * sn
+            res -= np.multiply(r2, phibar * cs / beta, out=tmp)
+            if phibar <= _EPS * beta1:
+                break
+            res_max = float(np.abs(np.divide(res, root_w, out=tmp)).max())
+            x_max = float(np.abs(np.divide(x, root_w, out=tmp)).max())
+            if res_max <= limit * max(rhs_max, x_max):
                 break
         return x / root_w
 

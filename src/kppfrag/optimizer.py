@@ -124,11 +124,11 @@ def solve_adjoint(
         p = lap.solve_shifted(mu, diag, np.ones(grid.num_nodes))
     except np.linalg.LinAlgError as exc:
         raise SingularAdjoint(f"adjoint solve failed: {exc}") from exc
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise SingularAdjoint("adjoint solve produced non-finite values")
     resid = mu * (-lap.apply(p)) + diag * p - 1.0
-    rnorm = float(np.max(np.abs(resid)))
-    floor = residual_floor(grid, mu) * max(1.0, float(np.max(np.abs(p))))
+    rnorm = float(np.abs(resid).max())
+    floor = residual_floor(grid, mu) * max(1.0, float(np.abs(p).max()))
     if rnorm > max(1e-10, floor):
         raise SingularAdjoint(
             f"adjoint residual {rnorm:.3e} above tolerance; "

@@ -100,14 +100,12 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit):
     """Damped Newton with Picard rescue bursts from theta; returns
     (theta, residual norm, Newton iterations, rescue steps)."""
     r = _residual(lap, theta, m_vals, mu)
-    rnorm = float(np.max(np.abs(r)))
+    rnorm = float(np.abs(r).max())
     newton_iters = 0
     fallback_used = 0
     try:
         while True:
-            if rnorm <= cfg.newton_tol or rnorm <= floor_limit * float(
-                np.max(np.abs(theta))
-            ):
+            if rnorm <= cfg.newton_tol or rnorm <= floor_limit * float(np.abs(theta).max()):
                 break
             if newton_iters >= MAX_NEWTON_ITERS:
                 raise NoConvergence("Newton iteration cap exceeded", rnorm)
@@ -119,7 +117,7 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit):
             while step >= DAMPING_FLOOR:
                 trial = np.maximum(theta + step * delta, POSITIVITY_FLOOR)
                 rt = _residual(lap, trial, m_vals, mu)
-                rtn = float(np.max(np.abs(rt)))
+                rtn = float(np.abs(rt).max())
                 if rtn < rnorm:
                     theta, r, rnorm = trial, rt, rtn
                     accepted = True
@@ -131,7 +129,7 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit):
                 theta = _picard_burst(lap, theta, m_vals, mu, cfg.fallback_burst)
                 fallback_used += cfg.fallback_burst
                 r = _residual(lap, theta, m_vals, mu)
-                rnorm = float(np.max(np.abs(r)))
+                rnorm = float(np.abs(r).max())
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"linear solve failed: {exc}", rnorm) from exc
     return theta, rnorm, newton_iters, fallback_used

@@ -189,6 +189,63 @@ def test_shifted_solve_2d_stall_with_rtol_names_the_tolerance(monkeypatch):
                                           rng.standard_normal(g.num_nodes), rtol=1e-6)
 
 
+def _shift(kind: str, num_nodes: int, rng) -> np.ndarray:
+    if kind == "constant":         # the preconditioner is exact: one step
+        return np.full(num_nodes, 0.7)
+    if kind == "definite":
+        return rng.uniform(0.2, 2.0, num_nodes)
+    return rng.uniform(-1.0, 1.0, num_nodes)
+
+
+@pytest.mark.parametrize("n", [12, 60])
+@pytest.mark.parametrize("mu", [0.05, 0.005])
+@pytest.mark.parametrize("kind", ["constant", "definite", "indefinite"])
+@pytest.mark.parametrize("rtol", [None, 1e-2, 1e-6])
+def test_shifted_solve_2d_stops_on_its_recurred_residual(monkeypatch, n, mu, kind, rtol):
+    # The MINRES loop stops once its recurred residual is under half the
+    # tolerance. Were the recurrence to drift below the true residual, the
+    # loop would stop early: solve would need a second (refinement) pass,
+    # or the true residual would land above the half tolerance the loop
+    # claims (checked where rtol is far above the rounding floor).
+    g = Grid((n, n))
+    lap = NeumannLaplacian(g)
+    rng = np.random.default_rng(n)
+    diag = _shift(kind, g.num_nodes, rng)
+    rhs = rng.standard_normal(g.num_nodes)
+    passes = []
+    real_minres = grids_mod._Minres2D._minres
+
+    def counting_minres(self, *args):
+        passes.append(1)
+        return real_minres(self, *args)
+
+    monkeypatch.setattr(grids_mod._Minres2D, "_minres", counting_minres)
+    x = lap.solve_shifted(mu, diag, rhs, rtol=rtol)
+    assert len(passes) == 1
+    resid = mu * (-lap.apply(x)) + diag * x - rhs
+    floor = grids_mod.residual_floor(g, mu) * max(1.0, np.max(np.abs(diag)))
+    rel = np.max(np.abs(resid)) / max(np.max(np.abs(x)), np.max(np.abs(rhs)))
+    assert rel <= (floor if rtol is None else 0.5 * rtol)
+
+
+def test_grid_operators_are_shared_and_read_only():
+    g = Grid((12, 12))
+    a, b = NeumannLaplacian(g), NeumannLaplacian(Grid((12, 12)))
+    assert a._mat is b._mat and a._symmetric is b._symmetric
+    for arr in (a._mat.data, a._mat.indices, a._mat.indptr,
+                a._symmetric.data, a._root_w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    rng = np.random.default_rng(2)
+    diag, rhs = rng.uniform(-1.0, 1.0, g.num_nodes), rng.standard_normal(g.num_nodes)
+    first = a.solve_shifted(0.05, diag, rhs)
+    big = Grid((60, 60))
+    NeumannLaplacian(big).solve_shifted(0.05, np.ones(big.num_nodes),
+                                        np.ones(big.num_nodes))
+    again = NeumannLaplacian(g).solve_shifted(0.05, diag, rhs)
+    assert again.tobytes() == first.tobytes()
+
+
 @pytest.mark.parametrize("n", [3, 4, 1000, 8193])
 def test_lap1d_csr_bytes_match_lil_oracle(n):
     got, expect = grids_mod._lap1d_csr(n), lil_lap1d_csr(n)
