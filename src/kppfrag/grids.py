@@ -134,7 +134,10 @@ def _grid_operators(counts: tuple[int, ...]) -> tuple:
     the root trapezoid weights (None in 1D). S scales Lap's entries and
     shares its index arrays. Built once per grid and shared by every
     NeumannLaplacian on it, hence read-only; one entry, so a process holds
-    the operators of one grid at a time."""
+    the operators of one grid at a time. The coarse levels of a nested 2D
+    solve (solver.solve_steady_state) take that entry in turn, each
+    evicting the last; a caller that reuses a grid's operators keeps its
+    own NeumannLaplacian instance, which holds them past eviction."""
     if len(counts) == 1:
         return _read_only(_lap1d_csr(counts[0])), None, None
     nx, ny = counts

@@ -4,11 +4,25 @@ The discrete problem is R(theta) = 0 with
 
     R(theta) = mu * Lap(theta) + theta * (m - theta),
 
-Lap the mirrored-ghost Neumann Laplacian, solved by damped Newton from the
-constant start theta = mean(m). When the plain Newton line search cannot
-reduce the residual (which happens at small mu, where the solution develops
-steep transition layers far from the constant start), a short burst of the
-positivity-preserving fixed-point iteration
+Lap the mirrored-ghost Neumann Laplacian, solved by damped Newton. A cold
+solve (no warm start) starts from the constant theta = mean(m), except on
+2D grids that can be halved, where it starts from the solved coarser grid
+(nested iteration; Briggs, Henson and McCormick, A Multigrid Tutorial,
+2000). The coarser grid has (n + 1) // 2 nodes per axis and is used when
+every axis keeps at least COARSEST_NODES of them, so grids from 63 nodes
+per axis up nest. The resource is resampled onto it bilinearly (node counts
+such as 240, i.e. 239 intervals, do not nest, so injection would not do),
+the solver calls itself there, and the coarse steady state, resampled
+bilinearly back, starts the fine Newton. Newton's iteration count does not
+grow with refinement (Allgower, Boehmer, Potra and Rheinboldt 1986, SIAM J.
+Numer. Anal. 23), so the fine grid needs few steps. If the coarse level
+raises SolverError (a resampled resource with mean <= 0, NoConvergence),
+the fine solve starts from the constant instead.
+
+When the plain Newton line search cannot reduce the residual (which
+happens at small mu, where the solution develops steep transition layers
+far from the constant start), a short burst of the positivity-preserving
+fixed-point iteration
 
     (mu * (-Lap) + diag(theta_k)) theta_{k+1} = m . theta_k
 
@@ -40,8 +54,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import ProblemParams, ResourceField, ScalarField, mean
-from .grids import NeumannLaplacian, residual_floor
+from .fields import ProblemParams, ScalarField, mean
+from .grids import Grid, NeumannLaplacian, residual_floor
 
 
 class SolverError(RuntimeError):
@@ -64,6 +78,7 @@ DAMPING_FLOOR = 2.0 ** -20             # smallest backtracking fraction
 POSITIVITY_FLOOR = 1e-14               # line-search clip only, never the answer
 FALLBACK_STEPS = 200                   # total fixed-point step budget
 NEWTON_FORCING = 1e-2                  # cap of the forcing term eta
+COARSEST_NODES = 32                    # fewest nodes per axis of a nested level
 
 
 @dataclass(frozen=True)
@@ -80,7 +95,7 @@ class SolverConfig:
 class SteadyState:
     theta: ScalarField
     residual_norm: float
-    iterations: int                    # Newton iterations (rescue steps excluded)
+    iterations: int                    # Newton iterations on m.grid (rescue steps excluded)
     used_fallback: bool = False
 
 
@@ -135,6 +150,43 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit):
     return theta, rnorm, newton_iters, fallback_used
 
 
+def _axis_stencil(n_src, n_dst):
+    """Left source node and right-neighbour weight of each of n_dst
+    equispaced nodes on [0, 1], for linear interpolation from n_src nodes.
+    Integer arithmetic, so a node that coincides with a source node takes
+    its value exactly."""
+    pos = np.arange(n_dst) * (n_src - 1)
+    left = np.minimum(pos // (n_dst - 1), n_src - 2)
+    return left, (pos - left * (n_dst - 1)) / (n_dst - 1)
+
+
+def _bilinear(values, src, dst):
+    """The bilinear interpolant of nodal values on the 2D grid src, sampled
+    at the nodes of dst (both on the unit square)."""
+    (ix, fx), (iy, fy) = map(_axis_stencil, src.counts, dst.counts)
+    v = values.reshape(src.counts[1], src.counts[0])
+    v = v[:, ix] * (1.0 - fx) + v[:, ix + 1] * fx
+    return (v[iy] * (1.0 - fy)[:, None] + v[iy + 1] * fy[:, None]).ravel()
+
+
+def _nested_start(m, params, cfg):
+    """Start of a cold 2D solve: the steady state on the grid with
+    (n + 1) // 2 nodes per axis, resampled onto m.grid. None when that grid
+    has fewer than COARSEST_NODES nodes on an axis or its solve fails."""
+    counts = tuple((n + 1) // 2 for n in m.grid.counts)
+    if min(counts) < COARSEST_NODES:
+        return None
+    coarse = Grid(counts)
+    try:
+        # looked up on the module at call time, so a wrapper of
+        # solve_steady_state sees every level as a call of its own
+        state = solve_steady_state(
+            ScalarField(coarse, _bilinear(m.values, m.grid, coarse)), params, cfg)
+    except SolverError:
+        return None
+    return _bilinear(state.theta.values, coarse, m.grid)
+
+
 def _below_mean(theta, weights, mbar):
     """True when the weighted mean of theta is under mean(m): no positive
     steady state is (up to rounding slack), so theta sits near theta = 0."""
@@ -142,7 +194,7 @@ def _below_mean(theta, weights, mbar):
 
 
 def solve_steady_state(
-    m: ResourceField,
+    m: ScalarField,
     params: ProblemParams,
     cfg: SolverConfig | None = None,
     theta0: np.ndarray | None = None,
@@ -152,15 +204,21 @@ def solve_steady_state(
 
     Parameters
     ----------
-    m, params : the problem instance; params.mu is the diffusivity.
+    m, params : the problem instance; params.mu is the diffusivity. m is
+        any positive-mean ScalarField: callers pass a ResourceField, the
+        coarse levels of a nested solve the resampled resource.
     cfg : the residual tolerance newton_tol; the default 1e-11 serves every
         preset. The caps are fixed: MAX_NEWTON_ITERS Newton iterations per
         start, backtracking down to DAMPING_FLOOR, trial iterates clipped at
         POSITIVITY_FLOOR, FALLBACK_STEPS fixed-point steps spent in
         bursts of SolverConfig.fallback_burst, and Newton's linear solves
         stopped at the forcing term min(NEWTON_FORCING, ||R||_inf / 2).
-    theta0 : optional warm start (flat nodal array). Defaults to the
-        constant mean(m).
+    theta0 : optional warm start (flat nodal array). Without it a 1D solve
+        starts from the constant mean(m); a 2D solve starts from the steady
+        state of the grid with (n + 1) // 2 nodes per axis, solved by this
+        function and resampled bilinearly, when every axis of that grid has
+        at least COARSEST_NODES nodes, and from mean(m) when it has not or
+        when that coarse solve raises SolverError.
     lap : optional prebuilt Laplacian for m.grid (reused across solves in
         the optimizer loops).
 
@@ -173,6 +231,9 @@ def solve_steady_state(
     supersolution theta = max(m), which lies above the positive state and
     away from theta = 0.
 
+    The returned iterations and used_fallback describe the Newton runs on
+    m.grid only; the coarse levels of a nested start report nothing.
+
     Raises
     ------
     NonPositiveMeanResource : if mean(m) <= 0.
@@ -183,6 +244,8 @@ def solve_steady_state(
     mbar = mean(m)
     if mbar <= 0.0:
         raise NonPositiveMeanResource(f"mean(m) = {mbar} must be positive")
+    if theta0 is None and m.grid.dim == 2:
+        theta0 = _nested_start(m, params, cfg)
     lap = lap or NeumannLaplacian(m.grid)
     mu = params.mu
     m_vals = m.values

@@ -7,6 +7,7 @@ from kppfrag import (
     NoConvergence,
     NonPositiveMeanResource,
     ProblemParams,
+    ResourceField,
     ScalarField,
     SolverConfig,
     OptimConfig,
@@ -241,6 +242,113 @@ def test_inexact_newton_matches_floor_only_solve(monkeypatch):
     assert np.max(np.abs(
         params.mu * NeumannLaplacian(m.grid).apply(theta) + theta * (m.values - theta)
     )) <= gate
+
+
+def _newton_grids(monkeypatch):
+    """Record the grid of every Newton run, coarse levels included."""
+    seen = []
+    real_newton = solver_mod._newton
+
+    def recording_newton(lap, *args, **kwargs):
+        seen.append(lap.grid.counts)
+        return real_newton(lap, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_newton", recording_newton)
+    return seen
+
+
+def _constant_start_solve(monkeypatch, m, params):
+    # a level floor above the grid turns nesting off: today's constant start
+    with monkeypatch.context() as mp:
+        mp.setattr(solver_mod, "COARSEST_NODES", max(m.grid.counts) + 1)
+        return solve_steady_state(m, params)
+
+
+def test_bilinear_resampling_reproduces_bilinear_functions():
+    def f(grid):
+        x, y = grid.coords_columns()
+        return 1.0 + 2.0 * x - y + 3.0 * x * y
+
+    src = Grid((64, 33))
+    for dst in (Grid((127, 65)), Grid((240, 17)), Grid((32, 32))):
+        out = solver_mod._bilinear(f(src), src, dst)
+        assert np.max(np.abs(out - f(dst))) <= 1e-13
+    # nodes shared by both grids take the source value exactly
+    fine = Grid((127, 65))
+    vals = np.random.default_rng(0).random(fine.num_nodes)
+    coarse = solver_mod._bilinear(vals, fine, src)
+    assert np.array_equal(coarse, vals.reshape(65, 127)[::2, ::2].ravel())
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.01])
+@pytest.mark.parametrize("counts", [(120, 120), (127, 65)])
+def test_nested_start_reaches_the_supersolution_state(monkeypatch, counts, mu):
+    m = make_crenel(Grid(counts), 1.0, 0.3)
+    params = ProblemParams(mu=mu, kappa=1.0, m0=0.3)
+    seen = _newton_grids(monkeypatch)
+    state = solve_steady_state(m, params)
+    coarse = tuple((n + 1) // 2 for n in counts)
+    assert seen[0] == coarse and seen[-1] == counts
+    ref = _supersolution_solve(m, params)
+    assert abs(total_population(state) - total_population(ref)) <= 1e-12
+    assert np.max(np.abs(state.theta.values - ref.theta.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("counts", [(3, 3), (4, 200)])
+def test_grids_too_small_to_halve_solve_cold(monkeypatch, counts):
+    # halving 3 or 4 nodes leaves 2, which is no grid: these never nest
+    g = Grid(counts)
+    seen = _newton_grids(monkeypatch)
+    state = solve_steady_state(constant_resource(g, 0.3), ProblemParams(mu=0.1))
+    assert seen == [counts]
+    assert np.max(np.abs(state.theta.values - 0.3)) <= 1e-12
+
+
+def test_nested_start_spares_the_fine_grid_its_rescue():
+    # the constant start takes 18 Newton steps and a Picard rescue here
+    m = make_crenel(Grid((120, 120)), 1.0, 0.3)
+    state = solve_steady_state(m, ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
+    assert not state.used_fallback
+    assert state.iterations <= 5
+
+
+def _same_bytes(a, b):
+    assert a.theta.values.tobytes() == b.theta.values.tobytes()
+    assert (a.residual_norm, a.iterations, a.used_fallback) == (
+        b.residual_norm, b.iterations, b.used_fallback)
+
+
+def test_coarse_level_with_zero_mean_falls_back_to_constant_start(monkeypatch):
+    # resource on the odd x-columns only: the 64 x 64 coarse nodes sit on
+    # the even columns, so the resampled resource is 0 and its mean too
+    g = Grid((127, 127))
+    cols = np.zeros(127)
+    cols[1::2] = 0.6
+    m = ResourceField(g, np.tile(cols, 127), 1.0, 0.3)
+    assert not solver_mod._bilinear(m.values, g, Grid((64, 64))).any()
+    params = ProblemParams(mu=0.1, kappa=1.0, m0=0.3)
+    seen = _newton_grids(monkeypatch)
+    state = solve_steady_state(m, params)
+    assert seen == [(127, 127)]
+    _same_bytes(state, _constant_start_solve(monkeypatch, m, params))
+
+
+def test_coarse_level_failure_falls_back_to_constant_start(monkeypatch):
+    m = make_crenel(Grid((120, 120)), 1.0, 0.3)
+    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
+    real_newton = solver_mod._newton
+    failed = []
+
+    def failing_on_coarse(lap, *args, **kwargs):
+        if lap.grid.counts != (120, 120):
+            failed.append(lap.grid.counts)
+            raise NoConvergence("forced on the coarse level", 1.0)
+        return real_newton(lap, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_newton", failing_on_coarse)
+    state = solve_steady_state(m, params)
+    assert failed == [(60, 60)]
+    _same_bytes(state, _constant_start_solve(monkeypatch, m, params))
 
 
 def test_optimize_2d_same_seed_is_bit_identical():

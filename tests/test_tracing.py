@@ -65,3 +65,39 @@ def test_traced_lap_builds_count_constructions_through_the_cache(monkeypatch):
     metrics = tracing.layer_metrics(tracer.spans, tracer.run_id, perf_counter() - t0)
     assert grids_mod._grid_operators.cache_info().hits == 2
     assert metrics["grids.lap_build.calls"] == len(built) == 4
+
+
+def test_traced_nested_solve_counts_each_level(monkeypatch):
+    # the tracer gives every factor solve to its nearest solver span, so each
+    # coarse level must be a solve_steady_state call of its own: run through
+    # _newton directly, its Newton and Picard solves would count as the fine
+    # level's Picard steps
+    levels, bursts = [], []
+    real_newton, real_burst = solver_mod._newton, solver_mod._picard_burst
+
+    def recording_newton(lap, *args, **kwargs):
+        out = real_newton(lap, *args, **kwargs)
+        levels.append((lap.grid.counts, out[2]))
+        return out
+
+    def recording_burst(lap, theta, m_vals, mu, steps):
+        bursts.append(steps)
+        return real_burst(lap, theta, m_vals, mu, steps)
+
+    monkeypatch.setattr(solver_mod, "_newton", recording_newton)
+    monkeypatch.setattr(solver_mod, "_picard_burst", recording_burst)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    t0 = perf_counter()
+    try:
+        solver_mod.solve_steady_state(make_crenel(Grid((240, 240)), 1.0, 0.3),
+                                      ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
+    finally:
+        uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, tracer.run_id, perf_counter() - t0)
+    grids = {counts for counts, _ in levels}
+    assert grids == {(60, 60), (120, 120), (240, 240)}
+    assert metrics["solver.calls"] == len(grids)
+    assert sum(bursts) > 0
+    assert metrics["solver.picard_steps"] == sum(bursts)
+    assert metrics["solver.newton_iters"] == sum(iters for _, iters in levels)
