@@ -4,20 +4,24 @@ The discrete problem is R(theta) = 0 with
 
     R(theta) = mu * Lap(theta) + theta * (m - theta),
 
-Lap the mirrored-ghost Neumann Laplacian, solved by damped Newton. A cold
-solve (no warm start) starts from the constant theta = mean(m), except on
-2D grids that can be halved, where it starts from the solved coarser grid
-(nested iteration; Briggs, Henson and McCormick, A Multigrid Tutorial,
-2000). The coarser grid has (n + 1) // 2 nodes per axis and is used when
-every axis keeps at least COARSEST_NODES of them, so grids from 63 nodes
-per axis up nest. The resource is resampled onto it bilinearly (node counts
-such as 240, i.e. 239 intervals, do not nest, so injection would not do),
-the solver calls itself there, and the coarse steady state, resampled
-bilinearly back, starts the fine Newton. Newton's iteration count does not
-grow with refinement (Allgower, Boehmer, Potra and Rheinboldt 1986, SIAM J.
-Numer. Anal. 23), so the fine grid needs few steps. If the coarse level
-raises SolverError (a resampled resource with mean <= 0, NoConvergence),
-the fine solve starts from the constant instead.
+Lap the mirrored-ghost Neumann Laplacian, solved by damped Newton from the
+constant start theta = mean(m) (or a warm start).
+
+A 2D cold solve (no warm start) whose line search rejects the full Newton
+step, the sign of a start far from the solution, turns to nested iteration
+at that step (Briggs, Henson and McCormick, A Multigrid Tutorial, 2000): it
+solves the grid with (n + 1) // 2 nodes per axis, when every axis keeps at
+least COARSEST_NODES of them (so from 63 nodes per axis up), and restarts
+Newton from that steady state. The resource is resampled onto the coarser
+grid bilinearly (node counts such as 240, i.e. 239 intervals, do not nest,
+so injection would not do), the solver calls itself there, and the coarse
+state is resampled bilinearly back. Newton's iteration count does not grow
+with refinement (Allgower, Boehmer, Potra and Rheinboldt 1986, SIAM J.
+Numer. Anal. 23), so the fine grid then needs few steps. Where the grid is
+too small to halve, or the coarse level raises SolverError (a resampled
+resource with mean <= 0, NoConvergence), Newton goes on from where it was.
+A cold solve that only ever takes full steps never leaves the constant-start
+path, and neither does a 1D or warm-started solve.
 
 When the plain Newton line search cannot reduce the residual (which
 happens at small mu, where the solution develops steep transition layers
@@ -50,6 +54,7 @@ accepted state meets the same residual gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -95,7 +100,7 @@ class SolverConfig:
 class SteadyState:
     theta: ScalarField
     residual_norm: float
-    iterations: int                    # Newton iterations on m.grid (rescue steps excluded)
+    iterations: int                    # Newton steps on m.grid, all starts (rescue excluded)
     used_fallback: bool = False
 
 
@@ -111,9 +116,12 @@ def _picard_burst(lap, theta, m_vals, mu, steps):
     return theta
 
 
-def _newton(lap, theta, m_vals, mu, cfg, floor_limit):
+def _newton(lap, theta, m_vals, mu, cfg, floor_limit, on_damped=None):
     """Damped Newton with Picard rescue bursts from theta; returns
-    (theta, residual norm, Newton iterations, rescue steps)."""
+    (theta, residual norm, Newton iterations, rescue steps). The first time
+    the line search rejects the full step, on_damped(), if given, is asked
+    for a new start; Newton restarts from it, or goes on as if on_damped
+    were not given when it returns None."""
     r = _residual(lap, theta, m_vals, mu)
     rnorm = float(np.abs(r).max())
     newton_iters = 0
@@ -138,6 +146,13 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit):
                     accepted = True
                     break
                 step *= 0.5
+            if step < 1.0 and on_damped is not None:
+                restart, on_damped = on_damped(), None
+                if restart is not None:
+                    theta = restart
+                    r = _residual(lap, theta, m_vals, mu)
+                    rnorm = float(np.abs(r).max())
+                    continue
             if not accepted:
                 if fallback_used + cfg.fallback_burst > FALLBACK_STEPS:
                     raise NoConvergence("Newton stalled and rescue budget spent", rnorm)
@@ -170,9 +185,10 @@ def _bilinear(values, src, dst):
 
 
 def _nested_start(m, params, cfg):
-    """Start of a cold 2D solve: the steady state on the grid with
-    (n + 1) // 2 nodes per axis, resampled onto m.grid. None when that grid
-    has fewer than COARSEST_NODES nodes on an axis or its solve fails."""
+    """Restart of a cold 2D solve whose full Newton step failed: the steady
+    state on the grid with (n + 1) // 2 nodes per axis, resampled onto
+    m.grid. None when that grid has fewer than COARSEST_NODES nodes on an
+    axis or its solve fails."""
     counts = tuple((n + 1) // 2 for n in m.grid.counts)
     if min(counts) < COARSEST_NODES:
         return None
@@ -213,12 +229,13 @@ def solve_steady_state(
         POSITIVITY_FLOOR, FALLBACK_STEPS fixed-point steps spent in
         bursts of SolverConfig.fallback_burst, and Newton's linear solves
         stopped at the forcing term min(NEWTON_FORCING, ||R||_inf / 2).
-    theta0 : optional warm start (flat nodal array). Without it a 1D solve
-        starts from the constant mean(m); a 2D solve starts from the steady
+    theta0 : optional warm start (flat nodal array). Without it the solve
+        starts from the constant mean(m). A 2D cold solve whose line search
+        rejects the full Newton step restarts there, once, from the steady
         state of the grid with (n + 1) // 2 nodes per axis, solved by this
         function and resampled bilinearly, when every axis of that grid has
-        at least COARSEST_NODES nodes, and from mean(m) when it has not or
-        when that coarse solve raises SolverError.
+        at least COARSEST_NODES nodes and that coarse solve succeeds;
+        otherwise it goes on as from any start.
     lap : optional prebuilt Laplacian for m.grid (reused across solves in
         the optimizer loops).
 
@@ -232,7 +249,8 @@ def solve_steady_state(
     away from theta = 0.
 
     The returned iterations and used_fallback describe the Newton runs on
-    m.grid only; the coarse levels of a nested start report nothing.
+    m.grid only: iterations counts the steps before a nested restart too,
+    and the coarse levels' own Newton steps and rescues are not included.
 
     Raises
     ------
@@ -244,8 +262,6 @@ def solve_steady_state(
     mbar = mean(m)
     if mbar <= 0.0:
         raise NonPositiveMeanResource(f"mean(m) = {mbar} must be positive")
-    if theta0 is None and m.grid.dim == 2:
-        theta0 = _nested_start(m, params, cfg)
     lap = lap or NeumannLaplacian(m.grid)
     mu = params.mu
     m_vals = m.values
@@ -257,8 +273,10 @@ def solve_steady_state(
         else np.maximum(np.asarray(theta0, dtype=float), 1e-300)
     )
     floor_limit = residual_floor(m.grid, mu)
+    nested = (partial(_nested_start, m, params, cfg)
+              if theta0 is None and m.grid.dim == 2 else None)
     theta, rnorm, newton_iters, fallback_used = _newton(
-        lap, theta, m_vals, mu, cfg, floor_limit
+        lap, theta, m_vals, mu, cfg, floor_limit, nested
     )
     if _below_mean(theta, weights, mbar):
         theta, rnorm, more_iters, more_fallback = _newton(

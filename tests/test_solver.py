@@ -7,13 +7,13 @@ from kppfrag import (
     NoConvergence,
     NonPositiveMeanResource,
     ProblemParams,
-    ResourceField,
     ScalarField,
     SolverConfig,
     OptimConfig,
     make_crenel,
     mean,
     optimize,
+    random_fourier_guess,
     solve_steady_state,
     total_population,
 )
@@ -257,6 +257,20 @@ def _newton_grids(monkeypatch):
     return seen
 
 
+def _nested_starts(monkeypatch):
+    """Record, for every nested restart asked for, whether it gave a start."""
+    given = []
+    real_start = solver_mod._nested_start
+
+    def recording_start(*args):
+        out = real_start(*args)
+        given.append(out is not None)
+        return out
+
+    monkeypatch.setattr(solver_mod, "_nested_start", recording_start)
+    return given
+
+
 def _constant_start_solve(monkeypatch, m, params):
     # a level floor above the grid turns nesting off: today's constant start
     with monkeypatch.context() as mp:
@@ -283,29 +297,51 @@ def test_bilinear_resampling_reproduces_bilinear_functions():
 @pytest.mark.parametrize("mu", [0.1, 0.01])
 @pytest.mark.parametrize("counts", [(120, 120), (127, 65)])
 def test_nested_start_reaches_the_supersolution_state(monkeypatch, counts, mu):
+    # the crenel's first full Newton step fails at both mu: the fine run
+    # turns to the coarse grid, whose own coarse grid is under the floor
     m = make_crenel(Grid(counts), 1.0, 0.3)
     params = ProblemParams(mu=mu, kappa=1.0, m0=0.3)
     seen = _newton_grids(monkeypatch)
+    given = _nested_starts(monkeypatch)
     state = solve_steady_state(m, params)
-    coarse = tuple((n + 1) // 2 for n in counts)
-    assert seen[0] == coarse and seen[-1] == counts
+    assert seen == [counts, tuple((n + 1) // 2 for n in counts)]
+    assert given == [False, True]
     ref = _supersolution_solve(m, params)
     assert abs(total_population(state) - total_population(ref)) <= 1e-12
     assert np.max(np.abs(state.theta.values - ref.theta.values)) <= 1e-9
 
 
+@pytest.mark.parametrize("mu", [0.1, 0.01])
+def test_full_step_cold_solves_keep_the_constant_start(monkeypatch, mu):
+    # random-Fourier layouts, the optimizer's cold starts, take only full
+    # Newton steps: no coarse level is solved and the bytes are today's
+    m = random_fourier_guess(Grid((120, 120)), 1.0, 0.3, 3)
+    params = ProblemParams(mu=mu, kappa=1.0, m0=0.3)
+    ref = _constant_start_solve(monkeypatch, m, params)
+    seen = _newton_grids(monkeypatch)
+    given = _nested_starts(monkeypatch)
+    state = solve_steady_state(m, params)
+    assert seen == [(120, 120)] and given == []
+    _same_bytes(state, ref)
+
+
 @pytest.mark.parametrize("counts", [(3, 3), (4, 200)])
 def test_grids_too_small_to_halve_solve_cold(monkeypatch, counts):
-    # halving 3 or 4 nodes leaves 2, which is no grid: these never nest
-    g = Grid(counts)
+    # the crenel's first full step fails here too, but halving 3 or 4 nodes
+    # leaves 2, which is no grid: the level check must come first
+    m = make_crenel(Grid(counts), 1.0, 0.3)
+    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
+    ref = _constant_start_solve(monkeypatch, m, params)
     seen = _newton_grids(monkeypatch)
-    state = solve_steady_state(constant_resource(g, 0.3), ProblemParams(mu=0.1))
-    assert seen == [counts]
-    assert np.max(np.abs(state.theta.values - 0.3)) <= 1e-12
+    given = _nested_starts(monkeypatch)
+    state = solve_steady_state(m, params)
+    assert seen == [counts] and given == [False]
+    _same_bytes(state, ref)
 
 
 def test_nested_start_spares_the_fine_grid_its_rescue():
-    # the constant start takes 18 Newton steps and a Picard rescue here
+    # the constant start takes 18 Newton steps and a Picard rescue here; the
+    # nested restart after the first (failed) full step leaves 1 + 3
     m = make_crenel(Grid((120, 120)), 1.0, 0.3)
     state = solve_steady_state(m, ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
     assert not state.used_fallback
@@ -319,23 +355,27 @@ def _same_bytes(a, b):
 
 
 def test_coarse_level_with_zero_mean_falls_back_to_constant_start(monkeypatch):
-    # resource on the odd x-columns only: the 64 x 64 coarse nodes sit on
+    # the crenel on the odd x-columns only: the 64 x 64 coarse nodes sit on
     # the even columns, so the resampled resource is 0 and its mean too
     g = Grid((127, 127))
-    cols = np.zeros(127)
-    cols[1::2] = 0.6
-    m = ResourceField(g, np.tile(cols, 127), 1.0, 0.3)
+    odd = np.zeros((127, 127))
+    odd[:, 1::2] = 1.0
+    m = ScalarField(g, make_crenel(g, 1.0, 0.3).values * odd.ravel())
     assert not solver_mod._bilinear(m.values, g, Grid((64, 64))).any()
-    params = ProblemParams(mu=0.1, kappa=1.0, m0=0.3)
+    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
+    ref = _constant_start_solve(monkeypatch, m, params)
     seen = _newton_grids(monkeypatch)
+    given = _nested_starts(monkeypatch)
     state = solve_steady_state(m, params)
-    assert seen == [(127, 127)]
-    _same_bytes(state, _constant_start_solve(monkeypatch, m, params))
+    assert seen == [(127, 127)] and given == [False]
+    assert state.used_fallback   # the rescue runs as it does without nesting
+    _same_bytes(state, ref)
 
 
 def test_coarse_level_failure_falls_back_to_constant_start(monkeypatch):
     m = make_crenel(Grid((120, 120)), 1.0, 0.3)
     params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
+    ref = _constant_start_solve(monkeypatch, m, params)
     real_newton = solver_mod._newton
     failed = []
 
@@ -348,7 +388,7 @@ def test_coarse_level_failure_falls_back_to_constant_start(monkeypatch):
     monkeypatch.setattr(solver_mod, "_newton", failing_on_coarse)
     state = solve_steady_state(m, params)
     assert failed == [(60, 60)]
-    _same_bytes(state, _constant_start_solve(monkeypatch, m, params))
+    _same_bytes(state, ref)
 
 
 def test_optimize_2d_same_seed_is_bit_identical():
