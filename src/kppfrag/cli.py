@@ -16,9 +16,11 @@ adding `command` and `wall_time` to report.json.
 
 Settings merge in increasing precedence: built-in defaults, --preset,
 --config JSON file, explicit flags. Unknown keys in a config file are
-rejected, and a sweep's mu ladder must strictly decrease. Without a mu
-setting, efficiency evaluates the 13 log-spaced diffusivities of
-DEFAULT_EFFICIENCY_MUS; every other command defaults to mu = 1. Exit codes:
+rejected, and a sweep's mu ladder must strictly decrease. Only sweep and
+efficiency take a list of diffusivities; the other commands reject more
+than one mu. Without a mu setting, efficiency evaluates the 13 log-spaced
+diffusivities of DEFAULT_EFFICIENCY_MUS; every other command defaults to
+mu = 1. Exit codes:
 0 success, 2 configuration error, 3 solver or optimization failure
 (out of memory and a dead worker process included), 4 IO failure while
 persisting. A failing command writes one line to stderr; numpy's
@@ -55,6 +57,7 @@ from .plots import emit_plot
 from .solver import SolverError, solve_steady_state, total_population
 
 COMMANDS = ("solve", "optimize", "sweep", "periodise-check", "lemma2", "efficiency")
+MU_LIST_COMMANDS = ("sweep", "efficiency")     # the others take a single mu
 
 
 class ConfigError(ValueError):
@@ -147,6 +150,8 @@ def parse_config(data: dict, command: str) -> RunConfig:
         raise ConfigError("mu", "diffusivities must be positive")
     if command == "sweep" and any(b >= a for a, b in zip(mu, mu[1:])):
         raise ConfigError("mu", "a sweep needs a strictly decreasing ladder")
+    if command not in MU_LIST_COMMANDS and len(mu) > 1:
+        raise ConfigError("mu", f"{command} takes one diffusivity, got {len(mu)}")
 
     kappa = _as_float("kappa", merged["kappa"])
     m0 = _as_float("m0", merged["m0"])

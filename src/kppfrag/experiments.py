@@ -8,6 +8,14 @@ the discrete level, provided the squeezed problem is solved on the
 2^k-refined grid: the refined stencil folds node-for-node onto the base one
 and the weighted mean is fold-invariant. The experiments below exploit that
 exactness; deviations are solver-tolerance sized, far below the 1e-8 gate.
+
+Both identity experiments solve one row of problems per refinement level
+k. The uniform-bound sweep solves its mu samples along each row as a
+continuation: every solve after the row's first starts from the row's own
+earlier steady states, which roughly halves its Newton steps. The first
+solve of every row is cold, and so is every solve of the periodisation
+check (one mu per row): a row started from a folded state of another row
+would satisfy the squeeze identity by construction, not by computation.
 """
 from __future__ import annotations
 
@@ -73,31 +81,36 @@ class SweepReport:
     warnings: list
 
 
-def _solve_F(
-    m_vals: np.ndarray, lap: NeumannLaplacian, params: ProblemParams,
-    cfg: SolverConfig | None = None,
-) -> float:
-    m = ResourceField(lap.grid, m_vals, params.kappa, params.m0)
-    return total_population(solve_steady_state(m, params, cfg, lap=lap))
-
-
 def _squeezed_F(
     m: ResourceField, params: ProblemParams, mus, k_max: int
 ) -> list[list[float]]:
     """F of the k-th dyadic squeeze of m at each mu / 4^k, for k = 0..k_max
     (one row per k). The k-th problem is solved on the 2^k-refined grid,
     where the squeeze is an exact index fold of the base problem; all mus
-    of one k share that grid's Laplacian."""
+    of one k share that grid's Laplacian and folded resource.
+
+    Each row is one natural-parameter continuation over mus, in order: the
+    first solve starts cold, the second from the first state, every later
+    one from the secant prediction 2 theta_{j-1} - theta_{j-2}, which
+    assumes equal steps in log mu (Allgower and Georg, Introduction to
+    Numerical Continuation Methods). No row starts from another row's state.
+    """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     table = []
     for k in range(k_max + 1):
-        lap = NeumannLaplacian(m.grid.refined(k))
-        vals = refine_fold_values(m.values, m.grid, k)
-        table.append(
-            [_solve_F(vals, lap, dc_replace(params, mu=mu / 4.0**k), IDENTITY_SOLVER)
-             for mu in mus]
-        )
+        grid = m.grid.refined(k)
+        lap = NeumannLaplacian(grid)
+        m_k = ResourceField(grid, refine_fold_values(m.values, m.grid, k),
+                            params.kappa, params.m0)
+        row, prev, theta = [], None, None
+        for mu in mus:
+            guess = theta if prev is None else 2.0 * theta - prev
+            state = solve_steady_state(m_k, dc_replace(params, mu=mu / 4.0**k),
+                                       IDENTITY_SOLVER, theta0=guess, lap=lap)
+            prev, theta = theta, state.theta.values
+            row.append(total_population(state))
+        table.append(row)
     return table
 
 
@@ -126,7 +139,15 @@ def lemma2_bound_sweep(
     log-spaced mu in [underline_mu, 4 underline_mu], then verifies that the
     whole dyadic family k <= k_max stays above m0 + eta_hat - 1e-8 on the
     rescaled intervals. Constant m gives eta_hat = 0 exactly; any
-    nonconstant admissible m gives eta_hat > 0.
+    nonconstant admissible m gives eta_hat > 0. underline_mu sets the
+    window; params.mu is not read.
+
+    The samples of each k are solved in increasing mu as a continuation:
+    the first cold, the second from the first steady state, each later one
+    from the secant prediction through the two before it (the samples are
+    equally spaced in log mu). Every row starts cold and continues only
+    from its own states, so each min_gap is computed independently of
+    eta_hat and the bound is not satisfied by construction.
     """
     if underline_mu <= 0:
         raise ValueError("underline_mu must be positive")
@@ -218,10 +239,14 @@ def efficiency_ratio(m: ResourceField, mu_list) -> float:
     """
     if mean(m) <= 0:
         raise ValueError("resource mean must be positive")
+    mu_list = [float(mu) for mu in mu_list]
+    if not mu_list:
+        raise ValueError("mu_list must not be empty")
     lap = NeumannLaplacian(m.grid)
     best = -np.inf
     for mu in mu_list:
-        F = _solve_F(m.values, lap, ProblemParams(mu=float(mu), kappa=m.kappa, m0=m.m0))
+        params = ProblemParams(mu=mu, kappa=m.kappa, m0=m.m0)
+        F = total_population(solve_steady_state(m, params, lap=lap))
         best = max(best, F / m.m0)
     return float(best)
 

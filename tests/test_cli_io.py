@@ -83,6 +83,7 @@ def test_parse_config_rejections(data, field):
 
 def test_parse_config_mu_order_free_outside_sweeps():
     assert parse_config({"mu": [0.5, 1.0]}, "efficiency").mu == (0.5, 1.0)
+    assert parse_config({"mu": [1.0, 0.5]}, "sweep").mu == (1.0, 0.5)
     with pytest.raises(ConfigError):
         parse_config({"mu": [1.0, 1.0]}, "sweep")
 
@@ -278,6 +279,15 @@ def test_exit_two_on_config_error(capsys):
     assert main(["solve", "--grid", "33", "--out", ""]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: out:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize", "periodise-check", "lemma2"])
+def test_exit_two_on_mu_list_for_single_mu_command(capsys, command):
+    # only sweep and efficiency take a list; no value may be dropped silently
+    assert main([command, "--grid", "65", "--mu", "0.1,0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: mu:") and err.count("\n") == 1
+    assert f"{command} takes one diffusivity, got 2" in err
 
 
 @pytest.mark.parametrize("value", ["two", "0", "1.5"])

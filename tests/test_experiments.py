@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from kppfrag import (
@@ -6,12 +9,16 @@ from kppfrag import (
     OptimizationError,
     ProblemParams,
     ResolutionError,
+    ResourceField,
     check_resolution,
     efficiency_ratio,
     fragmentation_sweep,
     lemma2_bound_sweep,
     make_crenel,
     periodisation_check,
+    refine_fold_values,
+    solve_steady_state,
+    total_population,
 )
 import kppfrag.experiments as experiments_mod
 from kppfrag.grids import NeumannLaplacian
@@ -190,3 +197,92 @@ def test_efficiency_crenel_in_theory_window(crenel_1000):
     lo = efficiency_ratio(crenel_1000, [1e-2])
     hi = efficiency_ratio(crenel_1000, [1.0])
     assert lo > hi
+
+
+def test_efficiency_rejects_empty_mu_list():
+    m = make_crenel(Grid((33,)), 1.0, 0.3)
+    with pytest.raises(ValueError):
+        efficiency_ratio(m, [])
+
+
+# ---------------------------------------------------------------------------
+# mu-continuation along the rows of the identity experiments
+
+def _record_solves(monkeypatch):
+    """Wrap the campaigns' steady solver; each call appends (node count,
+    theta0 copy or None, steady-state values, Newton iterations)."""
+    calls = []
+    real = experiments_mod.solve_steady_state
+
+    def recording(m, params, cfg=None, theta0=None, lap=None):
+        state = real(m, params, cfg, theta0=theta0, lap=lap)
+        calls.append((m.grid.num_nodes, None if theta0 is None else np.array(theta0),
+                      state.theta.values.copy(), state.iterations))
+        return state
+
+    monkeypatch.setattr(experiments_mod, "solve_steady_state", recording)
+    return calls
+
+
+def test_lemma2_rows_continue_from_their_own_states(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    m = make_crenel(Grid((65,)), 1.0, 0.3)
+    lemma2_bound_sweep(m, ProblemParams(mu=0.1, kappa=1.0, m0=0.3), 0.1, k_max=2)
+    samples = experiments_mod.LEMMA2_SAMPLES
+    rows = [calls[i:i + samples] for i in range(0, len(calls), samples)]
+    assert [row[0][0] for row in rows] == [65, 129, 257]
+    for row in rows:
+        assert len({n for n, *_ in row}) == 1
+        assert row[0][1] is None                           # cold first solve
+        assert all(theta0 is not None for _, theta0, _, _ in row[1:])
+        # every warm start is built from this row's own previous states
+        assert np.array_equal(row[1][1], row[0][2])
+        for j in range(2, samples):
+            assert np.array_equal(row[j][1], 2.0 * row[j - 1][2] - row[j - 2][2])
+
+
+def test_periodisation_check_solves_cold(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    m = make_crenel(Grid((65,)), 1.0, 0.3)
+    periodisation_check(m, ProblemParams(mu=0.1, kappa=1.0, m0=0.3), k_max=3)
+    assert [n for n, *_ in calls] == [65, 129, 257, 513]
+    assert all(theta0 is None for _, theta0, _, _ in calls)
+
+
+def _cold_lemma2_gaps(m, params, k_max):
+    """lemma2's row min gaps at underline_mu = params.mu, with every sample
+    solved from the cold start."""
+    mus = np.geomspace(params.mu, 4.0 * params.mu, experiments_mod.LEMMA2_SAMPLES)
+    gaps = []
+    for k in range(k_max + 1):
+        grid = m.grid.refined(k)
+        lap = NeumannLaplacian(grid)
+        m_k = ResourceField(grid, refine_fold_values(m.values, m.grid, k),
+                            params.kappa, params.m0)
+        gaps.append(min(
+            total_population(solve_steady_state(
+                m_k, replace(params, mu=mu / 4.0**k), experiments_mod.IDENTITY_SOLVER,
+                lap=lap)) - params.m0
+            for mu in mus))
+    return gaps
+
+
+@pytest.mark.parametrize("n", [257, 1025])
+def test_lemma2_continuation_matches_cold_solves(n):
+    m = make_crenel(Grid((n,)), 1.0, 0.3)
+    params = ProblemParams(mu=0.05, kappa=1.0, m0=0.3)
+    eta_hat, rows = lemma2_bound_sweep(m, params, 0.05, k_max=3)
+    cold_gaps = _cold_lemma2_gaps(m, params, k_max=3)
+    assert eta_hat == pytest.approx(cold_gaps[0], abs=1e-10)
+    for row, gap in zip(rows, cold_gaps):
+        assert row.min_gap == pytest.approx(gap, abs=1e-10)
+
+
+def test_lemma2_newton_step_budget(monkeypatch):
+    # the cold-start sweep took 316 Newton steps on this instance; the
+    # continuation takes 144, and a slide back to cold starts breaks this
+    calls = _record_solves(monkeypatch)
+    m = make_crenel(Grid((1025,)), 1.0, 0.3)
+    lemma2_bound_sweep(m, ProblemParams(mu=0.05, kappa=1.0, m0=0.3), 0.05, k_max=3)
+    assert len(calls) == 4 * experiments_mod.LEMMA2_SAMPLES
+    assert sum(iters for *_, iters in calls) <= 158
