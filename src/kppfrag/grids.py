@@ -134,10 +134,9 @@ def _grid_operators(counts: tuple[int, ...]) -> tuple:
     the root trapezoid weights (None in 1D). S scales Lap's entries and
     shares its index arrays. Built once per grid and shared by every
     NeumannLaplacian on it, hence read-only; one entry, so a process holds
-    the operators of one grid at a time. The coarse levels of a nested 2D
-    solve (solver.solve_steady_state) take that entry in turn, each
-    evicting the last; a caller that reuses a grid's operators keeps its
-    own NeumannLaplacian instance, which holds them past eviction."""
+    the operators of one grid at a time. A caller that reuses a grid's
+    operators keeps its own NeumannLaplacian instance, which holds them
+    past eviction."""
     if len(counts) == 1:
         return _read_only(_lap1d_csr(counts[0])), None, None
     nx, ny = counts
@@ -154,11 +153,11 @@ class NeumannLaplacian:
     """The discrete Laplacian with mirror (zero-flux) boundary rows.
 
     Supports application to flat nodal vectors and solves of the shifted
-    systems (mu * (-Lap) + diag(d)) x = rhs that the Newton, Picard and
-    adjoint steps need. 1D systems are tridiagonal and go straight to
-    LAPACK's gtsv (Gaussian elimination with partial pivoting), O(N) per
-    solve; the Laplacian keeps the constant off-diagonals of the last mu it
-    saw and hands them to every 1D solve. 2D systems go through
+    systems (mu * (-Lap) + diag(d)) x = rhs that the Newton and adjoint
+    steps need. 1D systems are tridiagonal and go straight to LAPACK's gtsv
+    (Gaussian elimination with partial pivoting), O(N) per solve; the
+    Laplacian keeps the constant off-diagonals of the last mu it saw and
+    hands them to every 1D solve. 2D systems go through
     preconditioned MINRES on the symmetric form
     W^(1/2) (mu * (-Lap) + diag(d)) W^(-1/2); d may be indefinite (Newton
     matrices d = 2 theta - m). The preconditioner mu * (-Lap) + c I, with c

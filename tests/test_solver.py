@@ -125,8 +125,8 @@ def test_large_mu_limit(crenel_1000):
 
 
 def test_fallback_engages_at_small_mu(crenel_state_mu001):
-    # the constant start is far from the layered profile; plain Newton
-    # stalls and the fixed-point rescue must engage
+    # the constant start is far from the layered profile: the first full
+    # Newton step is rejected and the solve restarts from max(m)
     _, _, state = crenel_state_mu001
     assert state.used_fallback
 
@@ -141,7 +141,6 @@ def test_nonpositive_mean_rejected():
 def test_no_convergence_raises_with_residual(monkeypatch):
     m = make_crenel(Grid((257,)), 1.0, 0.3)
     monkeypatch.setattr(solver_mod, "MAX_NEWTON_ITERS", 2)
-    monkeypatch.setattr(solver_mod, "FALLBACK_STEPS", 2)   # below one burst of 6
     with pytest.raises(NoConvergence) as exc:
         solve_steady_state(m, ProblemParams(mu=0.001, kappa=1.0, m0=0.3))
     assert exc.value.last_residual > 0.0
@@ -197,22 +196,6 @@ def test_default_start_avoids_trivial_state_1d_winner():
     assert total_population(state) >= 0.3
 
 
-def test_positive_default_start_keeps_iteration_count(monkeypatch):
-    # no restart when the first Newton run already reaches the positive state
-    runs = []
-    real_newton = solver_mod._newton
-
-    def counting_newton(*args, **kwargs):
-        runs.append(1)
-        return real_newton(*args, **kwargs)
-
-    monkeypatch.setattr(solver_mod, "_newton", counting_newton)
-    m = make_crenel(Grid((60, 60)), 1.0, 0.3)
-    state = solve_steady_state(m, ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
-    assert len(runs) == 1
-    assert state.iterations == 18 and state.used_fallback
-
-
 def test_inexact_newton_matches_floor_only_solve(monkeypatch):
     # Newton's forcing term only changes how far each 2D Krylov solve runs:
     # the converged state meets the same residual gate and gives the same F
@@ -244,151 +227,158 @@ def test_inexact_newton_matches_floor_only_solve(monkeypatch):
     )) <= gate
 
 
-def _newton_grids(monkeypatch):
-    """Record the grid of every Newton run, coarse levels included."""
-    seen = []
-    real_newton = solver_mod._newton
+def _newton_runs(monkeypatch):
+    """Record every Newton run: its min_step, its steps, whether it stalled,
+    and the residual sup norm and the iterate of each residual evaluation."""
+    runs = []
+    real_newton, real_residual = solver_mod._newton, solver_mod._residual
 
-    def recording_newton(lap, *args, **kwargs):
-        seen.append(lap.grid.counts)
-        return real_newton(lap, *args, **kwargs)
-
-    monkeypatch.setattr(solver_mod, "_newton", recording_newton)
-    return seen
-
-
-def _nested_starts(monkeypatch):
-    """Record, for every nested restart asked for, whether it gave a start."""
-    given = []
-    real_start = solver_mod._nested_start
-
-    def recording_start(*args):
-        out = real_start(*args)
-        given.append(out is not None)
+    def recording_newton(*args):
+        run = {"min_step": args[-1], "norms": [], "iterates": []}
+        runs.append(run)
+        out = real_newton(*args)
+        run["steps"], run["stalled"] = out[2], out[3]
         return out
 
-    monkeypatch.setattr(solver_mod, "_nested_start", recording_start)
-    return given
+    def recording_residual(lap, theta, m_vals, mu):
+        r = real_residual(lap, theta, m_vals, mu)
+        runs[-1]["norms"].append(float(np.abs(r).max()))
+        runs[-1]["iterates"].append(theta.copy())
+        return r
+
+    monkeypatch.setattr(solver_mod, "_newton", recording_newton)
+    monkeypatch.setattr(solver_mod, "_residual", recording_residual)
+    return runs
 
 
-def _constant_start_solve(monkeypatch, m, params):
-    # a level floor above the grid turns nesting off: today's constant start
-    with monkeypatch.context() as mp:
-        mp.setattr(solver_mod, "COARSEST_NODES", max(m.grid.counts) + 1)
-        return solve_steady_state(m, params)
+def _line_search_stalled(norms):
+    """Whether a damped run ended on one step's full set of halvings down
+    to DAMPING_FLOOR, none of which lowered the residual."""
+    trials = 1 + round(-np.log2(solver_mod.DAMPING_FLOOR))
+    return len(norms) > trials and min(norms[-trials:]) >= min(norms[:-trials])
 
 
-def test_bilinear_resampling_reproduces_bilinear_functions():
-    def f(grid):
-        x, y = grid.coords_columns()
-        return 1.0 + 2.0 * x - y + 3.0 * x * y
-
-    src = Grid((64, 33))
-    for dst in (Grid((127, 65)), Grid((240, 17)), Grid((32, 32))):
-        out = solver_mod._bilinear(f(src), src, dst)
-        assert np.max(np.abs(out - f(dst))) <= 1e-13
-    # nodes shared by both grids take the source value exactly
-    fine = Grid((127, 65))
-    vals = np.random.default_rng(0).random(fine.num_nodes)
-    coarse = solver_mod._bilinear(vals, fine, src)
-    assert np.array_equal(coarse, vals.reshape(65, 127)[::2, ::2].ravel())
-
-
-@pytest.mark.parametrize("mu", [0.1, 0.01])
-@pytest.mark.parametrize("counts", [(120, 120), (127, 65)])
-def test_nested_start_reaches_the_supersolution_state(monkeypatch, counts, mu):
-    # the crenel's first full Newton step fails at both mu: the fine run
-    # turns to the coarse grid, whose own coarse grid is under the floor
+@pytest.mark.parametrize("counts", [(1000,), (60, 60), (120, 120)])
+def test_cold_crenel_restarts_once_after_first_rejected_full_step(monkeypatch, counts):
     m = make_crenel(Grid(counts), 1.0, 0.3)
-    params = ProblemParams(mu=mu, kappa=1.0, m0=0.3)
-    seen = _newton_grids(monkeypatch)
-    given = _nested_starts(monkeypatch)
-    state = solve_steady_state(m, params)
-    assert seen == [counts, tuple((n + 1) // 2 for n in counts)]
-    assert given == [False, True]
-    ref = _supersolution_solve(m, params)
-    assert abs(total_population(state) - total_population(ref)) <= 1e-12
-    assert np.max(np.abs(state.theta.values - ref.theta.values)) <= 1e-9
+    runs = _newton_runs(monkeypatch)
+    state = solve_steady_state(m, ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
+    assert [run["min_step"] for run in runs] == [1.0, None]
+    cold, restart = runs
+    # full steps only, until one is rejected: one trial per step
+    assert cold["stalled"] and len(cold["norms"]) == 1 + cold["steps"]
+    assert cold["norms"][-1] >= cold["norms"][-2]
+    assert restart["iterates"][0].tobytes() == np.full(m.grid.num_nodes, 1.0).tobytes()
+    assert state.used_fallback
+    assert state.iterations == cold["steps"] + restart["steps"] == 8
+
+
+def test_warm_solve_backtracks_without_restarting(monkeypatch):
+    # the mirrored state is a poor warm start at mu = 0.1: its line search
+    # rejects full steps, yet never stalls
+    m = make_crenel(Grid((1000,)), 1.0, 0.3)
+    params = ProblemParams(mu=0.1, kappa=1.0, m0=0.3)
+    cold = solve_steady_state(m, params)
+    runs = _newton_runs(monkeypatch)
+    warm = solve_steady_state(m, params, theta0=cold.theta.values[::-1].copy())
+    assert len(runs) == 1 and runs[0]["min_step"] == solver_mod.DAMPING_FLOOR
+    assert len(runs[0]["norms"]) > 1 + runs[0]["steps"]
+    assert not runs[0]["stalled"] and not warm.used_fallback
+    # both solves stop under the residual's rounding floor, 7e-10 max|theta|
+    # here, not at newton_tol
+    assert abs(total_population(warm) - total_population(cold)) <= 1e-9
+
+
+def test_warm_solve_restarts_when_its_line_search_stalls(monkeypatch):
+    m = make_crenel(Grid((1000,)), 1.0, 0.3)
+    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
+    cold = solve_steady_state(m, params)
+    runs = _newton_runs(monkeypatch)
+    warm = solve_steady_state(m, params, theta0=cold.theta.values[::-1].copy())
+    assert [run["min_step"] for run in runs] == [solver_mod.DAMPING_FLOOR, None]
+    assert runs[0]["stalled"] and _line_search_stalled(runs[0]["norms"])
+    assert warm.used_fallback
+    assert warm.iterations == runs[0]["steps"] + runs[1]["steps"]
+    assert abs(total_population(warm) - total_population(cold)) <= 1e-12
+
+
+def test_warm_solve_on_the_trivial_state_restarts(monkeypatch):
+    # from a start shaped against the resource, damped Newton converges to
+    # theta ~ 0 without a stall: the mean check alone triggers the restart
+    m = make_crenel(Grid((1000,)), 1.0, 0.3)
+    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
+    runs = _newton_runs(monkeypatch)
+    warm = solve_steady_state(m, params, theta0=1.01 - m.values)
+    assert [run["min_step"] for run in runs] == [solver_mod.DAMPING_FLOOR, None]
+    assert not runs[0]["stalled"]
+    assert m.grid.node_weights @ runs[0]["iterates"][-1] < 0.3 * m.grid.node_weights.sum()
+    assert warm.used_fallback
+    assert total_population(warm) == pytest.approx(F_CRENEL_N1000_MU001, abs=1e-9)
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.01])
 def test_full_step_cold_solves_keep_the_constant_start(monkeypatch, mu):
     # random-Fourier layouts, the optimizer's cold starts, take only full
-    # Newton steps: no coarse level is solved and the bytes are today's
-    m = random_fourier_guess(Grid((120, 120)), 1.0, 0.3, 3)
+    # Newton steps: one run, with the bytes of damped Newton from mean(m)
+    grid = Grid((120, 120))
     params = ProblemParams(mu=mu, kappa=1.0, m0=0.3)
-    ref = _constant_start_solve(monkeypatch, m, params)
-    seen = _newton_grids(monkeypatch)
-    given = _nested_starts(monkeypatch)
-    state = solve_steady_state(m, params)
-    assert seen == [(120, 120)] and given == []
-    _same_bytes(state, ref)
+    for seed in range(3):
+        m = random_fourier_guess(grid, 1.0, 0.3, seed)
+        lap = NeumannLaplacian(grid)
+        theta, rnorm, steps, stalled = solver_mod._newton(
+            lap, np.full(grid.num_nodes, mean(m)), m.values, mu, SolverConfig(),
+            grids_mod.residual_floor(grid, mu), solver_mod.DAMPING_FLOOR)
+        with monkeypatch.context() as mp:
+            runs = _newton_runs(mp)
+            state = solve_steady_state(m, params, lap=lap)
+        assert len(runs) == 1 and not stalled
+        assert len(runs[0]["norms"]) == 1 + runs[0]["steps"]
+        assert state.theta.values.tobytes() == theta.tobytes()
+        assert (state.residual_norm, state.iterations, state.used_fallback) == (
+            rnorm, steps, False)
 
 
-@pytest.mark.parametrize("counts", [(3, 3), (4, 200)])
-def test_grids_too_small_to_halve_solve_cold(monkeypatch, counts):
-    # the crenel's first full step fails here too, but halving 3 or 4 nodes
-    # leaves 2, which is no grid: the level check must come first
+@pytest.mark.parametrize("mu", [0.1, 0.01])
+@pytest.mark.parametrize("counts", [(120, 120), (127, 65)])
+def test_hard_cold_start_reaches_the_supersolution_state(counts, mu):
+    # the crenel's first full Newton step fails at both mu; the restart is
+    # Newton from max(m) = kappa, so it gives the bytes of a solve warm
+    # started there, plus the one rejected step
     m = make_crenel(Grid(counts), 1.0, 0.3)
-    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
-    ref = _constant_start_solve(monkeypatch, m, params)
-    seen = _newton_grids(monkeypatch)
-    given = _nested_starts(monkeypatch)
+    params = ProblemParams(mu=mu, kappa=1.0, m0=0.3)
     state = solve_steady_state(m, params)
-    assert seen == [counts] and given == [False]
-    _same_bytes(state, ref)
+    ref = _supersolution_solve(m, params)
+    assert state.used_fallback and not ref.used_fallback
+    assert state.theta.values.tobytes() == ref.theta.values.tobytes()
+    assert state.iterations == ref.iterations + 1
 
 
-def test_nested_start_spares_the_fine_grid_its_rescue():
-    # the constant start takes 18 Newton steps and a Picard rescue here; the
-    # nested restart after the first (failed) full step leaves 1 + 3
-    m = make_crenel(Grid((120, 120)), 1.0, 0.3)
+@pytest.mark.parametrize("mu", [0.1, 0.01, 1e-3, 1e-4])
+def test_restart_iterates_never_rise_in_1d(monkeypatch, mu):
+    # Newton-Fourier: undamped Newton from the supersolution max(m) decreases
+    # monotonically to the positive state; the direct 1D solve keeps it so
+    # to rounding
+    m = make_crenel(Grid((1000,)), 1.0, 0.3)
+    runs = _newton_runs(monkeypatch)
+    state = solve_steady_state(m, ProblemParams(mu=mu, kappa=1.0, m0=0.3))
+    assert state.used_fallback and len(runs) == 2
+    iterates = runs[1]["iterates"]
+    assert len(iterates) == runs[1]["steps"] + 1
+    for before, after in zip(iterates, iterates[1:]):
+        assert np.all(after <= before + 2.0 * np.spacing(before))
+    assert np.all(iterates[-1] == state.theta.values)
+    assert float(np.min(state.theta.values)) > 0.0
+
+
+@pytest.mark.parametrize("counts", [(1000,), (60, 60), (120, 120), (240, 240)])
+def test_small_mu_crenel_needs_no_rescue(counts):
+    # a hard start far from the layered profile: at most 10 Newton steps in
+    # all, one restart, and a positive state well above the clip
+    m = make_crenel(Grid(counts), 1.0, 0.3)
     state = solve_steady_state(m, ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
-    assert not state.used_fallback
-    assert state.iterations <= 5
-
-
-def _same_bytes(a, b):
-    assert a.theta.values.tobytes() == b.theta.values.tobytes()
-    assert (a.residual_norm, a.iterations, a.used_fallback) == (
-        b.residual_norm, b.iterations, b.used_fallback)
-
-
-def test_coarse_level_with_zero_mean_falls_back_to_constant_start(monkeypatch):
-    # the crenel on the odd x-columns only: the 64 x 64 coarse nodes sit on
-    # the even columns, so the resampled resource is 0 and its mean too
-    g = Grid((127, 127))
-    odd = np.zeros((127, 127))
-    odd[:, 1::2] = 1.0
-    m = ScalarField(g, make_crenel(g, 1.0, 0.3).values * odd.ravel())
-    assert not solver_mod._bilinear(m.values, g, Grid((64, 64))).any()
-    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
-    ref = _constant_start_solve(monkeypatch, m, params)
-    seen = _newton_grids(monkeypatch)
-    given = _nested_starts(monkeypatch)
-    state = solve_steady_state(m, params)
-    assert seen == [(127, 127)] and given == [False]
-    assert state.used_fallback   # the rescue runs as it does without nesting
-    _same_bytes(state, ref)
-
-
-def test_coarse_level_failure_falls_back_to_constant_start(monkeypatch):
-    m = make_crenel(Grid((120, 120)), 1.0, 0.3)
-    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
-    ref = _constant_start_solve(monkeypatch, m, params)
-    real_newton = solver_mod._newton
-    failed = []
-
-    def failing_on_coarse(lap, *args, **kwargs):
-        if lap.grid.counts != (120, 120):
-            failed.append(lap.grid.counts)
-            raise NoConvergence("forced on the coarse level", 1.0)
-        return real_newton(lap, *args, **kwargs)
-
-    monkeypatch.setattr(solver_mod, "_newton", failing_on_coarse)
-    state = solve_steady_state(m, params)
-    assert failed == [(60, 60)]
-    _same_bytes(state, ref)
+    assert state.used_fallback
+    assert state.iterations <= 10
+    assert float(np.min(state.theta.values)) > 0.08
 
 
 def test_optimize_2d_same_seed_is_bit_identical():
