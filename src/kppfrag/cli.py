@@ -5,14 +5,16 @@
             [--k-max K] [--out DIR] [--plot] [--allow-underresolved]
 
 Commands: solve, optimize, sweep, periodise-check, lemma2, efficiency.
-Commands that need a concrete resource layout (solve, periodise-check,
-lemma2, efficiency) act on the canonical left-packed block layout for the
-given (kappa, m0, grid); optimize and sweep search over layouts.
+Flags may come before or after the command. Commands that need a concrete
+resource layout (solve, periodise-check, lemma2, efficiency) act on the
+canonical left-packed block layout for the given (kappa, m0, grid);
+optimize and sweep search over layouts.
 
-All commands share one path: `_execute` computes a command's stdout lines,
-report body, field CSVs, plots and summary rows; `main` times that call,
-prints the lines and, given --out, makes the one `persist_results` call,
-adding `command` and `wall_time` to report.json.
+All commands share one path: one parser reads argv, `resolve_config`
+merges the settings and `parse_config` validates them; `_execute` computes
+a command's stdout lines, report body, field CSVs, plots and summary rows;
+`main` times that call, prints the lines and, given --out, makes the one
+`persist_results` call, adding `command` and `wall_time` to report.json.
 
 Settings merge in increasing precedence: built-in defaults, --preset,
 --config JSON file, explicit flags. Unknown keys in a config file are
@@ -20,12 +22,15 @@ rejected, and a sweep's mu ladder must strictly decrease. Only sweep and
 efficiency take a list of diffusivities; the other commands reject more
 than one mu. Without a mu setting, efficiency evaluates the 13 log-spaced
 diffusivities of DEFAULT_EFFICIENCY_MUS; every other command defaults to
-mu = 1. Exit codes:
-0 success, 2 configuration error, 3 solver or optimization failure
-(out of memory and a dead worker process included), 4 IO failure while
-persisting. A failing command writes one line to stderr; numpy's
-floating-point warnings are silenced, since the solver checks its own
-results for non-finite values.
+mu = 1. A run's finest grid (the grid refined k_max times for
+periodise-check and lemma2, the grid itself otherwise) may hold at most
+MAX_NODES = 2^24 nodes. Exit codes:
+0 success, 2 configuration error (any malformed invocation included: an
+unknown command or flag, a value that is not a number, a grid over
+MAX_NODES), 3 solver or optimization failure (out of memory and a dead
+worker process included), 4 IO failure while persisting. A failing
+command writes one line to stderr; numpy's floating-point warnings are
+silenced, since the solver checks its own results for non-finite values.
 """
 from __future__ import annotations
 
@@ -58,6 +63,8 @@ from .solver import SolverError, solve_steady_state, total_population
 
 COMMANDS = ("solve", "optimize", "sweep", "periodise-check", "lemma2", "efficiency")
 MU_LIST_COMMANDS = ("sweep", "efficiency")     # the others take a single mu
+REFINING_COMMANDS = ("periodise-check", "lemma2")  # solve on grid refined k_max times
+MAX_NODES = 1 << 24     # finest-grid cap: a float64 field there is 128 MiB
 
 
 class ConfigError(ValueError):
@@ -96,6 +103,7 @@ PRESETS = {
 _SETTING_KEYS = tuple(
     f.name for f in dataclasses.fields(RunConfig) if f.name != "command"
 )
+_INT_MINIMA = {"seed": 0, "starts": 1, "max_outer_iters": 1, "k_max": 0}
 
 
 def _as_int(field: str, value) -> int:
@@ -116,17 +124,15 @@ def _as_float(field: str, value) -> float:
 def parse_config(data: dict, command: str) -> RunConfig:
     """Build a validated RunConfig from a plain settings mapping.
 
-    Unknown keys and per-field type or range violations raise ConfigError
-    naming the offending field.
+    Unknown keys, per-field type or range violations and a finest grid of
+    more than MAX_NODES nodes raise ConfigError naming the offending field.
     """
     if command not in COMMANDS:
         raise ConfigError("command", f"unknown command {command!r}")
     for key in data:
         if key not in _SETTING_KEYS:
             raise ConfigError(key, "unknown setting")
-    merged = {f.name: getattr(RunConfig, f.name)
-              for f in dataclasses.fields(RunConfig)
-              if f.name not in ("command",)}
+    merged = {key: getattr(RunConfig, key) for key in _SETTING_KEYS}
     if command == "efficiency":
         merged["mu"] = DEFAULT_EFFICIENCY_MUS
     merged.update(data)
@@ -136,7 +142,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
         grid = [grid]
     if not isinstance(grid, (list, tuple)) or not 1 <= len(grid) <= 2:
         raise ConfigError("grid", "expected 1 or 2 node counts")
-    grid = tuple(_as_int("grid", n) for n in grid)
+    grid = merged["grid"] = tuple(_as_int("grid", n) for n in grid)
     if any(n < 3 for n in grid):
         raise ConfigError("grid", "need at least 3 nodes per axis")
 
@@ -145,7 +151,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
         mu = [mu]
     if not isinstance(mu, (list, tuple)) or len(mu) == 0:
         raise ConfigError("mu", "expected a number or nonempty list")
-    mu = tuple(_as_float("mu", v) for v in mu)
+    mu = merged["mu"] = tuple(_as_float("mu", v) for v in mu)
     if any(v <= 0 for v in mu):
         raise ConfigError("mu", "diffusivities must be positive")
     if command == "sweep" and any(b >= a for a, b in zip(mu, mu[1:])):
@@ -153,41 +159,32 @@ def parse_config(data: dict, command: str) -> RunConfig:
     if command not in MU_LIST_COMMANDS and len(mu) > 1:
         raise ConfigError("mu", f"{command} takes one diffusivity, got {len(mu)}")
 
-    kappa = _as_float("kappa", merged["kappa"])
-    m0 = _as_float("m0", merged["m0"])
+    kappa = merged["kappa"] = _as_float("kappa", merged["kappa"])
+    m0 = merged["m0"] = _as_float("m0", merged["m0"])
     if kappa <= 0:
         raise ConfigError("kappa", "must be positive")
     if not 0 < m0 < kappa:
         raise ConfigError("m0", f"must lie strictly between 0 and kappa={kappa}")
 
-    seed = _as_int("seed", merged["seed"])
-    if seed < 0:
-        raise ConfigError("seed", "must be nonnegative")
-    starts = _as_int("starts", merged["starts"])
-    if starts < 1:
-        raise ConfigError("starts", "need at least one start")
-    max_outer = _as_int("max_outer_iters", merged["max_outer_iters"])
-    if max_outer < 1:
-        raise ConfigError("max_outer_iters", "must be positive")
-    k_max = _as_int("k_max", merged["k_max"])
-    if k_max < 0:
-        raise ConfigError("k_max", "must be nonnegative")
-
+    for key, low in _INT_MINIMA.items():
+        merged[key] = _as_int(key, merged[key])
+        if merged[key] < low:
+            raise ConfigError(key, f"must be at least {low}")
+    for key in ("plot", "allow_underresolved"):
+        if not isinstance(merged[key], bool):
+            raise ConfigError(key, "expected true or false")
     out = merged["out"]
     if out is not None and not (isinstance(out, str) and out):
         raise ConfigError("out", "expected a nonempty directory path")
-    plot = merged["plot"]
-    if not isinstance(plot, bool):
-        raise ConfigError("plot", "expected true or false")
-    allow = merged["allow_underresolved"]
-    if not isinstance(allow, bool):
-        raise ConfigError("allow_underresolved", "expected true or false")
 
-    return RunConfig(
-        command=command, grid=grid, mu=mu, kappa=kappa, m0=m0, seed=seed,
-        starts=starts, max_outer_iters=max_outer, k_max=k_max, out=out,
-        plot=plot, allow_underresolved=allow,
-    )
+    # any grid refined more than log2(MAX_NODES) times is over the cap, so
+    # clamping k there keeps the power of two small
+    k = merged["k_max"] if command in REFINING_COMMANDS else 0
+    if math.prod((n - 1) * 2 ** min(k, MAX_NODES.bit_length()) + 1
+                 for n in grid) > MAX_NODES:
+        raise ConfigError("grid", f"{command} would build a grid of more than "
+                          f"MAX_NODES = {MAX_NODES} nodes")
+    return RunConfig(command=command, **merged)
 
 
 def load_config_file(path: str) -> dict:
@@ -325,6 +322,12 @@ class _Result:
     warnings: list = dataclasses.field(default_factory=list)
 
 
+def _entry(record, skip: str) -> dict:
+    """A report entry holding every field of a record dataclass but skip."""
+    return {f.name: getattr(record, f.name)
+            for f in dataclasses.fields(record) if f.name != skip}
+
+
 def _execute(cfg: RunConfig) -> _Result:
     """Compute the result of cfg.command."""
     grid = Grid(cfg.grid)
@@ -342,13 +345,7 @@ def _execute(cfg: RunConfig) -> _Result:
             "mu": params.mu, "best_F": run.best_F,
             "termination": run.termination, "start_index": run.start_index,
             "seed": cfg.seed, "trajectory": [list(t) for t in run.trajectory],
-            "starts": [
-                {"start_index": s.start_index,
-                 "F": None if s.failed else s.F,
-                 "termination": s.termination, "iterations": s.iterations,
-                 "error": s.error}
-                for s in run.starts
-            ],
+            "starts": [_entry(s, "trajectory") for s in run.starts],
         }
         return _Result([line], report,
                        {"best_m.csv": run.best_m, "theta.csv": state.theta},
@@ -369,10 +366,7 @@ def _execute(cfg: RunConfig) -> _Result:
             if rec.best_m is not None:
                 fields[f"best_m_{i:02d}.csv"] = rec.best_m
                 plots[f"best_m_{i:02d}.svg"] = (rec.best_m, None)
-            records.append({"mu": rec.mu, "best_F": rec.best_F, "bv": rec.bv,
-                            "jumps": rec.jumps, "bangbang_frac": rec.bangbang_frac,
-                            "termination": rec.termination,
-                            "wall_time": rec.wall_time, "error": rec.error})
+            records.append(_entry(rec, "best_m"))
         lines.append(f"bv_monotone={sweep.bv_monotone}")
         report = {"bv_monotone": sweep.bv_monotone, "warnings": sweep.warnings,
                   "seed": cfg.seed, "records": records}
@@ -426,46 +420,44 @@ def _parse_mu_flag(text: str):
         raise ConfigError("mu", f"expected a number or comma list, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError("arguments", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kppfrag",
         description="Steady-state logistic diffusion: solve, optimize "
                     "resource layouts, and run fragmentation experiments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON settings file")
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--mu", help="diffusivity, or comma list for sweeps")
-        p.add_argument("--m0", type=float, help="resource budget (mean of m)")
-        p.add_argument("--kappa", type=float, help="pointwise cap on m")
-        p.add_argument("--grid", help="nodes per axis: N or NxM")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--starts", type=int)
-        p.add_argument("--k-max", type=int, dest="k_max")
-        p.add_argument("--out", help="directory for report/CSV/manifest")
-        p.add_argument("--plot", action="store_true", default=None)
-        p.add_argument("--allow-underresolved", action="store_true",
-                       default=None, dest="allow_underresolved")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON settings file")
+    parser.add_argument("--preset", choices=sorted(PRESETS))
+    parser.add_argument("--mu", help="diffusivity, or comma list for sweeps")
+    parser.add_argument("--m0", type=float, help="resource budget (mean of m)")
+    parser.add_argument("--kappa", type=float, help="pointwise cap on m")
+    parser.add_argument("--grid", help="nodes per axis: N or NxM")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--starts", type=int)
+    parser.add_argument("--k-max", type=int, dest="k_max")
+    parser.add_argument("--out", help="directory for report/CSV/manifest")
+    parser.add_argument("--plot", action="store_true", default=None)
+    parser.add_argument("--allow-underresolved", action="store_true",
+                        default=None, dest="allow_underresolved")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    settings: dict = {}
-    if args.preset:
-        settings.update(PRESETS[args.preset])
+    """Merge preset < config file < flags, then validate for args.command."""
+    settings = dict(PRESETS[args.preset]) if args.preset else {}
     if args.config:
         settings.update(load_config_file(args.config))
-    if args.mu is not None:
-        settings["mu"] = _parse_mu_flag(args.mu)
-    if args.grid is not None:
-        settings["grid"] = _parse_grid_flag(args.grid)
-    for key in ("m0", "kappa", "seed", "starts", "k_max", "out", "plot",
-                "allow_underresolved"):
-        val = getattr(args, key)
-        if val is not None:
-            settings[key] = val
+    flags = {key: getattr(args, key, None) for key in _SETTING_KEYS}
+    for key, parse in (("mu", _parse_mu_flag), ("grid", _parse_grid_flag)):
+        if flags[key] is not None:
+            flags[key] = parse(flags[key])
+    settings.update((k, v) for k, v in flags.items() if v is not None)
     return parse_config(settings, args.command)
 
 
@@ -477,9 +469,8 @@ def _check_environment() -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        cfg = resolve_config(build_parser().parse_args(argv))
         _check_environment()
         t0 = time.perf_counter()
         with np.errstate(all="ignore"):

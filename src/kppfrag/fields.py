@@ -96,10 +96,8 @@ class ResourceField(ScalarField):
 
 
 def mean(f: ScalarField) -> float:
-    """Weighted (trapezoid) average; equals the continuum mean for piecewise
-    linear interpolants and is exact on constants."""
-    w = f.grid.node_weights
-    return float(w @ f.values) / float(w.sum())
+    """Weighted (trapezoid) average of a field: Grid.mean of its values."""
+    return f.grid.mean(f.values)
 
 
 def bv_seminorm(f: ScalarField) -> float:

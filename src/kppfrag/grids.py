@@ -71,6 +71,12 @@ class Grid:
             w = np.outer(_axis_weights(self.counts[1]), w).ravel()
         return w
 
+    def mean(self, values: np.ndarray) -> float:
+        """Weighted (trapezoid) average of nodal values; equals the continuum
+        mean for piecewise linear interpolants and is exact on constants."""
+        w = self.node_weights
+        return float(w @ values) / float(w.sum())
+
     def coords_columns(self) -> list[np.ndarray]:
         """Per-axis coordinate of every node, in flat order (for CSV export)."""
         if self.dim == 1:

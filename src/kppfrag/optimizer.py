@@ -275,8 +275,7 @@ def random_fourier_guess(
         raise DegenerateSample(
             "sampled field is constant to 1e-14; affine normalization undefined"
         )
-    w = grid.node_weights
-    fbar = float(w @ f) / float(w.sum())
+    fbar = grid.mean(f)
     hi = float(np.max(f - fbar))
     lo = float(np.min(f - fbar))
     a = min(abs((kappa - m0) / hi), abs(m0 / lo))

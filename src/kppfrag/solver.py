@@ -138,10 +138,10 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, min_step):
     return theta, rnorm, newton_iters, False
 
 
-def _below_mean(theta, weights, mbar):
+def _below_mean(theta, grid, mbar):
     """True when the weighted mean of theta is under mean(m): no positive
     steady state is (up to rounding slack), so theta sits near theta = 0."""
-    return float(weights @ theta) / float(weights.sum()) < (1.0 - 1e-8) * mbar
+    return grid.mean(theta) < (1.0 - 1e-8) * mbar
 
 
 def solve_steady_state(
@@ -197,7 +197,6 @@ def solve_steady_state(
     lap = lap or NeumannLaplacian(m.grid)
     mu = params.mu
     m_vals = m.values
-    weights = m.grid.node_weights
 
     theta = (
         np.full(m.grid.num_nodes, mbar)
@@ -209,14 +208,14 @@ def solve_steady_state(
         lap, theta, m_vals, mu, cfg, floor_limit,
         1.0 if theta0 is None else DAMPING_FLOOR,
     )
-    restarted = stalled or _below_mean(theta, weights, mbar)
+    restarted = stalled or _below_mean(theta, m.grid, mbar)
     if restarted:
         theta, rnorm, more_iters, _ = _newton(
             lap, np.full(m.grid.num_nodes, float(np.max(m_vals))), m_vals, mu, cfg,
             floor_limit, None,
         )
         newton_iters += more_iters
-        if _below_mean(theta, weights, mbar):
+        if _below_mean(theta, m.grid, mbar):
             raise NoConvergence(
                 "both starts converged to the trivial state theta ~ 0", rnorm
             )

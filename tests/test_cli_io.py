@@ -93,6 +93,28 @@ def test_parse_config_rejects_unknown_command():
         parse_config({}, "frobnicate")
 
 
+def test_parse_config_bounds_the_finest_grid():
+    # checked before anything is allocated: the refined grid of a 1D
+    # k_max = 40 run would hold 2^41 + 1 nodes
+    with pytest.raises(ConfigError, match="MAX_NODES = 16777216") as exc:
+        parse_config({"grid": [3], "k_max": 40}, "periodise-check")
+    assert exc.value.field == "grid"
+    # 2049^2 nodes fit; one refinement, 4097^2 > 2^24, does not
+    assert parse_config({"grid": [2049, 2049], "k_max": 0}, "lemma2").k_max == 0
+    with pytest.raises(ConfigError):
+        parse_config({"grid": [2049, 2049], "k_max": 1}, "lemma2")
+    with pytest.raises(ConfigError):
+        parse_config({"grid": [4097, 4097]}, "solve")
+    # only the identity checks refine; k_max alone leaves other runs alone
+    assert parse_config({"grid": [3], "k_max": 40}, "solve").k_max == 40
+    assert parse_config({"grid": [1025], "k_max": 3}, "periodise-check").k_max == 3
+    assert parse_config({"grid": [1025], "k_max": 3}, "lemma2").grid == (1025,)
+    cap = cli.MAX_NODES
+    assert parse_config({"grid": [cap]}, "solve").grid == (cap,)
+    with pytest.raises(ConfigError):
+        parse_config({"grid": [cap + 1]}, "solve")
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"grid": [33], "mu": [1.0, 0.5], "seed": 7}))
@@ -281,6 +303,30 @@ def test_exit_two_on_config_error(capsys):
     assert err.startswith("configuration error: out:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--m0", "abc"],
+    ["solve", "--starts", "1e3"],
+    ["solve", "--bogus", "1"],
+    ["bogus"],
+    [],
+    ["solve", "--preset", "nope"],
+    ["solve", "--grid", "5x"],
+], ids=["m0-abc", "starts-1e3", "unknown-flag", "unknown-command",
+        "missing-command", "unknown-preset", "grid-5x"])
+def test_exit_two_on_malformed_invocation(capsys, argv):
+    # argparse's own failures end in the same one line as every other
+    # configuration error, with no usage block
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_flags_may_precede_the_command(capsys):
+    assert main(["--grid", "33", "--mu", "0.5", "solve"]) == 0
+    assert capsys.readouterr().out.startswith("solve: mu=0.5 grid=33 ")
+
+
 @pytest.mark.parametrize("command", ["solve", "optimize", "periodise-check", "lemma2"])
 def test_exit_two_on_mu_list_for_single_mu_command(capsys, command):
     # only sweep and efficiency take a list; no value may be dropped silently
@@ -313,7 +359,7 @@ def test_exit_three_on_out_of_memory(monkeypatch, capsys):
         raise MemoryError("Unable to allocate 64.0 GiB")
 
     monkeypatch.setattr(cli, "periodisation_check", _exhaust)
-    assert main(["periodise-check", "--grid", "65", "--k-max", "40"]) == 3
+    assert main(["periodise-check", "--grid", "65", "--k-max", "12"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure: out of memory") and err.count("\n") == 1
 

@@ -1,7 +1,9 @@
 """Lint (stdlib ast only): every import in the package modules and the test
 files is used, the package's __init__ exports exactly what it imports, and
 every config field and every public function and class of the package is
-used by some caller outside the tests."""
+used by some caller outside the tests. The command line has one parser,
+with one flag per run setting."""
+import argparse
 import ast
 import dataclasses
 import pathlib
@@ -9,6 +11,7 @@ import pathlib
 import pytest
 
 from kppfrag import OptimConfig, SolverConfig
+from kppfrag.cli import RunConfig, build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kppfrag"
@@ -141,3 +144,15 @@ def test_every_public_name_has_a_caller():
                 for name in public_definitions(path.read_text(encoding="utf-8"))
                 if name not in referenced]
     assert uncalled == []
+
+
+def test_cli_has_one_parser_with_one_flag_per_setting():
+    # max_outer_iters is set only from config files; --config and --preset
+    # choose where settings come from and are not settings themselves
+    actions = build_parser()._actions
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in actions)
+    flags = sorted(a.dest for a in actions if a.option_strings
+                   and a.dest not in ("help", "config", "preset"))
+    settings = sorted(f.name for f in dataclasses.fields(RunConfig)
+                      if f.name not in ("command", "max_outer_iters"))
+    assert flags == settings
