@@ -183,6 +183,8 @@ def fragmentation_sweep(
     most 5% (multi-start ascent is a heuristic, not a certificate).
     """
     mu_list = [float(mu) for mu in mu_list]
+    if not mu_list:
+        raise ValueError("mu_list must not be empty")
     if any(b >= a for a, b in zip(mu_list, mu_list[1:])):
         raise ValueError("mu_list must be strictly decreasing")
     warnings: list[str] = []

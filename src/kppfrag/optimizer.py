@@ -9,11 +9,11 @@ repeated until the LP value drops under STOP_LP_VALUE (a vertex of the
 admissible polytope), the relative objective change stays under
 STOP_REL_OBJECTIVE for STOP_PLATEAU_ITERS steps, no Armijo step is accepted,
 or OptimConfig.max_outer_iters is hit. The line search starts at
-INITIAL_STEP, shrinks by ARMIJO_SHRINK and asks for the fraction ARMIJO_C of
-the LP gain; the steady states use SolverConfig(). These constants are fixed;
-OptimConfig carries only the number of starts, the seed and the
-outer-iteration cap. Multi-start plays the global-search role; starts are
-seeded Fourier fields and fully reproducible.
+INITIAL_STEP, shrinks by ARMIJO_SHRINK down to ARMIJO_MIN_STEP and asks for
+the fraction ARMIJO_C of the LP gain; the steady states use SolverConfig().
+These constants are fixed; OptimConfig carries only the number of starts,
+the seed and the outer-iteration cap. Multi-start plays the global-search
+role; starts are seeded Fourier fields and fully reproducible.
 
 Gradient derivation: with the objective F = weighted mean of theta and the
 steady-state constraint, the sensitivity solves the shifted system
@@ -62,6 +62,7 @@ class OptimizationError(RuntimeError):
 
 ARMIJO_C = 1e-4               # sufficient-increase fraction of the LP gain
 ARMIJO_SHRINK = 0.5           # backtracking factor
+ARMIJO_MIN_STEP = 2.0 ** -20  # smallest trial step; below it the step is 0
 INITIAL_STEP = 1.0            # first trial step along the LP direction
 STOP_REL_OBJECTIVE = 1e-9     # relative F change counted as a plateau step
 STOP_PLATEAU_ITERS = 5        # consecutive plateau steps that stop a start
@@ -203,14 +204,14 @@ def armijo_ascent_step(
     Convexity of the admissible class keeps every trial iterate admissible
     (m + xi is admissible by LP construction, and t in [0, 1]); the clip
     only removes floating-point dust. On sufficient increase returns
-    (m_next, F_next, step, state); when no step down to the damping floor
+    (m_next, F_next, step, state); when no step down to ARMIJO_MIN_STEP
     is accepted, returns (m, F_current, 0.0, None) which signals
     termination to the caller.
     """
     if lp_value <= 0.0 or not np.any(xi.values):
         return m, F_current, 0.0, None
     step = INITIAL_STEP
-    while step >= 2.0 ** -20:
+    while step >= ARMIJO_MIN_STEP:
         trial_vals = np.clip(m.values + step * xi.values, 0.0, m.kappa)
         trial = m.with_values(trial_vals)
         try:

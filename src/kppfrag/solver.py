@@ -14,23 +14,19 @@ since F'(theta*) theta* = theta*^2 > 0. Any constant c >= max(m) has
 F(c) = c (c - m) >= 0, so it is a supersolution. By the Newton-Fourier
 theorem (Ortega and Rheinboldt, Iterative Solution of Nonlinear Equations
 in Several Variables, 1970, section 13.3; Sattinger 1972, Indiana Univ.
-Math. J. 21), undamped Newton from theta = max(m) then decreases
-monotonically to theta*: every iterate stays above theta* > 0, no line
-search is needed and there is no trivial state theta ~ 0 to land on.
+Math. J. 21), Newton from theta = max(m) then decreases monotonically to
+theta*: every iterate stays above theta* > 0, no line search is needed and
+there is no trivial state theta ~ 0 to land on.
 
-A solve first runs damped Newton from the constant mean(m) (a cold solve)
-or from the given warm start, which is usually closer. It restarts once,
-from the constant max(m) with undamped steps and no residual test, when
-
-- a cold solve's line search rejects a full Newton step (the sign of a
-  start far from the solution, such as a single block at small mu);
-- a warm solve's line search stalls below DAMPING_FLOOR;
-- either converges with weighted mean below mean(m): every positive
-  steady state has mean at least mean(m), so it has found theta ~ 0.
-
-Positivity is proved, not clipped: the restart's iterates stay above
-theta* > 0 (with exact linear solves), so the clip of trial iterates at POSITIVITY_FLOOR, which
-guards the damped run, does not bind there.
+One rule, full Newton steps only: a solve first runs from the constant
+mean(m) (cold) or the given warm start, and stops, stalled, at the first
+step whose residual does not fall or whose iterate is not strictly
+positive. It then restarts once from max(m), with no test. It also
+restarts when the first run converges with weighted mean below mean(m):
+every positive steady state has mean at least mean(m), so it has found
+theta ~ 0. A damped step would buy nothing, since any full step leaves
+F(theta + delta) = delta^2 >= 0. No iterate is ever clipped: positivity
+is tested on the first run and proved on the restart.
 
 Residual tolerances: convergence means ||R||_inf <= newton_tol, or
 ||R||_inf below the floating-point evaluation floor of the stiff term
@@ -75,8 +71,6 @@ class NoConvergence(SolverError):
 
 
 MAX_NEWTON_ITERS = 100
-DAMPING_FLOOR = 2.0 ** -20             # smallest backtracking fraction
-POSITIVITY_FLOOR = 1e-14               # line-search clip only, never the answer
 NEWTON_FORCING = 1e-2                  # cap of the forcing term eta
 
 
@@ -105,11 +99,11 @@ def _residual(lap, theta, m_vals, mu):
     return mu * lap.apply(theta) + theta * (m_vals - theta)
 
 
-def _newton(lap, theta, m_vals, mu, cfg, floor_limit, min_step):
-    """Newton from theta; returns (theta, residual norm, Newton steps,
-    stalled). Each step backtracks by halving until the residual falls, and
-    the run stops, stalled, when the fraction would drop below min_step.
-    With min_step None every full step is taken, with no residual test."""
+def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
+    """Newton from theta by full steps; returns (theta, residual norm,
+    Newton steps, stalled). Unless monotone, the run stalls at the first
+    step whose residual does not fall or whose iterate is not strictly
+    positive (a NaN fails both tests)."""
     r = _residual(lap, theta, m_vals, mu)
     rnorm = float(np.abs(r).max())
     newton_iters = 0
@@ -122,16 +116,11 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, min_step):
             delta = lap.solve_shifted(mu, 2.0 * theta - m_vals, r,
                                       rtol=min(NEWTON_FORCING, 0.5 * rnorm))
             newton_iters += 1
-            step = 1.0
-            while True:
-                trial = np.maximum(theta + step * delta, POSITIVITY_FLOOR)
-                rt = _residual(lap, trial, m_vals, mu)
-                rtn = float(np.abs(rt).max())
-                if min_step is None or rtn < rnorm:
-                    break
-                step *= 0.5
-                if step < min_step:
-                    return theta, rnorm, newton_iters, True
+            trial = theta + delta
+            rt = _residual(lap, trial, m_vals, mu)
+            rtn = float(np.abs(rt).max())
+            if not monotone and not (rtn < rnorm and trial.min() > 0.0):
+                return theta, rnorm, newton_iters, True
             theta, r, rnorm = trial, rt, rtn
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"linear solve failed: {exc}", rnorm) from exc
@@ -159,30 +148,28 @@ def solve_steady_state(
         any positive-mean ScalarField; callers pass a ResourceField.
     cfg : the residual tolerance newton_tol; the default 1e-11 serves every
         preset. The caps are fixed: MAX_NEWTON_ITERS Newton steps per run,
-        backtracking down to DAMPING_FLOOR, trial iterates clipped at
-        POSITIVITY_FLOOR, and Newton's linear solves stopped at the forcing
-        term min(NEWTON_FORCING, ||R||_inf / 2).
-    theta0 : optional warm start (flat nodal array). Without it the solve
-        starts from the constant mean(m) and takes only full Newton steps.
+        and Newton's linear solves stopped at the forcing term
+        min(NEWTON_FORCING, ||R||_inf / 2).
+    theta0 : optional warm start (flat nodal array), floored at 1e-300.
+        Without it the solve starts from the constant mean(m).
     lap : optional prebuilt Laplacian for m.grid (reused across solves in
         the optimizer loops).
 
-    The first run is damped Newton from theta0 or mean(m). The solve
-    restarts once from the supersolution theta = max(m), taking undamped
-    Newton steps with no residual test, when a cold run's line search
-    rejects a full step, when a warm run's line search stalls below
-    DAMPING_FLOOR, or when the first run converges with weighted mean
-    below mean(m). Every positive discrete steady state has weighted mean
+    Newton takes full steps from theta0 or mean(m). At the first step whose
+    residual does not fall or whose iterate is not strictly positive, or
+    when the run converges with weighted mean below mean(m), the solve
+    restarts once from the supersolution theta = max(m) and takes every
+    step untested. Every positive discrete steady state has weighted mean
     at least mean(m): dividing the equation by theta and summing with the
     trapezoid weights leaves mu * sum_edges (d theta)^2 / (theta_i theta_j
     h^2) >= 0 on one side, by the symmetry of W * Lap; a smaller mean is
-    the trivial state theta ~ 0 (it happens from the start mean(m) at
-    small mu). Undamped Newton from max(m) decreases monotonically to the
-    positive state (the Newton-Fourier theorem; see the module docstring).
+    the trivial state theta ~ 0, which a poor start can reach. Newton from
+    max(m) decreases monotonically to the positive state (the
+    Newton-Fourier theorem; see the module docstring).
 
     The returned iterations counts the Newton steps of both runs, the
-    step whose line search failed included, and used_fallback is true
-    when the solve restarted from max(m).
+    rejected step included, and used_fallback is true when the solve
+    restarted from max(m).
 
     Raises
     ------
@@ -205,14 +192,13 @@ def solve_steady_state(
     )
     floor_limit = residual_floor(m.grid, mu)
     theta, rnorm, newton_iters, stalled = _newton(
-        lap, theta, m_vals, mu, cfg, floor_limit,
-        1.0 if theta0 is None else DAMPING_FLOOR,
+        lap, theta, m_vals, mu, cfg, floor_limit, monotone=False
     )
     restarted = stalled or _below_mean(theta, m.grid, mbar)
     if restarted:
         theta, rnorm, more_iters, _ = _newton(
             lap, np.full(m.grid.num_nodes, float(np.max(m_vals))), m_vals, mu, cfg,
-            floor_limit, None,
+            floor_limit, monotone=True,
         )
         newton_iters += more_iters
         if _below_mean(theta, m.grid, mbar):

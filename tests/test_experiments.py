@@ -97,11 +97,13 @@ def _tiny_cfg():
 
 
 def test_sweep_requires_decreasing_mu():
-    with pytest.raises(ValueError):
-        fragmentation_sweep(
-            ProblemParams(mu=1.0, kappa=1.0, m0=0.3), Grid((33,)), [0.5, 1.0],
-            _tiny_cfg(),
-        )
+    for mu_list, message in (([0.5, 1.0], "strictly decreasing"),
+                             ([], "mu_list must not be empty")):
+        with pytest.raises(ValueError, match=message):
+            fragmentation_sweep(
+                ProblemParams(mu=1.0, kappa=1.0, m0=0.3), Grid((33,)), mu_list,
+                _tiny_cfg(),
+            )
 
 
 def test_sweep_resolution_gate():

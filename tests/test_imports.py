@@ -2,11 +2,13 @@
 files is used, the package's __init__ exports exactly what it imports, and
 every config field and every public function and class of the package is
 used by some caller outside the tests. The command line has one parser,
-with one flag per run setting."""
+with one flag per run setting, and every constant the README names exists."""
 import argparse
 import ast
 import dataclasses
+import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -84,6 +86,16 @@ def names_referenced(source: str) -> set[str]:
     return refs
 
 
+def readme_constants(text: str) -> list[str]:
+    """ALL-CAPS names in the inline code spans of a markdown text, with
+    their module prefix when they have one. Fenced blocks are skipped, and
+    environment variables (KPPFRAG_*) are not names of the package."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    names = [match.group(0) for span in re.findall(r"`([^`\n]+)`", text)
+             for match in re.finditer(r"(?:\b[a-z_]+\.)?\b[A-Z][A-Z0-9_]+\b", span)]
+    return [name for name in names if not name.startswith("KPPFRAG_")]
+
+
 def test_checker_flags_unused_and_accepts_used():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "from a.b import c, d\nx: c = np.zeros(1)\n")
@@ -105,6 +117,14 @@ def test_reference_checker_reads_names_attributes_and_imports():
             "def unused(): pass\n")
     refs = names_referenced(user)
     assert [n for n in public_definitions(defs) if n not in refs] == ["unused"]
+
+
+def test_readme_checker_reads_spans_and_prefixes():
+    text = ("Set `KPPFRAG_THREADS`; `solver.MAX_NEWTON_ITERS`, `ARMIJO_C` and\n"
+            "`min(solver.NEWTON_FORCING, ||R||/2)` but not `Grid`, `MAX_nodes`\n"
+            "or SOLO.\n```\nFENCED_NAME\n```\n")
+    assert readme_constants(text) == [
+        "solver.MAX_NEWTON_ITERS", "ARMIJO_C", "solver.NEWTON_FORCING"]
 
 
 def test_export_checker_reads_imports_and_all():
@@ -156,3 +176,17 @@ def test_cli_has_one_parser_with_one_flag_per_setting():
     settings = sorted(f.name for f in dataclasses.fields(RunConfig)
                       if f.name not in ("command", "max_outer_iters"))
     assert flags == settings
+
+
+def test_every_readme_constant_exists():
+    # a constant the README cites must still be defined: qualified names in
+    # their module, bare names in some module of the package
+    modules = {path.stem: importlib.import_module(f"kppfrag.{path.stem}")
+               for path in PACKAGE}
+    missing = []
+    for name in readme_constants((ROOT / "README.md").read_text(encoding="utf-8")):
+        module, _, attr = name.rpartition(".")
+        owners = [modules.get(module)] if module else modules.values()
+        if not any(hasattr(owner, attr) for owner in owners):
+            missing.append(name)
+    assert missing == []

@@ -176,8 +176,8 @@ def _supersolution_solve(m, params):
 
 @pytest.mark.parametrize("n", [16, 24])
 def test_default_start_avoids_trivial_state_2d(n):
-    # from mean(m) Newton lands on theta ~ 1e-14 here; the solve must
-    # notice mean(theta) < mean(m) and restart from max(m)
+    # from mean(m) the first full Newton step overshoots below zero here;
+    # the solve must reject it and restart from max(m)
     m = make_crenel(Grid((n, n)), 1.0, 0.3)
     params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
     state = solve_steady_state(m, params)
@@ -228,15 +228,16 @@ def test_inexact_newton_matches_floor_only_solve(monkeypatch):
 
 
 def _newton_runs(monkeypatch):
-    """Record every Newton run: its min_step, its steps, whether it stalled,
-    and the residual sup norm and the iterate of each residual evaluation."""
+    """Record every Newton run: whether it is monotone, its steps, whether
+    it stalled, and the residual sup norm and the iterate of each residual
+    evaluation."""
     runs = []
     real_newton, real_residual = solver_mod._newton, solver_mod._residual
 
-    def recording_newton(*args):
-        run = {"min_step": args[-1], "norms": [], "iterates": []}
+    def recording_newton(*args, monotone):
+        run = {"monotone": monotone, "norms": [], "iterates": []}
         runs.append(run)
-        out = real_newton(*args)
+        out = real_newton(*args, monotone=monotone)
         run["steps"], run["stalled"] = out[2], out[3]
         return out
 
@@ -251,19 +252,12 @@ def _newton_runs(monkeypatch):
     return runs
 
 
-def _line_search_stalled(norms):
-    """Whether a damped run ended on one step's full set of halvings down
-    to DAMPING_FLOOR, none of which lowered the residual."""
-    trials = 1 + round(-np.log2(solver_mod.DAMPING_FLOOR))
-    return len(norms) > trials and min(norms[-trials:]) >= min(norms[:-trials])
-
-
 @pytest.mark.parametrize("counts", [(1000,), (60, 60), (120, 120)])
 def test_cold_crenel_restarts_once_after_first_rejected_full_step(monkeypatch, counts):
     m = make_crenel(Grid(counts), 1.0, 0.3)
     runs = _newton_runs(monkeypatch)
     state = solve_steady_state(m, ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
-    assert [run["min_step"] for run in runs] == [1.0, None]
+    assert [run["monotone"] for run in runs] == [False, True]
     cold, restart = runs
     # full steps only, until one is rejected: one trial per step
     assert cold["stalled"] and len(cold["norms"]) == 1 + cold["steps"]
@@ -273,53 +267,81 @@ def test_cold_crenel_restarts_once_after_first_rejected_full_step(monkeypatch, c
     assert state.iterations == cold["steps"] + restart["steps"] == 8
 
 
-def test_warm_solve_backtracks_without_restarting(monkeypatch):
-    # the mirrored state is a poor warm start at mu = 0.1: its line search
-    # rejects full steps, yet never stalls
+@pytest.mark.parametrize("mu", [0.1, 0.01])
+def test_warm_solve_restarts_at_its_first_failed_step(monkeypatch, mu):
+    # the mirrored state is a poor warm start: its first full Newton step
+    # fails (the residual rises at mu = 0.1; at mu = 0.01 it falls, but the
+    # iterate goes negative), and the solve restarts at once from max(m)
     m = make_crenel(Grid((1000,)), 1.0, 0.3)
-    params = ProblemParams(mu=0.1, kappa=1.0, m0=0.3)
+    params = ProblemParams(mu=mu, kappa=1.0, m0=0.3)
     cold = solve_steady_state(m, params)
     runs = _newton_runs(monkeypatch)
     warm = solve_steady_state(m, params, theta0=cold.theta.values[::-1].copy())
-    assert len(runs) == 1 and runs[0]["min_step"] == solver_mod.DAMPING_FLOOR
-    assert len(runs[0]["norms"]) > 1 + runs[0]["steps"]
-    assert not runs[0]["stalled"] and not warm.used_fallback
+    assert [run["monotone"] for run in runs] == [False, True]
+    first, restart = runs
+    assert first["stalled"] and first["steps"] == 1 and len(first["norms"]) == 2
+    assert warm.used_fallback
+    assert warm.iterations == 1 + restart["steps"]
     # both solves stop under the residual's rounding floor, 7e-10 max|theta|
-    # here, not at newton_tol
+    # at mu = 0.1, not at newton_tol
     assert abs(total_population(warm) - total_population(cold)) <= 1e-9
 
 
-def test_warm_solve_restarts_when_its_line_search_stalls(monkeypatch):
-    m = make_crenel(Grid((1000,)), 1.0, 0.3)
-    params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
+def test_non_positive_trial_restarts_though_its_residual_falls(monkeypatch):
+    # force the first step's iterate to exactly 0 at the last node, where
+    # m = 0 and theta is small: the residual still falls, yet the step is
+    # rejected and the solve restarts, so no iterate is ever clipped
+    m = make_crenel(Grid((65,)), 1.0, 0.3)
+    params = ProblemParams(mu=1e-3, kappa=1.0, m0=0.3)
     cold = solve_steady_state(m, params)
+    assert m.values[-1] == 0.0
+    real_solve = NeumannLaplacian.solve_shifted
+    forced = []
+
+    def forced_solve(self, mu, diag, rhs, rtol=None):
+        delta = real_solve(self, mu, diag, rhs, rtol)
+        if not forced:
+            forced.append(True)
+            delta[-1] = -0.5 * diag[-1]       # diag = 2 theta - m = 2 theta here
+        return delta
+
+    monkeypatch.setattr(NeumannLaplacian, "solve_shifted", forced_solve)
     runs = _newton_runs(monkeypatch)
-    warm = solve_steady_state(m, params, theta0=cold.theta.values[::-1].copy())
-    assert [run["min_step"] for run in runs] == [solver_mod.DAMPING_FLOOR, None]
-    assert runs[0]["stalled"] and _line_search_stalled(runs[0]["norms"])
+    warm = solve_steady_state(m, params, theta0=2.0 * cold.theta.values)
+    assert [run["monotone"] for run in runs] == [False, True]
+    first = runs[0]
+    assert first["stalled"] and first["steps"] == 1
+    assert first["norms"][1] < first["norms"][0]
+    assert first["iterates"][1].min() == 0.0
     assert warm.used_fallback
-    assert warm.iterations == runs[0]["steps"] + runs[1]["steps"]
     assert abs(total_population(warm) - total_population(cold)) <= 1e-12
 
 
 def test_warm_solve_on_the_trivial_state_restarts(monkeypatch):
-    # from a start shaped against the resource, damped Newton converges to
-    # theta ~ 0 without a stall: the mean check alone triggers the restart
-    m = make_crenel(Grid((1000,)), 1.0, 0.3)
+    # a start at theta ~ 0 already meets newton_tol: the first run converges
+    # in 0 steps, and the mean check alone triggers the restart, which gives
+    # the cold solve's restart bytes
     params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
-    runs = _newton_runs(monkeypatch)
-    warm = solve_steady_state(m, params, theta0=1.01 - m.values)
-    assert [run["min_step"] for run in runs] == [solver_mod.DAMPING_FLOOR, None]
-    assert not runs[0]["stalled"]
-    assert m.grid.node_weights @ runs[0]["iterates"][-1] < 0.3 * m.grid.node_weights.sum()
-    assert warm.used_fallback
-    assert total_population(warm) == pytest.approx(F_CRENEL_N1000_MU001, abs=1e-9)
+    for counts in [(1000,), (24, 24)]:
+        m = make_crenel(Grid(counts), 1.0, 0.3)
+        cold = solve_steady_state(m, params)
+        with monkeypatch.context() as mp:
+            runs = _newton_runs(mp)
+            warm = solve_steady_state(m, params,
+                                      theta0=np.full(m.grid.num_nodes, 1e-13))
+        assert [run["monotone"] for run in runs] == [False, True]
+        first, restart = runs
+        assert first["steps"] == 0 and not first["stalled"]
+        assert first["norms"][0] <= SolverConfig().newton_tol
+        assert warm.used_fallback
+        assert warm.iterations == restart["steps"] == 7
+        assert warm.theta.values.tobytes() == cold.theta.values.tobytes()
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.01])
 def test_full_step_cold_solves_keep_the_constant_start(monkeypatch, mu):
     # random-Fourier layouts, the optimizer's cold starts, take only full
-    # Newton steps: one run, with the bytes of damped Newton from mean(m)
+    # Newton steps: one run, with the bytes of Newton from mean(m)
     grid = Grid((120, 120))
     params = ProblemParams(mu=mu, kappa=1.0, m0=0.3)
     for seed in range(3):
@@ -327,7 +349,7 @@ def test_full_step_cold_solves_keep_the_constant_start(monkeypatch, mu):
         lap = NeumannLaplacian(grid)
         theta, rnorm, steps, stalled = solver_mod._newton(
             lap, np.full(grid.num_nodes, mean(m)), m.values, mu, SolverConfig(),
-            grids_mod.residual_floor(grid, mu), solver_mod.DAMPING_FLOOR)
+            grids_mod.residual_floor(grid, mu), monotone=False)
         with monkeypatch.context() as mp:
             runs = _newton_runs(mp)
             state = solve_steady_state(m, params, lap=lap)
@@ -397,13 +419,14 @@ def test_krylov_stall_surfaces_as_no_convergence(monkeypatch):
         solve_steady_state(m, ProblemParams(mu=0.1, kappa=1.0, m0=0.3))
 
 
-def test_nonfinite_1d_solve_surfaces_as_no_convergence():
-    # a NaN warm start reaches the first Newton solve, whose failure must
-    # surface as the solver's own error
-    m = make_crenel(Grid((33,)), 1.0, 0.3)
+@pytest.mark.parametrize("counts", [(33,), (12, 12)])
+def test_nonfinite_1d_solve_surfaces_as_no_convergence(counts):
+    # a NaN warm start never counts as converged: it reaches the first
+    # Newton solve, whose failure must surface as the solver's own error
+    m = make_crenel(Grid(counts), 1.0, 0.3)
     with pytest.raises(NoConvergence, match="linear solve failed"):
         solve_steady_state(m, ProblemParams(mu=0.1, kappa=1.0, m0=0.3),
-                           theta0=np.full(33, np.nan))
+                           theta0=np.full(m.grid.num_nodes, np.nan))
 
 
 def test_continuity_ratio_battery_reported(capsys):
