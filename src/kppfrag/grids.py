@@ -12,6 +12,7 @@ all integral-like functionals; see fields.mean.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -133,21 +134,28 @@ def _read_only(mat: sp.csr_matrix) -> sp.csr_matrix:
     return mat
 
 
-@lru_cache(maxsize=1)
-def _grid_operators(counts: tuple[int, ...]) -> tuple:
-    """(Lap, S, W^(1/2)) of the grid with these node counts: the Laplacian
-    as CSR and, in 2D, its symmetric form S = W^(1/2) (-Lap) W^(-1/2) and
-    the root trapezoid weights (None in 1D). S scales Lap's entries and
-    shares its index arrays. Built once per grid and shared by every
-    NeumannLaplacian on it, hence read-only; one entry, so a process holds
-    the operators of one grid at a time. A caller that reuses a grid's
-    operators keeps its own NeumannLaplacian instance, which holds them
-    past eviction."""
-    if len(counts) == 1:
-        return _read_only(_lap1d_csr(counts[0])), None, None
-    nx, ny = counts
+_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _grid_operators(grid: Grid) -> tuple:
+    """(Lap, S, W^(1/2)) of the grid: the Laplacian as CSR and, in 2D, its
+    symmetric form S = W^(1/2) (-Lap) W^(-1/2) and the root trapezoid
+    weights (None in 1D). S scales Lap's entries and shares its index
+    arrays. Built once per grid and shared, read-only, by every
+    NeumannLaplacian on that grid or on an equal one; the entry lives as
+    long as the Grid it was built for."""
+    ops = _OPERATORS.get(grid)
+    if ops is None:
+        ops = _OPERATORS[grid] = _build_operators(grid)
+    return ops
+
+
+def _build_operators(grid: Grid) -> tuple:
+    if grid.dim == 1:
+        return _read_only(_lap1d_csr(grid.counts[0])), None, None
+    nx, ny = grid.counts
     mat = (sp.kron(sp.eye(ny), _lap1d_csr(nx)) + sp.kron(_lap1d_csr(ny), sp.eye(nx))).tocsr()
-    root_w = np.sqrt(Grid(counts).node_weights)
+    root_w = np.sqrt(grid.node_weights)
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     sym = sp.csr_matrix(((root_w[rows] * -mat.data) * (1.0 / root_w)[mat.indices],
                          mat.indices, mat.indptr), shape=mat.shape)
@@ -164,22 +172,24 @@ class NeumannLaplacian:
     (Gaussian elimination with partial pivoting), O(N) per solve; the
     Laplacian keeps the constant off-diagonals of the last mu it saw and
     hands them to every 1D solve. 2D systems go through
-    preconditioned MINRES on the symmetric form
-    W^(1/2) (mu * (-Lap) + diag(d)) W^(-1/2); d may be indefinite (Newton
-    matrices d = 2 theta - m). The preconditioner mu * (-Lap) + c I, with c
-    the mean of |d|, is inverted exactly by fast diagonalization: the
-    eigenvectors of each axis's symmetrized 1D operator turn it into a
-    diagonal, so one application is four small dense matrix products.
+    preconditioned conjugate gradients on the symmetric form
+    W^(1/2) (mu * (-Lap) + diag(d)) W^(-1/2), which must be positive
+    definite: a 2D solve that meets a direction of nonpositive curvature
+    raises numpy.linalg.LinAlgError (see _Cg2D). The 1D solve takes any
+    nonsingular d. The preconditioner mu * (-Lap) + c I, with c the mean of
+    |d|, is inverted exactly by fast diagonalization: the eigenvectors of
+    each axis's symmetrized 1D operator turn it into a diagonal, so one
+    application is four small dense matrix products.
 
     The CSR Laplacian and, in 2D, its symmetric form and W^(1/2) are built
-    once per grid (_grid_operators, keyed by the node counts) and shared,
-    read-only, by every NeumannLaplacian on that grid; only the 1D
-    off-diagonals of the last mu belong to the instance. The constructor
-    stays the one construction point, cached or not.
+    once per grid (_grid_operators, keyed weakly by the Grid) and shared,
+    read-only, by every NeumannLaplacian on that grid or an equal one; only
+    the 1D off-diagonals of the last mu belong to the instance. The
+    constructor stays the one construction point, cached or not.
 
     Tolerance contract of solve_shifted(mu, d, rhs, rtol): a 2D solve
     returns x whose residual sup norm is at most max(floor, rtol) times
-    max(|x|, |rhs|), floor being the rounding floor of _Minres2D; rtol=None
+    max(|x|, |rhs|), floor being the rounding floor of _Cg2D; rtol=None
     (the default) asks for the floor itself. A Newton step passes its
     forcing term as rtol; every other caller takes the floor. The 1D solve
     is direct, ignores rtol and is bit-identical for every rtol.
@@ -187,7 +197,7 @@ class NeumannLaplacian:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self._mat, self._symmetric, self._root_w = _grid_operators(grid.counts)
+        self._mat, self._symmetric, self._root_w = _grid_operators(grid)
         self._last_band = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -215,7 +225,7 @@ class NeumannLaplacian:
         Every shifted solve goes through here."""
         if self.grid.dim == 1:
             return _Banded1D(self._band(mu), diag)
-        return _Minres2D(self, mu, diag)
+        return _Cg2D(self, mu, diag)
 
     def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray,
                       rtol: float | None = None) -> np.ndarray:
@@ -251,24 +261,25 @@ class _Banded1D:
         return x
 
 
-class _Minres2D:
-    """Preconditioned MINRES for one 2D shifted system A x = rhs.
+class _Cg2D:
+    """Preconditioned conjugate gradients for one 2D shifted system A x = rhs.
 
-    The Krylov iteration (Paige and Saunders 1975, SIAM J. Numer. Anal. 12,
-    in the form and sign convention of SciPy's minres) runs on the
-    symmetric form S = W^(1/2) A W^(-1/2), with S and W^(1/2) taken from
-    the grid's shared read-only operators. It also carries the
-    residual r = b - S x, so it can stop as soon as that residual, mapped
-    back to A's rows, is under half the tolerance times the larger of |x|
-    and |rhs| (sup norms). The residual costs no product with S: after the
-    rotation (cs, sn) of step k,
+    The iteration (Hestenes and Stiefel 1952, J. Res. Nat. Bur. Standards
+    49) runs on the symmetric form S = W^(1/2) A W^(-1/2), with S and
+    W^(1/2) taken from the grid's shared read-only operators, and carries
+    the residual r = b - S x that CG recurs anyway. It stops as soon as
+    that residual, mapped back to A's rows, is under half the tolerance
+    times the larger of |x| and |rhs| (sup norms). x, r and the search
+    direction are updated in place.
 
-        r_k = sn^2 r_(k-1) - (phibar cs / beta) r2,
-
-    r2 the new unpreconditioned Lanczos vector and beta its preconditioned
-    norm (the residual recurrence of Choi, Paige and Saunders 2011, SIAM J.
-    Sci. Comput. 33, MINRES-QLP, with cs starting at -1 as here). The
-    vectors are updated in place in a few work arrays.
+    CG needs S positive definite. On the solver's restart path from max(m)
+    and at every stable steady state (the adjoint), A is a nonsingular
+    M-matrix (see the solver module), so S is. A search direction p with
+    p'Sp <= 0 proves that S is not positive definite, and the solve raises
+    numpy.linalg.LinAlgError there; the solver takes that as a failed
+    Newton step, the adjoint as an unstable state. An indefinite S whose
+    directions all keep p'Sp > 0 may still be solved, to the same
+    tolerance.
 
     The tolerance is max(floor, rtol), where floor is the rounding floor
     residual_floor times max(1, |d|) and rtol the optional relative
@@ -296,62 +307,39 @@ class _Minres2D:
         z *= self._inv_eig
         return (qy @ z @ qx.T).ravel()
 
-    def _minres(self, rhs: np.ndarray, tol: float) -> np.ndarray:
+    def _cg(self, rhs: np.ndarray, tol: float) -> np.ndarray:
         root_w = self._lap._root_w
-        b = root_w * rhs
-        y = self._precondition(b)
-        beta1 = float(np.sqrt(b @ y))
-        if not beta1 > 0.0:
+        res = root_w * rhs                  # recurred residual b - S x
+        z = self._precondition(res)
+        rz = float(res @ z)
+        if not rz > 0.0:
             return np.zeros_like(rhs)
         sym, mu, diag = self._lap._symmetric, self._mu, self._diag
         limit = 0.5 * tol
         rhs_max = float(np.abs(rhs).max())
-        x = np.zeros_like(b)
-        res = b.copy()                      # recurred residual b - S x
-        w = np.zeros_like(b)
-        w2 = np.zeros_like(b)
-        v = np.empty_like(b)
-        tmp = np.empty_like(b)
-        r1 = r2 = b
-        oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
-        for itn in range(_KRYLOV_MAXITER):
-            np.divide(y, beta, out=v)
-            y = sym @ v
-            y *= mu
-            y += np.multiply(diag, v, out=tmp)
-            if itn:
-                y -= np.multiply(r1, beta / oldb, out=tmp)
-            alfa = float(v @ y)
-            y -= np.multiply(r2, alfa / beta, out=tmp)
-            r1, r2 = r2, y
-            y = self._precondition(r2)
-            oldb, beta = beta, math.sqrt(max(float(r2 @ y), 0.0))
-            oldeps = epsln
-            delta = cs * dbar + sn * alfa
-            gbar = sn * dbar - cs * alfa
-            epsln = sn * beta
-            dbar = -cs * beta
-            gamma = max(float(np.hypot(gbar, beta)), _EPS)
-            cs, sn = gbar / gamma, beta / gamma
-            phi = cs * phibar
-            phibar *= sn
-            # w <- (v - oldeps * w2 - delta * w) / gamma, the old w becoming w2
-            w2 *= -oldeps
-            w2 += v
-            w2 -= np.multiply(w, delta, out=tmp)
-            w2 /= gamma
-            w, w2 = w2, w
-            x += np.multiply(w, phi, out=tmp)
-            if beta == 0.0:
-                break
-            res *= sn * sn
-            res -= np.multiply(r2, phibar * cs / beta, out=tmp)
-            if phibar <= _EPS * beta1:
-                break
+        x = np.zeros_like(res)
+        p = z
+        tmp = np.empty_like(res)
+        for _ in range(_KRYLOV_MAXITER):
+            q = sym @ p
+            q *= mu
+            q += np.multiply(diag, p, out=tmp)
+            curvature = float(p @ q)
+            if not curvature > 0.0:
+                raise np.linalg.LinAlgError(
+                    f"2D shifted solve: matrix is not positive definite "
+                    f"(p'Ap = {curvature:.3e})")
+            alpha = rz / curvature
+            x += np.multiply(p, alpha, out=tmp)
+            res -= np.multiply(q, alpha, out=tmp)
             res_max = float(np.abs(np.divide(res, root_w, out=tmp)).max())
             x_max = float(np.abs(np.divide(x, root_w, out=tmp)).max())
             if res_max <= limit * max(rhs_max, x_max):
                 break
+            z = self._precondition(res)
+            rz, rz_old = float(res @ z), rz
+            p *= rz / rz_old
+            p += z
         return x / root_w
 
     def _residual(self, x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -363,10 +351,10 @@ class _Minres2D:
     def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         tol = self._floor if rtol is None else max(self._floor, rtol)
-        x = self._minres(rhs, tol)
+        x = self._cg(rhs, tol)
         r, rel = self._residual(x, rhs)
         if rel > tol:
-            x = x + self._minres(r, tol)
+            x = x + self._cg(r, tol)
             r, rel = self._residual(x, rhs)
         if not rel <= tol:
             enforced = (f"the rounding floor {self._floor:.3e}" if rtol is None else

@@ -20,8 +20,12 @@ there is no trivial state theta ~ 0 to land on.
 
 One rule, full Newton steps only: a solve first runs from the constant
 mean(m) (cold) or the given warm start, and stops, stalled, at the first
-step whose residual does not fall or whose iterate is not strictly
-positive. It then restarts once from max(m), with no test. It also
+step whose linear solve fails, whose residual does not fall or whose
+iterate is not strictly positive. It then restarts once from max(m), with
+no test. A failed solve is how an indefinite Newton matrix shows in 2D,
+where the conjugate-gradient solve takes positive definite matrices only;
+on the restart path every Newton matrix is a nonsingular M-matrix, which
+is positive definite in the symmetric form the solve uses. It also
 restarts when the first run converges with weighted mean below mean(m):
 every positive steady state has mean at least mean(m), so it has found
 theta ~ 0. A damped step would buy nothing, since any full step leaves
@@ -38,9 +42,10 @@ SIAM J. Numer. Anal. 19): each step solves its Jacobian system only to the
 relative accuracy of the forcing term eta = min(NEWTON_FORCING,
 ||R||_inf / 2), which shrinks with the residual and so keeps the local
 convergence quadratic (the choice is of the kind studied by Eisenstat and
-Walker 1996, SIAM J. Sci. Comput. 17). Only the 2D Krylov solve can stop
-early; the 1D solve is direct, so the 1D restart path is monotone to
-rounding, while in 2D the inexact steps may break strict monotonicity.
+Walker 1996, SIAM J. Sci. Comput. 17). Only the 2D conjugate-gradient
+solve can stop early; the 1D solve is direct, so the 1D restart path is
+monotone to rounding, while in 2D the inexact steps may break strict
+monotonicity.
 Adjoint solves keep the rounding floor, and the stopping test above does
 not depend on eta, so every accepted state meets the same residual gate.
 """
@@ -102,28 +107,32 @@ def _residual(lap, theta, m_vals, mu):
 def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
     """Newton from theta by full steps; returns (theta, residual norm,
     Newton steps, stalled). Unless monotone, the run stalls at the first
-    step whose residual does not fall or whose iterate is not strictly
-    positive (a NaN fails both tests)."""
+    step whose linear solve fails, whose residual does not fall or whose
+    iterate is not strictly positive (a NaN fails both tests); the failed
+    step counts as a step. On the monotone run a failed linear solve
+    raises NoConvergence."""
     r = _residual(lap, theta, m_vals, mu)
     rnorm = float(np.abs(r).max())
     newton_iters = 0
-    try:
-        while True:
-            if rnorm <= cfg.newton_tol or rnorm <= floor_limit * float(np.abs(theta).max()):
-                break
-            if newton_iters >= MAX_NEWTON_ITERS:
-                raise NoConvergence("Newton iteration cap exceeded", rnorm)
+    while True:
+        if rnorm <= cfg.newton_tol or rnorm <= floor_limit * float(np.abs(theta).max()):
+            break
+        if newton_iters >= MAX_NEWTON_ITERS:
+            raise NoConvergence("Newton iteration cap exceeded", rnorm)
+        newton_iters += 1
+        try:
             delta = lap.solve_shifted(mu, 2.0 * theta - m_vals, r,
                                       rtol=min(NEWTON_FORCING, 0.5 * rnorm))
-            newton_iters += 1
-            trial = theta + delta
-            rt = _residual(lap, trial, m_vals, mu)
-            rtn = float(np.abs(rt).max())
-            if not monotone and not (rtn < rnorm and trial.min() > 0.0):
-                return theta, rnorm, newton_iters, True
-            theta, r, rnorm = trial, rt, rtn
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"linear solve failed: {exc}", rnorm) from exc
+        except np.linalg.LinAlgError as exc:
+            if monotone:
+                raise NoConvergence(f"linear solve failed: {exc}", rnorm) from exc
+            return theta, rnorm, newton_iters, True
+        trial = theta + delta
+        rt = _residual(lap, trial, m_vals, mu)
+        rtn = float(np.abs(rt).max())
+        if not monotone and not (rtn < rnorm and trial.min() > 0.0):
+            return theta, rnorm, newton_iters, True
+        theta, r, rnorm = trial, rt, rtn
     return theta, rnorm, newton_iters, False
 
 
@@ -156,26 +165,26 @@ def solve_steady_state(
         the optimizer loops).
 
     Newton takes full steps from theta0 or mean(m). At the first step whose
-    residual does not fall or whose iterate is not strictly positive, or
-    when the run converges with weighted mean below mean(m), the solve
-    restarts once from the supersolution theta = max(m) and takes every
-    step untested. Every positive discrete steady state has weighted mean
-    at least mean(m): dividing the equation by theta and summing with the
-    trapezoid weights leaves mu * sum_edges (d theta)^2 / (theta_i theta_j
-    h^2) >= 0 on one side, by the symmetry of W * Lap; a smaller mean is
-    the trivial state theta ~ 0, which a poor start can reach. Newton from
-    max(m) decreases monotonically to the positive state (the
-    Newton-Fourier theorem; see the module docstring).
+    linear solve fails, whose residual does not fall or whose iterate is
+    not strictly positive, or when the run converges with weighted mean
+    below mean(m), the solve restarts once from the supersolution
+    theta = max(m) and takes every step untested. Every positive discrete
+    steady state has weighted mean at least mean(m): dividing the equation
+    by theta and summing with the trapezoid weights leaves mu * sum_edges
+    (d theta)^2 / (theta_i theta_j h^2) >= 0 on one side, by the symmetry
+    of W * Lap; a smaller mean is the trivial state theta ~ 0, which a poor
+    start can reach. Newton from max(m) decreases monotonically to the
+    positive state (the Newton-Fourier theorem; see the module docstring).
 
     The returned iterations counts the Newton steps of both runs, the
-    rejected step included, and used_fallback is true when the solve
-    restarted from max(m).
+    rejected or failed step included, and used_fallback is true when the
+    solve restarted from max(m).
 
     Raises
     ------
     NonPositiveMeanResource : if mean(m) <= 0.
     NoConvergence : if a run exceeds MAX_NEWTON_ITERS steps, a linear solve
-        fails, or the restart too ends at the trivial state.
+        of the restart fails, or the restart too ends at the trivial state.
     """
     cfg = cfg or SolverConfig()
     mbar = mean(m)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,7 +135,9 @@ def test_dense_oracle_matches_operator():
 
 @pytest.mark.parametrize("counts", [(9, 12), (12, 9), (40,)])
 def test_shifted_solve_indefinite_matches_dense_oracle(counts):
-    # Newton matrices mu*(-Lap) + diag(2 theta - m) can be indefinite
+    # Newton matrices mu*(-Lap) + diag(2 theta - m) can be indefinite: the
+    # direct 1D solve takes them, while a 2D CG solve either matches the
+    # oracle or raises LinAlgError naming positive definiteness
     g = Grid(counts)
     rng = np.random.default_rng(11)
     diag = rng.uniform(-1.0, 1.0, g.num_nodes)
@@ -143,8 +147,47 @@ def test_shifted_solve_indefinite_matches_dense_oracle(counts):
     assert eig.min() < 0.0 < eig.max()
     assert np.linalg.cond(dense) < 1e6
     expect = np.linalg.solve(dense, rhs)
-    got = NeumannLaplacian(g).solve_shifted(0.05, diag, rhs)
+    try:
+        got = NeumannLaplacian(g).solve_shifted(0.05, diag, rhs)
+    except np.linalg.LinAlgError as exc:
+        assert g.dim == 2 and "not positive definite" in str(exc)
+        return
     assert np.allclose(got, expect, rtol=1e-9, atol=1e-11 * np.max(np.abs(expect)))
+
+
+def _cg_passes(monkeypatch):
+    """Record one entry per CG pass of every 2D shifted solve."""
+    passes = []
+    real_cg = grids_mod._Cg2D._cg
+
+    def counting_cg(self, *args):
+        passes.append(1)
+        return real_cg(self, *args)
+
+    monkeypatch.setattr(grids_mod._Cg2D, "_cg", counting_cg)
+    return passes
+
+
+@pytest.mark.parametrize("rtol", [None, 1e-2, 1e-6])
+def test_shifted_solve_2d_spd_matches_dense_oracle(monkeypatch, rtol):
+    # a definite shift, as on the restart path and at a stable steady
+    # state: one CG pass meets half its tolerance, so x is within
+    # ||A^-1|| times that residual of the dense solution
+    g = Grid((9, 12))
+    rng = np.random.default_rng(13)
+    mu, diag = 0.05, rng.uniform(0.0, 2.0, g.num_nodes)
+    rhs = rng.standard_normal(g.num_nodes)
+    passes = _cg_passes(monkeypatch)
+    dense = dense_shifted(g, mu, diag)
+    assert np.linalg.eigvals(dense).real.min() > 0.0
+    expect = np.linalg.solve(dense, rhs)
+    got = NeumannLaplacian(g).solve_shifted(mu, diag, rhs, rtol=rtol)
+    assert len(passes) == 1
+    floor = grids_mod.residual_floor(g, mu) * max(1.0, np.max(np.abs(diag)))
+    tol = floor if rtol is None else max(floor, rtol)
+    scale = max(np.max(np.abs(got)), np.max(np.abs(rhs)))
+    bound = np.linalg.norm(np.linalg.inv(dense), np.inf) * 0.5 * tol * scale
+    assert np.max(np.abs(got - expect)) <= bound
 
 
 def test_shifted_solve_2d_stall_raises_linalg_error(monkeypatch):
@@ -162,7 +205,7 @@ def test_shifted_solve_2d_rtol_bounds_relative_residual():
     g = Grid((20, 17))
     lap = NeumannLaplacian(g)
     rng = np.random.default_rng(5)
-    mu, diag = 0.05, rng.uniform(-1.0, 1.0, g.num_nodes)
+    mu, diag = 0.05, rng.uniform(0.0, 2.0, g.num_nodes)
     rhs = rng.standard_normal(g.num_nodes)
     x = lap.solve_shifted(mu, diag, rhs, rtol=1e-3)
     resid = mu * (-lap.apply(x)) + diag * x - rhs
@@ -202,25 +245,25 @@ def _shift(kind: str, num_nodes: int, rng) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["constant", "definite", "indefinite"])
 @pytest.mark.parametrize("rtol", [None, 1e-2, 1e-6])
 def test_shifted_solve_2d_stops_on_its_recurred_residual(monkeypatch, n, mu, kind, rtol):
-    # The MINRES loop stops once its recurred residual is under half the
+    # The CG loop stops once its recurred residual is under half the
     # tolerance. Were the recurrence to drift below the true residual, the
     # loop would stop early: solve would need a second (refinement) pass,
     # or the true residual would land above the half tolerance the loop
-    # claims (checked where rtol is far above the rounding floor).
+    # claims (checked where rtol is far above the rounding floor). An
+    # indefinite shift either meets the same test or is rejected, by the
+    # curvature test of the first pass.
     g = Grid((n, n))
     lap = NeumannLaplacian(g)
     rng = np.random.default_rng(n)
     diag = _shift(kind, g.num_nodes, rng)
     rhs = rng.standard_normal(g.num_nodes)
-    passes = []
-    real_minres = grids_mod._Minres2D._minres
-
-    def counting_minres(self, *args):
-        passes.append(1)
-        return real_minres(self, *args)
-
-    monkeypatch.setattr(grids_mod._Minres2D, "_minres", counting_minres)
-    x = lap.solve_shifted(mu, diag, rhs, rtol=rtol)
+    passes = _cg_passes(monkeypatch)
+    try:
+        x = lap.solve_shifted(mu, diag, rhs, rtol=rtol)
+    except np.linalg.LinAlgError as exc:
+        assert kind == "indefinite" and "not positive definite" in str(exc)
+        assert len(passes) == 1
+        return
     assert len(passes) == 1
     resid = mu * (-lap.apply(x)) + diag * x - rhs
     floor = grids_mod.residual_floor(g, mu) * max(1.0, np.max(np.abs(diag)))
@@ -237,13 +280,37 @@ def test_grid_operators_are_shared_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     rng = np.random.default_rng(2)
-    diag, rhs = rng.uniform(-1.0, 1.0, g.num_nodes), rng.standard_normal(g.num_nodes)
+    diag, rhs = rng.uniform(0.0, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
     first = a.solve_shifted(0.05, diag, rhs)
     big = Grid((60, 60))
     NeumannLaplacian(big).solve_shifted(0.05, np.ones(big.num_nodes),
                                         np.ones(big.num_nodes))
     again = NeumannLaplacian(g).solve_shifted(0.05, diag, rhs)
     assert again.tobytes() == first.tobytes()
+
+
+def test_grid_operators_live_as_long_as_their_grid(monkeypatch):
+    # grids used in turn keep their operators; a grid that is gone takes
+    # its entry with it
+    built = []
+    real_build = grids_mod._build_operators
+
+    def counting_build(grid):
+        built.append(grid.counts)
+        return real_build(grid)
+
+    monkeypatch.setattr(grids_mod, "_build_operators", counting_build)
+    grids_mod._OPERATORS.clear()
+    small, large = Grid((13, 13)), Grid((27, 27))
+    first = NeumannLaplacian(small)._mat
+    for _ in range(3):
+        NeumannLaplacian(large)
+        assert NeumannLaplacian(small)._mat is first
+    assert built == [(13, 13), (27, 27)]
+    del small, first
+    gc.collect()
+    assert Grid((13, 13)) not in grids_mod._OPERATORS
+    assert large in grids_mod._OPERATORS
 
 
 @pytest.mark.parametrize("n", [3, 4, 1000, 8193])

@@ -51,7 +51,7 @@ def test_adjoint_positive_on_layered_instance(crenel_state_mu001):
 
 
 def test_adjoint_residual_gate_holds_on_2d_crenel():
-    # the 2D adjoint is a MINRES solve of the final Newton matrix; its
+    # the 2D adjoint is a CG solve of the final Newton matrix; its
     # residual must clear the same gate the direct solve did
     m = make_crenel(Grid((120, 120)), 1.0, 0.3)
     params = ProblemParams(mu=0.01, kappa=1.0, m0=0.3)
@@ -71,6 +71,16 @@ def test_adjoint_krylov_stall_raises_singular_adjoint(monkeypatch):
     monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
     with pytest.raises(SingularAdjoint, match="adjoint solve failed"):
         solve_adjoint(m, state.theta, params)
+
+
+def test_adjoint_2d_at_trivial_state_raises_singular_adjoint():
+    # at theta ~ 0 the adjoint matrix mu * (-Lap) - diag(m) is indefinite
+    # (the constant vector has negative curvature), an unstable state: CG
+    # rejects it and the adjoint reports it as SingularAdjoint
+    m = make_crenel(Grid((30, 30)), 1.0, 0.3)
+    theta = ScalarField(m.grid, np.full(m.grid.num_nodes, 1e-12))
+    with pytest.raises(SingularAdjoint, match="not positive definite"):
+        solve_adjoint(m, theta, ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
 
 
 def test_adjoint_nonfinite_1d_solve_raises_singular_adjoint():

@@ -227,6 +227,52 @@ def test_inexact_newton_matches_floor_only_solve(monkeypatch):
     )) <= gate
 
 
+def _failed_solves(monkeypatch):
+    """Record the message of every shifted solve that raises LinAlgError."""
+    failures = []
+    real_solve = NeumannLaplacian.solve_shifted
+
+    def recording_solve(self, *args, **kwargs):
+        try:
+            return real_solve(self, *args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            failures.append(str(exc))
+            raise
+
+    monkeypatch.setattr(NeumannLaplacian, "solve_shifted", recording_solve)
+    return failures
+
+
+@pytest.mark.parametrize("counts", [(1000,), (24, 24)])
+def test_first_run_solve_failure_restarts_from_max_m(monkeypatch, counts):
+    # a linear solve that fails on the first run is a failed step, like a
+    # rising residual: it counts as one Newton step, and the solve restarts
+    # from max(m) with the bytes of an untouched restart
+    m = make_crenel(Grid(counts), 1.0, 0.3)
+    params = ProblemParams(mu=0.1, kappa=1.0, m0=0.3)
+    real_solve = NeumannLaplacian.solve_shifted
+    calls = []
+
+    def failing_once(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("forced failure")
+        return real_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(NeumannLaplacian, "solve_shifted", failing_once)
+    runs = _newton_runs(monkeypatch)
+    state = solve_steady_state(m, params)
+    assert [run["monotone"] for run in runs] == [False, True]
+    first, restart = runs
+    assert first["stalled"] and first["steps"] == 1 and len(first["norms"]) == 1
+    assert restart["iterates"][0].tobytes() == np.full(m.grid.num_nodes, 1.0).tobytes()
+    assert state.used_fallback
+    assert state.iterations == 1 + restart["steps"] == len(calls)
+    monkeypatch.undo()
+    reference = solve_steady_state(m, params, theta0=np.full(m.grid.num_nodes, 1.0))
+    assert state.theta.values.tobytes() == reference.theta.values.tobytes()
+
+
 def _newton_runs(monkeypatch):
     """Record every Newton run: whether it is monotone, its steps, whether
     it stalled, and the residual sup norm and the iterate of each residual
@@ -255,13 +301,22 @@ def _newton_runs(monkeypatch):
 @pytest.mark.parametrize("counts", [(1000,), (60, 60), (120, 120)])
 def test_cold_crenel_restarts_once_after_first_rejected_full_step(monkeypatch, counts):
     m = make_crenel(Grid(counts), 1.0, 0.3)
+    failures = _failed_solves(monkeypatch)
     runs = _newton_runs(monkeypatch)
     state = solve_steady_state(m, ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
     assert [run["monotone"] for run in runs] == [False, True]
     cold, restart = runs
-    # full steps only, until one is rejected: one trial per step
-    assert cold["stalled"] and len(cold["norms"]) == 1 + cold["steps"]
-    assert cold["norms"][-1] >= cold["norms"][-2]
+    assert cold["stalled"]
+    if m.grid.dim == 1:
+        # full steps only, until one is rejected: one trial per step
+        assert len(cold["norms"]) == 1 + cold["steps"]
+        assert cold["norms"][-1] >= cold["norms"][-2]
+        assert failures == []
+    else:
+        # the first Newton matrix, at theta = mean(m), is indefinite: CG
+        # rejects it, and that failed solve is the one step of the run
+        assert cold["steps"] == 1 and len(cold["norms"]) == 1
+        assert len(failures) == 1 and "not positive definite" in failures[0]
     assert restart["iterates"][0].tobytes() == np.full(m.grid.num_nodes, 1.0).tobytes()
     assert state.used_fallback
     assert state.iterations == cold["steps"] + restart["steps"] == 8
@@ -420,13 +475,16 @@ def test_krylov_stall_surfaces_as_no_convergence(monkeypatch):
 
 
 @pytest.mark.parametrize("counts", [(33,), (12, 12)])
-def test_nonfinite_1d_solve_surfaces_as_no_convergence(counts):
-    # a NaN warm start never counts as converged: it reaches the first
-    # Newton solve, whose failure must surface as the solver's own error
+def test_nonfinite_warm_start_restarts_from_max_m(counts):
+    # a NaN warm start never counts as converged: its first Newton solve
+    # fails, and the solve restarts from max(m), as after a NaN iterate
     m = make_crenel(Grid(counts), 1.0, 0.3)
-    with pytest.raises(NoConvergence, match="linear solve failed"):
-        solve_steady_state(m, ProblemParams(mu=0.1, kappa=1.0, m0=0.3),
-                           theta0=np.full(m.grid.num_nodes, np.nan))
+    params = ProblemParams(mu=0.1, kappa=1.0, m0=0.3)
+    state = solve_steady_state(m, params, theta0=np.full(m.grid.num_nodes, np.nan))
+    assert state.used_fallback
+    assert np.isfinite(state.theta.values).all()
+    assert float(np.min(state.theta.values)) > 0.0
+    assert total_population(state) >= 0.3
 
 
 def test_continuity_ratio_battery_reported(capsys):

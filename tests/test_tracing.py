@@ -43,27 +43,33 @@ def test_traced_factor_counts_match_shifted_solves(monkeypatch):
 
 
 def test_traced_lap_builds_count_constructions_through_the_cache(monkeypatch):
-    built = []
-    real_init = NeumannLaplacian.__init__
+    built, operators = [], []
+    real_init, real_build = NeumannLaplacian.__init__, grids_mod._build_operators
 
     def counting_init(self, grid):
         built.append(grid.counts)
         real_init(self, grid)
 
+    def counting_build(grid):
+        operators.append(grid.counts)
+        return real_build(grid)
+
     monkeypatch.setattr(NeumannLaplacian, "__init__", counting_init)
-    grids_mod._grid_operators.cache_clear()
+    monkeypatch.setattr(grids_mod, "_build_operators", counting_build)
+    grids_mod._OPERATORS.clear()
+    square, line = Grid((12, 12)), Grid((33,))
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     t0 = perf_counter()
     try:
-        for counts, mu in (((12, 12), 0.1), ((12, 12), 0.05), ((33,), 0.05)):
-            solver_mod.solve_steady_state(make_crenel(Grid(counts), 1.0, 0.3),
+        for grid, mu in ((square, 0.1), (square, 0.05), (line, 0.05)):
+            solver_mod.solve_steady_state(make_crenel(grid, 1.0, 0.3),
                                           ProblemParams(mu=mu, kappa=1.0, m0=0.3))
         NeumannLaplacian(Grid((33,)))
     finally:
         uninstall()
     metrics = tracing.layer_metrics(tracer.spans, tracer.run_id, perf_counter() - t0)
-    assert grids_mod._grid_operators.cache_info().hits == 2
+    assert operators == [(12, 12), (33,)]
     assert metrics["grids.lap_build.calls"] == len(built) == 4
 
 
