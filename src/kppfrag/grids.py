@@ -6,15 +6,17 @@ x_i = i*h with h = 1/(N-1). The Neumann Laplacian uses mirrored ghost nodes,
 which gives the tridiagonal stencil with boundary rows (-2, 2) and (2, -2)
 scaled by 1/h^2; the 2D operator is the Kronecker sum of the 1D ones. The
 matrix is not symmetric, but W * Lap is, where W carries the trapezoid node
-weights (1/2 at endpoints). Those weights double as the quadrature used for
-all integral-like functionals; see fields.mean.
+weights (1/2 at endpoints), so Lap is self-adjoint in the trapezoid inner
+product <u, v>_W = u . (w v) that the 2D conjugate-gradient solve uses.
+Those weights double as the quadrature used for all integral-like
+functionals; see fields.mean.
 """
 from __future__ import annotations
 
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,19 +115,20 @@ def _lap1d_csr(n: int) -> sp.csr_matrix:
     return sp.diags([lower, np.full(n, -2.0 * scale), upper], [-1, 0, 1], format="csr")
 
 
-@lru_cache(maxsize=8)
 def _axis_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors (columns) of the symmetric
-    tridiagonal W1^(1/2) (-Lap1) W1^(-1/2) on n nodes: the interior stencil
-    (-1, 2, -1) / h^2, with the two boundary couplings -sqrt(2) / h^2.
-    Cached and shared, hence read-only."""
+    """(lam, V) with -Lap1 = V diag(lam) V' W1 on n nodes, W1 the trapezoid
+    axis weights, and V' W1 V = I. V = W1^(-1/2) Q, where Q holds the
+    orthonormal eigenvectors of the symmetric tridiagonal
+    W1^(1/2) (-Lap1) W1^(-1/2): the interior stencil (-1, 2, -1) / h^2,
+    with the two boundary couplings -sqrt(2) / h^2. Read-only."""
     scale = (n - 1.0) ** 2
     off = np.full(n - 1, -scale)
     off[[0, -1]] = -np.sqrt(2.0) * scale
-    pairs = eigh_tridiagonal(np.full(n, 2.0 * scale), off)
-    for a in pairs:
+    lam, q = eigh_tridiagonal(np.full(n, 2.0 * scale), off)
+    q /= np.sqrt(_axis_weights(n))[:, None]
+    for a in (lam, q):
         a.setflags(write=False)
-    return pairs
+    return lam, q
 
 
 def _read_only(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -138,10 +141,9 @@ _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _grid_operators(grid: Grid) -> tuple:
-    """(Lap, S, W^(1/2)) of the grid: the Laplacian as CSR and, in 2D, its
-    symmetric form S = W^(1/2) (-Lap) W^(-1/2) and the root trapezoid
-    weights (None in 1D). S scales Lap's entries and shares its index
-    arrays. Built once per grid and shared, read-only, by every
+    """(Lap, eig) of the grid: the Laplacian as CSR and, in 2D, the scaled
+    per-axis eigenpairs ((lam_x, V_x), (lam_y, V_y)) of _axis_eigenpairs
+    (None in 1D). Built once per grid and shared, read-only, by every
     NeumannLaplacian on that grid or on an equal one; the entry lives as
     long as the Grid it was built for."""
     ops = _OPERATORS.get(grid)
@@ -152,15 +154,12 @@ def _grid_operators(grid: Grid) -> tuple:
 
 def _build_operators(grid: Grid) -> tuple:
     if grid.dim == 1:
-        return _read_only(_lap1d_csr(grid.counts[0])), None, None
+        return _read_only(_lap1d_csr(grid.counts[0])), None
     nx, ny = grid.counts
     mat = (sp.kron(sp.eye(ny), _lap1d_csr(nx)) + sp.kron(_lap1d_csr(ny), sp.eye(nx))).tocsr()
-    root_w = np.sqrt(grid.node_weights)
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    sym = sp.csr_matrix(((root_w[rows] * -mat.data) * (1.0 / root_w)[mat.indices],
-                         mat.indices, mat.indptr), shape=mat.shape)
-    root_w.setflags(write=False)
-    return _read_only(mat), _read_only(sym), root_w
+    eig_x = _axis_eigenpairs(nx)
+    eig_y = eig_x if ny == nx else _axis_eigenpairs(ny)
+    return _read_only(mat), (eig_x, eig_y)
 
 
 class NeumannLaplacian:
@@ -171,21 +170,23 @@ class NeumannLaplacian:
     steps need. 1D systems are tridiagonal and go straight to LAPACK's gtsv
     (Gaussian elimination with partial pivoting), O(N) per solve; the
     Laplacian keeps the constant off-diagonals of the last mu it saw and
-    hands them to every 1D solve. 2D systems go through
-    preconditioned conjugate gradients on the symmetric form
-    W^(1/2) (mu * (-Lap) + diag(d)) W^(-1/2), which must be positive
-    definite: a 2D solve that meets a direction of nonpositive curvature
-    raises numpy.linalg.LinAlgError (see _Cg2D). The 1D solve takes any
+    hands them to every 1D solve. 2D systems go through preconditioned
+    conjugate gradients in the trapezoid inner product <u, v>_W = u . (w v),
+    in which mu * (-Lap) + diag(d) is self-adjoint since W * Lap is
+    symmetric. The matrix must be positive definite in that inner product:
+    a 2D solve that meets a direction of nonpositive curvature raises
+    numpy.linalg.LinAlgError (see _Cg2D). The 1D solve takes any
     nonsingular d. The preconditioner mu * (-Lap) + c I, with c the mean of
     |d|, is inverted exactly by fast diagonalization: the eigenvectors of
-    each axis's symmetrized 1D operator turn it into a diagonal, so one
-    application is four small dense matrix products.
+    each axis's 1D operator turn it into a diagonal, so one application is
+    four small dense matrix products. Both dimensions reject a non-finite d
+    or rhs with numpy.linalg.LinAlgError before solving.
 
-    The CSR Laplacian and, in 2D, its symmetric form and W^(1/2) are built
-    once per grid (_grid_operators, keyed weakly by the Grid) and shared,
-    read-only, by every NeumannLaplacian on that grid or an equal one; only
-    the 1D off-diagonals of the last mu belong to the instance. The
-    constructor stays the one construction point, cached or not.
+    The CSR Laplacian and, in 2D, the per-axis eigenpairs are built once per
+    grid (_grid_operators, keyed weakly by the Grid) and shared, read-only,
+    by every NeumannLaplacian on that grid or an equal one; only the 1D
+    off-diagonals of the last mu belong to the instance. The constructor
+    stays the one construction point, cached or not.
 
     Tolerance contract of solve_shifted(mu, d, rhs, rtol): a 2D solve
     returns x whose residual sup norm is at most max(floor, rtol) times
@@ -197,7 +198,7 @@ class NeumannLaplacian:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self._mat, self._symmetric, self._root_w = _grid_operators(grid)
+        self._mat, self._eig = _grid_operators(grid)
         self._last_band = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -232,17 +233,21 @@ class NeumannLaplacian:
         return self.shifted_factor(mu, diag).solve(rhs, rtol)
 
 
+def _require_finite(diag: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise numpy.linalg.LinAlgError on a non-finite entry of d or rhs, so
+    callers handle every 1D and 2D solve failure the same way. The check on
+    d matters even where the solve would run: an inf in d can still give a
+    finite x."""
+    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise np.linalg.LinAlgError("shifted solve: non-finite diagonal or rhs")
+
+
 class _Banded1D:
     """1D shifted system mu * (-Lap) + diag(d) as its three diagonals
     (dl, c + d, du), solved by LAPACK gtsv with no wrapper in between. The
     shared constant c = 2 mu / h^2 and off-diagonals come from
-    NeumannLaplacian._band.
-
-    Non-finite entries in d or rhs raise numpy.linalg.LinAlgError before
-    LAPACK sees them, as does an exactly singular matrix (gtsv info > 0),
-    so callers handle every 1D and 2D solve failure the same way. The check
-    on d stays even though gtsv would run: an inf in d can still give a
-    finite x.
+    NeumannLaplacian._band. An exactly singular matrix (gtsv info > 0)
+    raises numpy.linalg.LinAlgError.
     """
 
     def __init__(self, band: tuple[float, float, np.ndarray, np.ndarray],
@@ -253,8 +258,7 @@ class _Banded1D:
     def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
         """Direct solve; rtol is accepted for the common interface and ignored."""
         rhs = np.asarray(rhs, dtype=float)
-        if not (np.isfinite(self._d).all() and np.isfinite(rhs).all()):
-            raise np.linalg.LinAlgError("1D shifted solve: non-finite diagonal or rhs")
+        _require_finite(self._d, rhs)
         x, info = _GTSV(self._dl, self._d, self._du, rhs)[3:]
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
@@ -262,23 +266,32 @@ class _Banded1D:
 
 
 class _Cg2D:
-    """Preconditioned conjugate gradients for one 2D shifted system A x = rhs.
+    """Preconditioned conjugate gradients for one 2D shifted system A x = rhs,
+    A = mu * (-Lap) + diag(d).
 
-    The iteration (Hestenes and Stiefel 1952, J. Res. Nat. Bur. Standards
-    49) runs on the symmetric form S = W^(1/2) A W^(-1/2), with S and
-    W^(1/2) taken from the grid's shared read-only operators, and carries
-    the residual r = b - S x that CG recurs anyway. It stops as soon as
-    that residual, mapped back to A's rows, is under half the tolerance
-    times the larger of |x| and |rhs| (sup norms). x, r and the search
-    direction are updated in place.
+    W * Lap is symmetric, W the diagonal of trapezoid node weights w, so A
+    is self-adjoint in the trapezoid inner product <u, v>_W = u . (w v). The
+    iteration (Hestenes and Stiefel 1952, J. Res. Nat. Bur. Standards 49;
+    Saad, Iterative Methods for Sparse Linear Systems, 2003, section 9.2)
+    runs on A itself with W-weighted dot products and carries the residual
+    r = b - A x that CG recurs anyway. It stops as soon as that residual is
+    under half the tolerance times the larger of |x| and |rhs| (sup norms).
+    x, r and the search direction are updated in place, and the loop
+    allocates nothing but the sparse product.
 
-    CG needs S positive definite. On the solver's restart path from max(m)
-    and at every stable steady state (the adjoint), A is a nonsingular
-    M-matrix (see the solver module), so S is. A search direction p with
-    p'Sp <= 0 proves that S is not positive definite, and the solve raises
-    numpy.linalg.LinAlgError there; the solver takes that as a failed
-    Newton step, the adjoint as an unstable state. An indefinite S whose
-    directions all keep p'Sp > 0 may still be solved, to the same
+    The preconditioner M = mu * (-Lap) + c I, c = mean|d|, is self-adjoint
+    in the same inner product. Per axis -Lap1 = V diag(lam) V' W1 with
+    V' W1 V = I (_axis_eigenpairs), so M^(-1) r = V_y (E * (V_y' R V_x))
+    V_x', R being w r on the (ny, nx) grid and E the inverse eigenvalues
+    1 / (mu * (lam_y + lam_x) + c); then <r, z>_W = (w r) . z.
+
+    CG needs A positive definite in the trapezoid inner product. On the
+    solver's restart path from max(m) and at every stable steady state (the
+    adjoint), A is a nonsingular M-matrix (see the solver module), so it is.
+    A search direction p with p'WAp <= 0 proves that it is not, and the
+    solve raises numpy.linalg.LinAlgError there; the solver takes that as a
+    failed Newton step, the adjoint as an unstable state. An indefinite A
+    whose directions all keep p'WAp > 0 may still be solved, to the same
     tolerance.
 
     The tolerance is max(floor, rtol), where floor is the rounding floor
@@ -291,65 +304,72 @@ class _Cg2D:
     """
 
     def __init__(self, lap: NeumannLaplacian, mu: float, diag: np.ndarray):
-        nx, ny = lap.grid.counts
-        lam_x, self._qx = _axis_eigenpairs(nx)
-        lam_y, self._qy = _axis_eigenpairs(ny)
+        (lam_x, self._vx), (lam_y, self._vy) = lap._eig
         diag = np.asarray(diag, dtype=float)
         shift = max(float(np.mean(np.abs(diag))), 1e-12)
         self._inv_eig = 1.0 / (mu * (lam_y[:, None] + lam_x[None, :]) + shift)
+        self._work = np.empty((2,) + self._inv_eig.shape)
         self._lap, self._mu, self._diag = lap, mu, diag
         self._floor = residual_floor(lap.grid, mu) * max(1.0, float(np.abs(diag).max()))
 
-    def _precondition(self, v: np.ndarray) -> np.ndarray:
-        """(mu * S_Lap + c I)^(-1) v by fast diagonalization."""
-        qx, qy = self._qx, self._qy
-        z = qy.T @ v.reshape(qy.shape[0], qx.shape[0]) @ qx
-        z *= self._inv_eig
-        return (qy @ z @ qx.T).ravel()
+    def _apply(self, v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """A v = mu * (-Lap v) + d v, as a new array; tmp is scratch of v's size."""
+        q = self._lap._mat @ v
+        q *= -self._mu
+        q += np.multiply(self._diag, v, out=tmp)
+        return q
+
+    def _precondition(self, wr: np.ndarray, out: np.ndarray) -> None:
+        """out = M^(-1) r by fast diagonalization, given wr = w r (flat
+        arrays); the products go through the two (ny, nx) work buffers."""
+        vx, vy, work = self._vx, self._vy, self._work
+        np.matmul(vy.T, wr.reshape(work[0].shape), out=work[0])
+        np.matmul(work[0], vx, out=work[1])
+        work[1] *= self._inv_eig
+        np.matmul(vy, work[1], out=work[0])
+        np.matmul(work[0], vx.T, out=out.reshape(work[0].shape))
 
     def _cg(self, rhs: np.ndarray, tol: float) -> np.ndarray:
-        root_w = self._lap._root_w
-        res = root_w * rhs                  # recurred residual b - S x
-        z = self._precondition(res)
-        rz = float(res @ z)
+        w = self._lap.grid.node_weights
+        res = rhs.copy()                    # recurred residual b - A x
+        tmp, wr, z = np.empty_like(res), np.empty_like(res), np.empty_like(res)
+        self._precondition(np.multiply(w, res, out=wr), z)
+        rz = float(wr @ z)
         if not rz > 0.0:
             return np.zeros_like(rhs)
-        sym, mu, diag = self._lap._symmetric, self._mu, self._diag
         limit = 0.5 * tol
         rhs_max = float(np.abs(rhs).max())
         x = np.zeros_like(res)
-        p = z
-        tmp = np.empty_like(res)
+        p = z.copy()
         for _ in range(_KRYLOV_MAXITER):
-            q = sym @ p
-            q *= mu
-            q += np.multiply(diag, p, out=tmp)
-            curvature = float(p @ q)
+            q = self._apply(p, tmp)
+            curvature = float(p @ np.multiply(w, q, out=tmp))
             if not curvature > 0.0:
                 raise np.linalg.LinAlgError(
                     f"2D shifted solve: matrix is not positive definite "
-                    f"(p'Ap = {curvature:.3e})")
+                    f"(p'WAp = {curvature:.3e})")
             alpha = rz / curvature
             x += np.multiply(p, alpha, out=tmp)
             res -= np.multiply(q, alpha, out=tmp)
-            res_max = float(np.abs(np.divide(res, root_w, out=tmp)).max())
-            x_max = float(np.abs(np.divide(x, root_w, out=tmp)).max())
+            res_max = float(np.abs(res, out=tmp).max())
+            x_max = float(np.abs(x, out=tmp).max())
             if res_max <= limit * max(rhs_max, x_max):
                 break
-            z = self._precondition(res)
-            rz, rz_old = float(res @ z), rz
+            self._precondition(np.multiply(w, res, out=wr), z)
+            rz, rz_old = float(wr @ z), rz
             p *= rz / rz_old
             p += z
-        return x / root_w
+        return x
 
     def _residual(self, x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """True residual rhs - A x, and its sup norm relative to max(|x|, |rhs|)."""
-        r = rhs - (self._mu * (-(self._lap._mat @ x)) + self._diag * x)
+        r = rhs - self._apply(x, np.empty_like(x))
         scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(rhs))))
         return r, float(np.max(np.abs(r))) / max(scale, 1e-300)
 
     def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
+        _require_finite(self._diag, rhs)
         tol = self._floor if rtol is None else max(self._floor, rtol)
         x = self._cg(rhs, tol)
         r, rel = self._residual(x, rhs)

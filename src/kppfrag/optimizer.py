@@ -25,7 +25,7 @@ matrix is the final Newton Jacobian; the adjoint solves it afresh (a direct
 LAPACK tridiagonal solve in 1D, preconditioned conjugate gradients in 2D)
 and gates the result on its residual; a failed or non-finite solve raises
 SingularAdjoint. At a stable steady state the matrix is a nonsingular
-M-matrix, positive definite in the trapezoid-weighted form CG uses; a 2D
+M-matrix, positive definite in the trapezoid inner product CG uses; a 2D
 solve that finds it is not (an unstable state, such as theta ~ 0) fails,
 and so raises SingularAdjoint too.
 With the trapezoid weights w this g is the exact discrete gradient (not an

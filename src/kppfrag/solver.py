@@ -25,7 +25,7 @@ iterate is not strictly positive. It then restarts once from max(m), with
 no test. A failed solve is how an indefinite Newton matrix shows in 2D,
 where the conjugate-gradient solve takes positive definite matrices only;
 on the restart path every Newton matrix is a nonsingular M-matrix, which
-is positive definite in the symmetric form the solve uses. It also
+is positive definite in the trapezoid inner product the solve uses. It also
 restarts when the first run converges with weighted mean below mean(m):
 every positive steady state has mean at least mean(m), so it has found
 theta ~ 0. A damped step would buy nothing, since any full step leaves
@@ -159,8 +159,9 @@ def solve_steady_state(
         preset. The caps are fixed: MAX_NEWTON_ITERS Newton steps per run,
         and Newton's linear solves stopped at the forcing term
         min(NEWTON_FORCING, ||R||_inf / 2).
-    theta0 : optional warm start (flat nodal array), floored at 1e-300.
-        Without it the solve starts from the constant mean(m).
+    theta0 : optional warm start (flat nodal array), used as given and
+        never written to. Without it the solve starts from the constant
+        mean(m).
     lap : optional prebuilt Laplacian for m.grid (reused across solves in
         the optimizer loops).
 
@@ -197,7 +198,7 @@ def solve_steady_state(
     theta = (
         np.full(m.grid.num_nodes, mbar)
         if theta0 is None
-        else np.maximum(np.asarray(theta0, dtype=float), 1e-300)
+        else np.asarray(theta0, dtype=float)
     )
     floor_limit = residual_floor(m.grid, mu)
     theta, rnorm, newton_iters, stalled = _newton(

@@ -272,13 +272,19 @@ def test_shifted_solve_2d_stops_on_its_recurred_residual(monkeypatch, n, mu, kin
 
 
 def test_grid_operators_are_shared_and_read_only():
-    g = Grid((12, 12))
-    a, b = NeumannLaplacian(g), NeumannLaplacian(Grid((12, 12)))
-    assert a._mat is b._mat and a._symmetric is b._symmetric
-    for arr in (a._mat.data, a._mat.indices, a._mat.indptr,
-                a._symmetric.data, a._root_w):
+    g = Grid((12, 9))
+    a, b = NeumannLaplacian(g), NeumannLaplacian(Grid((12, 9)))
+    assert a._mat is b._mat and a._eig is b._eig
+    for arr in (a._mat.data, a._mat.indices, a._mat.indptr, *a._eig[0], *a._eig[1]):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+    # per axis -Lap1 = V diag(lam) V' W1 with V' W1 V = I
+    for n, (lam, v) in zip(g.counts, a._eig):
+        w1 = np.full(n, 1.0)
+        w1[[0, -1]] = 0.5
+        assert np.allclose(v.T @ (w1[:, None] * v), np.eye(n), atol=1e-12)
+        lap1 = NeumannLaplacian(Grid((n,)))._mat.toarray()
+        assert np.allclose(-lap1 @ v, v * lam, atol=1e-9 * lam.max())
     rng = np.random.default_rng(2)
     diag, rhs = rng.uniform(0.0, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
     first = a.solve_shifted(0.05, diag, rhs)
@@ -335,10 +341,18 @@ def test_shifted_solve_1d_bytes_match_solve_banded_oracle(n):
 @pytest.mark.parametrize("diag, rhs", [
     ([1.0, np.nan, 1.0], [1.0, 1.0, 1.0]),
     ([1.0, 1.0, 1.0], [1.0, np.inf, 1.0]),
+    ([1.0, np.inf, 1.0], [1.0, 1.0, 1.0]),
 ])
-def test_shifted_solve_1d_nonfinite_raises_linalg_error(diag, rhs):
-    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-        NeumannLaplacian(Grid((3,))).solve_shifted(0.25, np.array(diag), np.array(rhs))
+def test_shifted_solve_1d_nonfinite_raises_linalg_error(monkeypatch, diag, rhs):
+    # rejected up front in both dimensions, with the same message; no CG
+    # pass runs in 2D
+    passes = _cg_passes(monkeypatch)
+    for counts in ((3,), (3, 3)):
+        reps = Grid(counts).num_nodes // 3
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite diagonal or rhs"):
+            NeumannLaplacian(Grid(counts)).solve_shifted(
+                0.25, np.tile(diag, reps), np.tile(rhs, reps))
+    assert passes == []
 
 
 def test_shifted_solve_1d_singular_raises_linalg_error():

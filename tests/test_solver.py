@@ -477,7 +477,10 @@ def test_krylov_stall_surfaces_as_no_convergence(monkeypatch):
 @pytest.mark.parametrize("counts", [(33,), (12, 12)])
 def test_nonfinite_warm_start_restarts_from_max_m(counts):
     # a NaN warm start never counts as converged: its first Newton solve
-    # fails, and the solve restarts from max(m), as after a NaN iterate
+    # fails, and the solve restarts from max(m), as after a NaN iterate.
+    # A start with zero and negative entries is used as given, unclipped:
+    # the solve still returns the positive state and leaves the caller's
+    # array alone (read-only here, so any write would raise)
     m = make_crenel(Grid(counts), 1.0, 0.3)
     params = ProblemParams(mu=0.1, kappa=1.0, m0=0.3)
     state = solve_steady_state(m, params, theta0=np.full(m.grid.num_nodes, np.nan))
@@ -485,6 +488,13 @@ def test_nonfinite_warm_start_restarts_from_max_m(counts):
     assert np.isfinite(state.theta.values).all()
     assert float(np.min(state.theta.values)) > 0.0
     assert total_population(state) >= 0.3
+    rough = np.where(np.arange(m.grid.num_nodes) % 3 == 0, -0.5, 0.0)
+    rough.setflags(write=False)
+    before = rough.tobytes()
+    warm = solve_steady_state(m, params, theta0=rough)
+    assert rough.tobytes() == before
+    assert float(np.min(warm.theta.values)) > 0.0
+    assert np.allclose(warm.theta.values, state.theta.values, rtol=1e-10, atol=0.0)
 
 
 def test_continuity_ratio_battery_reported(capsys):
