@@ -68,10 +68,12 @@ class Grid:
     @cached_property
     def node_weights(self) -> np.ndarray:
         """Trapezoid quadrature weight per node, flattened; sums to
-        prod(N_axis - 1), i.e. 1/h^dim times the domain volume."""
+        prod(N_axis - 1), i.e. 1/h^dim times the domain volume. Read-only:
+        the 2D solves weight their inner products with it."""
         w = _axis_weights(self.counts[0])
         if self.dim == 2:
             w = np.outer(_axis_weights(self.counts[1]), w).ravel()
+        w.setflags(write=False)
         return w
 
     def mean(self, values: np.ndarray) -> float:

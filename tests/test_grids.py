@@ -275,7 +275,8 @@ def test_grid_operators_are_shared_and_read_only():
     g = Grid((12, 9))
     a, b = NeumannLaplacian(g), NeumannLaplacian(Grid((12, 9)))
     assert a._mat is b._mat and a._eig is b._eig
-    for arr in (a._mat.data, a._mat.indices, a._mat.indptr, *a._eig[0], *a._eig[1]):
+    for arr in (a._mat.data, a._mat.indices, a._mat.indptr, *a._eig[0], *a._eig[1],
+                g.node_weights):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     # per axis -Lap1 = V diag(lam) V' W1 with V' W1 V = I
