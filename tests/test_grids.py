@@ -281,8 +281,7 @@ def test_grid_operators_are_shared_and_read_only():
             arr[0] = 1.0
     # per axis -Lap1 = V diag(lam) V' W1 with V' W1 V = I
     for n, (lam, v) in zip(g.counts, a._eig):
-        w1 = np.full(n, 1.0)
-        w1[[0, -1]] = 0.5
+        w1 = Grid((n,)).node_weights
         assert np.allclose(v.T @ (w1[:, None] * v), np.eye(n), atol=1e-12)
         lap1 = NeumannLaplacian(Grid((n,)))._mat.toarray()
         assert np.allclose(-lap1 @ v, v * lam, atol=1e-9 * lam.max())
