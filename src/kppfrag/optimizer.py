@@ -3,14 +3,15 @@
 The loop implemented by `optimize` is, per start:
 
     solve PDE -> solve adjoint -> nodal gradient -> exact LP direction
-    -> Armijo backtracking ascent
+    -> full step to the LP vertex m + xi
 
 repeated until the LP value drops under STOP_LP_VALUE (a vertex of the
 admissible polytope), the relative objective change stays under
-STOP_REL_OBJECTIVE for STOP_PLATEAU_ITERS steps, no Armijo step is accepted,
-or OptimConfig.max_outer_iters is hit. The line search starts at
-INITIAL_STEP, shrinks by ARMIJO_SHRINK down to ARMIJO_MIN_STEP and asks for
-the fraction ARMIJO_C of the LP gain; the steady states use SolverConfig().
+STOP_REL_OBJECTIVE for STOP_PLATEAU_ITERS steps, the full step is rejected,
+or OptimConfig.max_outer_iters is hit. This is a conditional-gradient
+(Frank-Wolfe) iteration with unit step: one steady solve tests m + xi, which
+is accepted when F rises by at least the fraction ARMIJO_C of the LP gain;
+the steady states use SolverConfig().
 These constants are fixed; OptimConfig carries only the number of starts,
 the seed and the outer-iteration cap. Multi-start plays the global-search
 role; starts are seeded Fourier fields and fully reproducible.
@@ -64,13 +65,10 @@ class OptimizationError(RuntimeError):
     """Every start failed; carries the per-start error messages."""
 
 
-ARMIJO_C = 1e-4               # sufficient-increase fraction of the LP gain
-ARMIJO_SHRINK = 0.5           # backtracking factor
-ARMIJO_MIN_STEP = 2.0 ** -20  # smallest trial step; below it the step is 0
-INITIAL_STEP = 1.0            # first trial step along the LP direction
-STOP_REL_OBJECTIVE = 1e-9     # relative F change counted as a plateau step
-STOP_PLATEAU_ITERS = 5        # consecutive plateau steps that stop a start
-STOP_LP_VALUE = 1e-10         # LP value under which m is a vertex
+ARMIJO_C = 1e-4            # sufficient-increase fraction of the LP gain
+STOP_REL_OBJECTIVE = 1e-9  # relative F change counted as a plateau step
+STOP_PLATEAU_ITERS = 5     # consecutive plateau steps that stop a start
+STOP_LP_VALUE = 1e-10      # LP value under which m is a vertex
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ def best_perturbation(g: ScalarField, m: ResourceField) -> tuple[ScalarField, fl
 
 
 # ---------------------------------------------------------------------------
-# line search
+# vertex step
 
 def armijo_ascent_step(
     m: ResourceField,
@@ -202,31 +200,26 @@ def armijo_ascent_step(
     theta0: np.ndarray | None = None,
     lap: NeumannLaplacian | None = None,
 ):
-    """Largest backtracked step t with F(m + t xi) >= F(m) + c t lp_value,
-    c = ARMIJO_C, trying t = INITIAL_STEP, then shrinking by ARMIJO_SHRINK.
+    """Full step to the LP vertex: accept m + xi when
+    F(m + xi) >= F(m) + c lp_value, c = ARMIJO_C.
 
-    Convexity of the admissible class keeps every trial iterate admissible
-    (m + xi is admissible by LP construction, and t in [0, 1]); the clip
-    only removes floating-point dust. On sufficient increase returns
-    (m_next, F_next, step, state); when no step down to ARMIJO_MIN_STEP
-    is accepted, returns (m, F_current, 0.0, None) which signals
-    termination to the caller.
+    m + xi is admissible by LP construction; the clip only removes
+    floating-point dust. On sufficient increase returns
+    (m + xi, F_next, 1.0, state); when the increase falls short or the
+    trial's steady solve does not converge, returns (m, F_current, 0.0,
+    None), which signals termination to the caller. Makes at most one
+    steady solve.
     """
     if lp_value <= 0.0 or not np.any(xi.values):
         return m, F_current, 0.0, None
-    step = INITIAL_STEP
-    while step >= ARMIJO_MIN_STEP:
-        trial_vals = np.clip(m.values + step * xi.values, 0.0, m.kappa)
-        trial = m.with_values(trial_vals)
-        try:
-            state = solve_steady_state(trial, params, theta0=theta0, lap=lap)
-        except NoConvergence:
-            step *= ARMIJO_SHRINK
-            continue
-        F_trial = total_population(state)
-        if F_trial >= F_current + ARMIJO_C * step * lp_value:
-            return trial, F_trial, step, state
-        step *= ARMIJO_SHRINK
+    trial = m.with_values(np.clip(m.values + xi.values, 0.0, m.kappa))
+    try:
+        state = solve_steady_state(trial, params, theta0=theta0, lap=lap)
+    except NoConvergence:
+        return m, F_current, 0.0, None
+    F_trial = total_population(state)
+    if F_trial >= F_current + ARMIJO_C * lp_value:
+        return trial, F_trial, 1.0, state
     return m, F_current, 0.0, None
 
 
@@ -310,9 +303,7 @@ def _run_single_start(args) -> tuple:
         trajectory: list = []
         plateau = 0
         termination = "max_iters"
-        iterations = 0
         for _ in range(cfg.max_outer_iters):
-            iterations += 1
             p = solve_adjoint(m_cur, state.theta, params, lap=lap)
             g = objective_gradient(state.theta, p)
             xi, lp_value = best_perturbation(g, m_cur)
@@ -338,7 +329,7 @@ def _run_single_start(args) -> tuple:
             start_index=start_index,
             F=F_cur,
             termination=termination,
-            iterations=iterations,
+            iterations=len(trajectory),
             trajectory=trajectory,
             error=None,
         ), m_cur

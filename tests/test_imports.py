@@ -1,8 +1,9 @@
 """Lint (stdlib ast only): every import in the package modules and the test
 files is used, the package's __init__ exports exactly what it imports, and
-every config field and every public function and class of the package is
-used by some caller outside the tests. The command line has one parser,
-with one flag per run setting, and every constant the README names exists."""
+every config field, every public function and class and every module
+constant of the package is used by some caller outside the tests. The
+command line has one parser, with one flag per run setting, and every
+constant the README names exists."""
 import argparse
 import ast
 import dataclasses
@@ -72,12 +73,30 @@ def public_definitions(source: str) -> list[str]:
             and not node.name.startswith("_")]
 
 
+def module_constants(source: str) -> list[str]:
+    """ALL-CAPS names bound at a module's top level, private ones included;
+    a tuple target binds each of its names."""
+    names = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        names += [node.id for target in targets for node in ast.walk(target)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                  and re.fullmatch(r"_*[A-Z][A-Z0-9_]*", node.id)]
+    return names
+
+
 def names_referenced(source: str) -> set[str]:
-    """Names a module refers to: bare names, attribute names and the names
-    it imports from other modules. Definitions do not count."""
+    """Names a module refers to: bare names it reads, attribute names and
+    the names it imports from other modules. Definitions and assignments
+    do not count."""
     refs = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
@@ -117,6 +136,17 @@ def test_reference_checker_reads_names_attributes_and_imports():
             "def unused(): pass\n")
     refs = names_referenced(user)
     assert [n for n in public_definitions(defs) if n not in refs] == ["unused"]
+
+
+def test_constant_checker_reads_loads_attributes_and_imports():
+    defs = ("READ = 1\n_BY_ATTRIBUTE: int = 2\n(BY_IMPORT,) = f()\nSTORED = 4\n"
+            "lower = 5\nMixed_Case = 6\nx[K] = 7\ndef g():\n    INNER = 8\n")
+    assert module_constants(defs) == [
+        "READ", "_BY_ATTRIBUTE", "BY_IMPORT", "STORED"]
+    user = ("y = READ + 1\nmod._BY_ATTRIBUTE\nfrom pkg.mod import BY_IMPORT\n"
+            "STORED = 0\n")
+    refs = names_referenced(user)
+    assert [n for n in module_constants(defs) if n not in refs] == ["STORED"]
 
 
 def test_readme_checker_reads_spans_and_prefixes():
@@ -164,6 +194,17 @@ def test_every_public_name_has_a_caller():
                 for name in public_definitions(path.read_text(encoding="utf-8"))
                 if name not in referenced]
     assert uncalled == []
+
+
+def test_every_constant_has_a_reader():
+    # a module constant that no code outside the tests reads is left over
+    # from code that is gone
+    referenced = set().union(*(names_referenced(path.read_text(encoding="utf-8"))
+                               for path in CALLERS))
+    unread = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+              for name in module_constants(path.read_text(encoding="utf-8"))
+              if name not in referenced]
+    assert unread == []
 
 
 def test_cli_has_one_parser_with_one_flag_per_setting():

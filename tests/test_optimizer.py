@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from kppfrag import (
     DegenerateSample,
     Grid,
+    NoConvergence,
     OptimConfig,
     OptimizationError,
     ProblemParams,
@@ -203,7 +204,7 @@ def test_lp_matches_bruteforce_2d():
 
 
 # ---------------------------------------------------------------------------
-# line search
+# vertex step
 
 def test_armijo_zero_direction_is_noop():
     g = Grid((33,))
@@ -241,9 +242,35 @@ def test_armijo_first_step_increases_objective():
     m1, F1, step, _ = armijo_ascent_step(
         m, xi, F0, lp_value, params, theta0=state.theta.values
     )
-    assert step > 0.0
+    assert step == 1.0
     assert F1 > F0
-    assert F1 >= F0 + optimizer_mod.ARMIJO_C * step * lp_value
+    assert F1 >= F0 + optimizer_mod.ARMIJO_C * lp_value
+
+
+def test_unconverged_trial_is_rejected_after_one_solve(monkeypatch):
+    # the full step is the only trial: a steady solve that does not
+    # converge ends the step at once, with m and F unchanged
+    g = Grid((33,))
+    params = ProblemParams(mu=0.1, kappa=1.0, m0=0.3)
+    m = random_fourier_guess(g, 1.0, 0.3, 3)
+    state = solve_steady_state(m, params)
+    F0 = total_population(state)
+    grad = objective_gradient(state.theta, solve_adjoint(m, state.theta, params))
+    xi, lp_value = best_perturbation(grad, m)
+    assert lp_value > 0.0
+    solves = []
+
+    def failing_solve(*args, **kwargs):
+        solves.append(args[0])
+        raise NoConvergence("forced by test", float("nan"))
+
+    monkeypatch.setattr(optimizer_mod, "solve_steady_state", failing_solve)
+    m2, F2, step, state2 = armijo_ascent_step(
+        m, xi, F0, lp_value, params, theta0=state.theta.values
+    )
+    assert m2 is m and F2 == F0 and step == 0.0 and state2 is None
+    assert len(solves) == 1
+    assert np.array_equal(solves[0].values, np.clip(m.values + xi.values, 0.0, 1.0))
 
 
 def test_constant_resource_is_stationary_at_lp_level():
@@ -379,11 +406,13 @@ def test_optimize_all_starts_failing(monkeypatch):
 
 
 def _check_finished_start(rec, max_outer_iters):
-    """F never drops along the trajectory of a finished start, and its
-    termination label agrees with the last row."""
+    """F never drops along the trajectory of a finished start, every step
+    before the last is the full step, and the termination label agrees with
+    the last row."""
     Fs = [row[0] for row in rec.trajectory]
     assert len(Fs) == rec.iterations >= 1 and rec.F == Fs[-1]
     assert all(b >= a for a, b in zip(Fs, Fs[1:]))
+    assert all(row[1] == 1.0 for row in rec.trajectory[:-1])
     _, step, lp_value = rec.trajectory[-1]
     if rec.termination == "lp_value":
         assert step == 0.0 and lp_value < optimizer_mod.STOP_LP_VALUE
@@ -417,7 +446,7 @@ def test_ascent_properties(n, mu, max_outer_iters, seed):
 
 
 @pytest.mark.parametrize("constant, value, n, mu, label, iterations", [
-    # no trial can gain 1e12 times the LP value: the first line search fails
+    # no full step can gain 1e12 times the LP value: the first is rejected
     ("ARMIJO_C", 1e12, 33, 0.1, "step_zero", [1, 1]),
     # every accepted step counts as a plateau step
     ("STOP_REL_OBJECTIVE", 1.0, 65, 0.01, "objective_plateau", [5]),
@@ -425,10 +454,31 @@ def test_ascent_properties(n, mu, max_outer_iters, seed):
 def test_rare_termination_labels(monkeypatch, constant, value, n, mu, label,
                                  iterations):
     monkeypatch.setattr(optimizer_mod, constant, value)
+    solve = optimizer_mod.solve_steady_state
+    ascent_step = optimizer_mod.armijo_ascent_step
+    trial_solves = []          # steady solves made inside each ascent step
+
+    def counting_step(*args, **kwargs):
+        trial_solves.append(0)
+
+        def counting_solve(*solve_args, **solve_kwargs):
+            trial_solves[-1] += 1
+            return solve(*solve_args, **solve_kwargs)
+
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(optimizer_mod, "solve_steady_state", counting_solve)
+            return ascent_step(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer_mod, "armijo_ascent_step", counting_step)
     cfg = OptimConfig(starts=2, seed=0)
     run = optimize(ProblemParams(mu=mu, kappa=1.0, m0=0.3), Grid((n,)), cfg)
     labelled = [rec for rec in run.starts if rec.termination == label]
     assert [rec.iterations for rec in labelled] == iterations
+    # one trial per ascent step, and a rejected full step is not backtracked;
+    # a start that ends on lp_value takes no ascent step in its last row
+    steps = sum(rec.iterations - (rec.termination == "lp_value")
+                for rec in run.starts)
+    assert trial_solves == [1] * steps
     for rec in run.starts:
         assert not rec.failed
         _check_finished_start(rec, cfg.max_outer_iters)
