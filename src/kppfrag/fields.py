@@ -47,6 +47,11 @@ class ScalarField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    def __reduce__(self):
+        # rebuild through the constructor, which validates the values again
+        # and makes them read-only; a pickled array comes back writable
+        return ScalarField, (self.grid, self.values)
+
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -90,6 +95,9 @@ class ResourceField(ScalarField):
             )
         object.__setattr__(self, "kappa", float(kappa))
         object.__setattr__(self, "m0", float(m0))
+
+    def __reduce__(self):
+        return ResourceField, (self.grid, self.values, self.kappa, self.m0)
 
     def with_values(self, values: np.ndarray) -> "ResourceField":
         return ResourceField(self.grid, values, self.kappa, self.m0)

@@ -50,6 +50,10 @@ class Grid:
                 raise GridError(f"need at least 3 nodes per axis, got {n}")
         object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
 
+    def __reduce__(self):
+        # rebuild through the constructor: the cached node weights stay behind
+        return Grid, (self.counts,)
+
     @property
     def dim(self) -> int:
         return len(self.counts)
@@ -298,9 +302,8 @@ class _Cg2D:
 
     The tolerance is max(floor, rtol), where floor is the rounding floor
     residual_floor times max(1, |d|) and rtol the optional relative
-    tolerance of solve (None: the floor alone). solve then measures the
-    true residual; above the tolerance it makes one refinement pass for the
-    correction, and if the residual is still above the tolerance it raises
+    tolerance of solve (None: the floor alone). solve makes one CG pass and
+    then measures the true residual once; above the tolerance it raises
     numpy.linalg.LinAlgError naming the tolerance it enforced, as the 1D
     gtsv solve does for a singular matrix.
     """
@@ -363,28 +366,24 @@ class _Cg2D:
             p += z
         return x
 
-    def _residual(self, x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """True residual rhs - A x, and its sup norm relative to max(|x|, |rhs|)."""
+    def _residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
+        """Sup norm of the true residual rhs - A x relative to max(|x|, |rhs|)."""
         r = rhs - self._apply(x, np.empty_like(x))
         scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(rhs))))
-        return r, float(np.max(np.abs(r))) / max(scale, 1e-300)
+        return float(np.max(np.abs(r))) / max(scale, 1e-300)
 
     def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         _require_finite(self._diag, rhs)
         tol = self._floor if rtol is None else max(self._floor, rtol)
         x = self._cg(rhs, tol)
-        r, rel = self._residual(x, rhs)
-        if rel > tol:
-            x = x + self._cg(r, tol)
-            r, rel = self._residual(x, rhs)
+        rel = self._residual(x, rhs)
         if not rel <= tol:
             enforced = (f"the rounding floor {self._floor:.3e}" if rtol is None else
                         f"the tolerance {tol:.3e} = max(requested rtol {rtol:.3e}, "
                         f"rounding floor {self._floor:.3e})")
             raise np.linalg.LinAlgError(
-                f"2D shifted solve: relative residual {rel:.3e} above "
-                f"{enforced} after refinement")
+                f"2D shifted solve: relative residual {rel:.3e} above {enforced}")
         return x
 
 

@@ -6,9 +6,8 @@ The loop implemented by `optimize` is, per start:
     -> full step to the LP vertex m + xi
 
 repeated until the LP value drops under STOP_LP_VALUE (a vertex of the
-admissible polytope), the relative objective change stays under
-STOP_REL_OBJECTIVE for STOP_PLATEAU_ITERS steps, the full step is rejected,
-or OptimConfig.max_outer_iters is hit. This is a conditional-gradient
+admissible polytope), the full step is rejected, or
+OptimConfig.max_outer_iters is hit. This is a conditional-gradient
 (Frank-Wolfe) iteration with unit step: one steady solve tests m + xi, which
 is accepted when F rises by at least the fraction ARMIJO_C of the LP gain;
 the steady states use SolverConfig().
@@ -66,8 +65,6 @@ class OptimizationError(RuntimeError):
 
 
 ARMIJO_C = 1e-4            # sufficient-increase fraction of the LP gain
-STOP_REL_OBJECTIVE = 1e-9  # relative F change counted as a plateau step
-STOP_PLATEAU_ITERS = 5     # consecutive plateau steps that stop a start
 STOP_LP_VALUE = 1e-10      # LP value under which m is a vertex
 
 
@@ -301,7 +298,6 @@ def _run_single_start(args) -> tuple:
         state = solve_steady_state(m_cur, params, lap=lap)
         F_cur = total_population(state)
         trajectory: list = []
-        plateau = 0
         termination = "max_iters"
         for _ in range(cfg.max_outer_iters):
             p = solve_adjoint(m_cur, state.theta, params, lap=lap)
@@ -311,19 +307,14 @@ def _run_single_start(args) -> tuple:
                 trajectory.append((F_cur, 0.0, lp_value))
                 termination = "lp_value"
                 break
-            m_next, F_next, step, state_next = armijo_ascent_step(
+            # a rejected step returns m_cur and F_cur unchanged
+            m_cur, F_cur, step, state = armijo_ascent_step(
                 m_cur, xi, F_cur, lp_value, params,
                 theta0=state.theta.values, lap=lap,
             )
-            trajectory.append((F_next, step, lp_value))
+            trajectory.append((F_cur, step, lp_value))
             if step == 0.0:
                 termination = "step_zero"
-                break
-            rel_change = abs(F_next - F_cur) / max(1.0, abs(F_next))
-            plateau = plateau + 1 if rel_change < STOP_REL_OBJECTIVE else 0
-            m_cur, F_cur, state = m_next, F_next, state_next
-            if plateau >= STOP_PLATEAU_ITERS:
-                termination = "objective_plateau"
                 break
         return StartRecord(
             start_index=start_index,

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +67,26 @@ def test_resource_field_with_values_revalidates():
     m2 = m.with_values(m.values[::-1].copy())
     assert isinstance(m2, ResourceField)
     assert m2.kappa == 1.0
+
+
+@pytest.mark.parametrize("counts", [(33,), (12, 9)])
+def test_pickle_round_trip_rebuilds_through_the_constructor(counts):
+    # a pickled array comes back writable and a pickled dataclass keeps its
+    # cached properties; grids and fields are rebuilt from their arguments
+    g = Grid(counts)
+    m = make_crenel(g, 1.0, 0.3)
+    w = ScalarField(g, g.node_weights)
+    assert "node_weights" in vars(g)
+    assert vars(pickle.loads(pickle.dumps(g))) == {"counts": counts}
+    g2, m2, w2 = pickle.loads(pickle.dumps((g, m, w)))
+    assert g2 == g
+    assert type(m2) is ResourceField and (m2.kappa, m2.m0) == (1.0, 0.3)
+    assert type(w2) is ScalarField
+    for got, sent in ((m2, m), (w2, w)):
+        assert got.grid is g2
+        assert got.values.tobytes() == sent.values.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got.values[0] = 0.5
 
 
 def test_mean_constant_and_endpoint_weighting():

@@ -191,14 +191,16 @@ def test_shifted_solve_2d_spd_matches_dense_oracle(monkeypatch, rtol):
 
 
 def test_shifted_solve_2d_stall_raises_linalg_error(monkeypatch):
-    # one Krylov step per pass cannot reach the rounding floor on a
-    # variable shift; the solve must give up with a LinAlgError, not loop
+    # one Krylov step cannot reach the rounding floor on a variable shift;
+    # the solve must give up after its one CG pass with a LinAlgError
     g = Grid((10, 12))
     rng = np.random.default_rng(0)
     monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
+    passes = _cg_passes(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError, match="above the rounding floor"):
         NeumannLaplacian(g).solve_shifted(0.1, rng.uniform(-1.0, 1.0, g.num_nodes),
                                           rng.standard_normal(g.num_nodes))
+    assert len(passes) == 1
 
 
 def test_shifted_solve_2d_rtol_bounds_relative_residual():
@@ -227,9 +229,11 @@ def test_shifted_solve_2d_stall_with_rtol_names_the_tolerance(monkeypatch):
     g = Grid((10, 12))
     rng = np.random.default_rng(0)
     monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
+    passes = _cg_passes(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError, match="requested rtol 1.000e-06"):
         NeumannLaplacian(g).solve_shifted(0.1, rng.uniform(-1.0, 1.0, g.num_nodes),
                                           rng.standard_normal(g.num_nodes), rtol=1e-6)
+    assert len(passes) == 1
 
 
 def _shift(kind: str, num_nodes: int, rng) -> np.ndarray:
@@ -247,9 +251,9 @@ def _shift(kind: str, num_nodes: int, rng) -> np.ndarray:
 def test_shifted_solve_2d_stops_on_its_recurred_residual(monkeypatch, n, mu, kind, rtol):
     # The CG loop stops once its recurred residual is under half the
     # tolerance. Were the recurrence to drift below the true residual, the
-    # loop would stop early: solve would need a second (refinement) pass,
-    # or the true residual would land above the half tolerance the loop
-    # claims (checked where rtol is far above the rounding floor). An
+    # loop would stop early, and the true residual would land above the
+    # tolerance (solve raises) or above the half tolerance the loop claims
+    # (checked where rtol is far above the rounding floor). An
     # indefinite shift either meets the same test or is rejected, by the
     # curvature test of the first pass.
     g = Grid((n, n))

@@ -108,10 +108,11 @@ def names_referenced(source: str) -> set[str]:
 def readme_constants(text: str) -> list[str]:
     """ALL-CAPS names in the inline code spans of a markdown text, with
     their module prefix when they have one. Fenced blocks are skipped, and
-    environment variables (KPPFRAG_*) are not names of the package."""
+    environment variables are not names of the package: KPPFRAG_* and any
+    name assigned as NAME=value."""
     text = re.sub(r"```.*?```", "", text, flags=re.S)
     names = [match.group(0) for span in re.findall(r"`([^`\n]+)`", text)
-             for match in re.finditer(r"(?:\b[a-z_]+\.)?\b[A-Z][A-Z0-9_]+\b", span)]
+             for match in re.finditer(r"(?:\b[a-z_]+\.)?\b[A-Z][A-Z0-9_]+\b(?!=[^=])", span)]
     return [name for name in names if not name.startswith("KPPFRAG_")]
 
 
@@ -155,6 +156,12 @@ def test_readme_checker_reads_spans_and_prefixes():
             "or SOLO.\n```\nFENCED_NAME\n```\n")
     assert readme_constants(text) == [
         "solver.MAX_NEWTON_ITERS", "ARMIJO_C", "solver.NEWTON_FORCING"]
+
+
+def test_readme_checker_skips_environment_assignments():
+    text = ("Run `OMP_NUM_THREADS=1 PYTHONPATH=src python -m pytest`; `BOGUS_NAME`\n"
+            "and `BOGUS_NAME==1` are still names.\n")
+    assert readme_constants(text) == ["BOGUS_NAME", "BOGUS_NAME"]
 
 
 def test_export_checker_reads_imports_and_all():

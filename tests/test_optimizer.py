@@ -418,12 +418,6 @@ def _check_finished_start(rec, max_outer_iters):
         assert step == 0.0 and lp_value < optimizer_mod.STOP_LP_VALUE
     elif rec.termination == "step_zero":
         assert step == 0.0
-    elif rec.termination == "objective_plateau":
-        # the change from the unrecorded start F is not in the trajectory
-        plateau = optimizer_mod.STOP_PLATEAU_ITERS
-        changes = [abs(b - a) / max(1.0, abs(b)) for a, b in zip(Fs, Fs[1:])]
-        assert len(Fs) >= plateau
-        assert all(c < optimizer_mod.STOP_REL_OBJECTIVE for c in changes[-plateau:])
     else:
         assert rec.termination == "max_iters"
         assert rec.iterations == max_outer_iters
@@ -445,15 +439,9 @@ def test_ascent_properties(n, mu, max_outer_iters, seed):
     ResourceField(best.grid, best.values, best.kappa, best.m0)
 
 
-@pytest.mark.parametrize("constant, value, n, mu, label, iterations", [
+def test_rejected_full_step_ends_the_start(monkeypatch):
     # no full step can gain 1e12 times the LP value: the first is rejected
-    ("ARMIJO_C", 1e12, 33, 0.1, "step_zero", [1, 1]),
-    # every accepted step counts as a plateau step
-    ("STOP_REL_OBJECTIVE", 1.0, 65, 0.01, "objective_plateau", [5]),
-])
-def test_rare_termination_labels(monkeypatch, constant, value, n, mu, label,
-                                 iterations):
-    monkeypatch.setattr(optimizer_mod, constant, value)
+    monkeypatch.setattr(optimizer_mod, "ARMIJO_C", 1e12)
     solve = optimizer_mod.solve_steady_state
     ascent_step = optimizer_mod.armijo_ascent_step
     trial_solves = []          # steady solves made inside each ascent step
@@ -471,16 +459,13 @@ def test_rare_termination_labels(monkeypatch, constant, value, n, mu, label,
 
     monkeypatch.setattr(optimizer_mod, "armijo_ascent_step", counting_step)
     cfg = OptimConfig(starts=2, seed=0)
-    run = optimize(ProblemParams(mu=mu, kappa=1.0, m0=0.3), Grid((n,)), cfg)
-    labelled = [rec for rec in run.starts if rec.termination == label]
-    assert [rec.iterations for rec in labelled] == iterations
-    # one trial per ascent step, and a rejected full step is not backtracked;
-    # a start that ends on lp_value takes no ascent step in its last row
-    steps = sum(rec.iterations - (rec.termination == "lp_value")
-                for rec in run.starts)
-    assert trial_solves == [1] * steps
+    run = optimize(ProblemParams(mu=0.1, kappa=1.0, m0=0.3), Grid((33,)), cfg)
+    assert [(rec.termination, rec.iterations) for rec in run.starts] == [
+        ("step_zero", 1), ("step_zero", 1)]
+    # each start's one ascent step makes one trial: a rejected full step is
+    # not backtracked
+    assert trial_solves == [1, 1]
     for rec in run.starts:
-        assert not rec.failed
         _check_finished_start(rec, cfg.max_outer_iters)
 
 
@@ -491,6 +476,8 @@ def test_optimize_process_pool_matches_serial(monkeypatch):
     monkeypatch.setenv("KPPFRAG_THREADS", "4")
     parallel = optimize(params, g, _small_cfg(starts=4))
     assert np.array_equal(serial.best_m.values, parallel.best_m.values)
+    # the winner comes back from a worker through the constructor
+    assert not parallel.best_m.values.flags.writeable
     assert serial.best_F == parallel.best_F
     assert [r.F for r in serial.starts] == [r.F for r in parallel.starts]
     assert [r.trajectory for r in serial.starts] == [r.trajectory for r in parallel.starts]
