@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg.blas import idamax
 
 _EPS = float(np.finfo(float).eps)
 _KRYLOV_MAXITER = 500
@@ -148,10 +149,11 @@ _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _grid_operators(grid: Grid) -> tuple:
     """(Lap, eig) of the grid: the Laplacian as CSR and, in 2D, the scaled
-    per-axis eigenpairs ((lam_x, V_x), (lam_y, V_y)) of _axis_eigenpairs
-    (None in 1D). Built once per grid and shared, read-only, by every
-    NeumannLaplacian on that grid or on an equal one; the entry lives as
-    long as the Grid it was built for."""
+    per-axis eigenpairs ((lam_x, V_x), (lam_y, V_y)) of _axis_eigenpairs,
+    lam in double and V in single precision (None in 1D). Built once per
+    grid and shared, read-only, by every NeumannLaplacian on that grid or
+    on an equal one; the entry lives as long as the Grid it was built
+    for."""
     ops = _OPERATORS.get(grid)
     if ops is None:
         ops = _OPERATORS[grid] = _build_operators(grid)
@@ -163,9 +165,17 @@ def _build_operators(grid: Grid) -> tuple:
         return _read_only(_lap1d_csr(grid.counts[0])), None
     nx, ny = grid.counts
     mat = (sp.kron(sp.eye(ny), _lap1d_csr(nx)) + sp.kron(_lap1d_csr(ny), sp.eye(nx))).tocsr()
-    eig_x = _axis_eigenpairs(nx)
-    eig_y = eig_x if ny == nx else _axis_eigenpairs(ny)
+    eig_x = _single_eigenpairs(nx)
+    eig_y = eig_x if ny == nx else _single_eigenpairs(ny)
     return _read_only(mat), (eig_x, eig_y)
+
+
+def _single_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_axis_eigenpairs(n) with V cast to float32; both read-only."""
+    lam, v = _axis_eigenpairs(n)
+    v = v.astype(np.float32)
+    v.setflags(write=False)
+    return lam, v
 
 
 class NeumannLaplacian:
@@ -183,10 +193,13 @@ class NeumannLaplacian:
     a 2D solve that meets a direction of nonpositive curvature raises
     numpy.linalg.LinAlgError (see _Cg2D). The 1D solve takes any
     nonsingular d. The preconditioner mu * (-Lap) + c I, with c the mean of
-    |d|, is inverted exactly by fast diagonalization: the eigenvectors of
-    each axis's 1D operator turn it into a diagonal, so one application is
-    four small dense matrix products. Both dimensions reject a non-finite d
-    or rhs with numpy.linalg.LinAlgError before solving.
+    |d|, is inverted by fast diagonalization: the eigenvectors of each
+    axis's 1D operator turn it into a diagonal, so one application is four
+    small dense matrix products, made in single precision on the residual
+    scaled by an exact power of two. The CG recurrence, its curvature test
+    and the tolerance contract below stay in double precision. Both
+    dimensions reject a non-finite d or rhs with numpy.linalg.LinAlgError
+    before solving.
 
     The CSR Laplacian and, in 2D, the per-axis eigenpairs are built once per
     grid (_grid_operators, keyed weakly by the Grid) and shared, read-only,
@@ -289,7 +302,15 @@ class _Cg2D:
     in the same inner product. Per axis -Lap1 = V diag(lam) V' W1 with
     V' W1 V = I (_axis_eigenpairs), so M^(-1) r = V_y (E * (V_y' R V_x))
     V_x', R being w r on the (ny, nx) grid and E the inverse eigenvalues
-    1 / (mu * (lam_y + lam_x) + c); then <r, z>_W = (w r) . z.
+    1 / (mu * (lam_y + lam_x) + c); then <r, z>_W = (w r) . z. It is
+    applied in single precision: V and E are float32, and R enters scaled
+    by the power of two that puts max|R| in [1/2, 1), so no residual
+    overflows float32's range and z scales exactly with r. The
+    preconditioner only shapes the search directions; x, r, p, the
+    curvature p'WAp, the stopping test and the true-residual check below
+    are all float64, so the tolerance is the same as with an exact M
+    (Greenbaum 1997, SIAM J. Matrix Anal. Appl. 18; Carson and Higham 2018,
+    SIAM J. Sci. Comput. 40).
 
     CG needs A positive definite in the trapezoid inner product. On the
     solver's restart path from max(m) and at every stable steady state (the
@@ -312,8 +333,9 @@ class _Cg2D:
         (lam_x, self._vx), (lam_y, self._vy) = lap._eig
         diag = np.asarray(diag, dtype=float)
         shift = max(float(np.mean(np.abs(diag))), 1e-12)
-        self._inv_eig = 1.0 / (mu * (lam_y[:, None] + lam_x[None, :]) + shift)
-        self._work = np.empty((2,) + self._inv_eig.shape)
+        inv_eig = 1.0 / (mu * (lam_y[:, None] + lam_x[None, :]) + shift)
+        self._inv_eig = inv_eig.astype(np.float32)
+        self._work = np.empty((2,) + inv_eig.shape, dtype=np.float32)
         self._lap, self._mu, self._diag = lap, mu, diag
         self._floor = residual_floor(lap.grid, mu) * max(1.0, float(np.abs(diag).max()))
 
@@ -325,14 +347,22 @@ class _Cg2D:
         return q
 
     def _precondition(self, wr: np.ndarray, out: np.ndarray) -> None:
-        """out = M^(-1) r by fast diagonalization, given wr = w r (flat
-        arrays); the products go through the two (ny, nx) work buffers."""
+        """out = M^(-1) r by fast diagonalization in single precision, given
+        wr = w r (flat float64 arrays). wr is scaled by 2^-e, e the binary
+        exponent of max|wr|, on its way into the two (ny, nx) float32 work
+        buffers, and the result by 2^e on its way back; both scalings are
+        exact, so the products stay inside float32's range whatever the
+        size of r, and z scales exactly with r."""
         vx, vy, work = self._vx, self._vy, self._work
-        np.matmul(vy.T, wr.reshape(work[0].shape), out=work[0])
-        np.matmul(work[0], vx, out=work[1])
-        work[1] *= self._inv_eig
-        np.matmul(vy, work[1], out=work[0])
-        np.matmul(work[0], vx.T, out=out.reshape(work[0].shape))
+        # clamped so that 2^-e and 2^e are normal doubles for any finite wr
+        e = min(max(math.frexp(float(wr[idamax(wr)]))[1], -1022), 1022)
+        np.multiply(wr.reshape(work[0].shape), math.ldexp(1.0, -e), out=work[0])
+        np.matmul(vy.T, work[0], out=work[1])
+        np.matmul(work[1], vx, out=work[0])
+        work[0] *= self._inv_eig
+        np.matmul(vy, work[0], out=work[1])
+        np.matmul(work[1], vx.T, out=work[0])
+        np.multiply(work[0], math.ldexp(1.0, e), out=out.reshape(work[0].shape), dtype=float)
 
     def _cg(self, rhs: np.ndarray, tol: float) -> np.ndarray:
         w = self._lap.grid.node_weights

@@ -237,7 +237,7 @@ def test_shifted_solve_2d_stall_with_rtol_names_the_tolerance(monkeypatch):
 
 
 def _shift(kind: str, num_nodes: int, rng) -> np.ndarray:
-    if kind == "constant":         # the preconditioner is exact: one step
+    if kind == "constant":         # the preconditioner is A itself, up to float32 rounding
         return np.full(num_nodes, 0.7)
     if kind == "definite":
         return rng.uniform(0.2, 2.0, num_nodes)
@@ -283,12 +283,16 @@ def test_grid_operators_are_shared_and_read_only():
                 g.node_weights):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
-    # per axis -Lap1 = V diag(lam) V' W1 with V' W1 V = I
     for n, (lam, v) in zip(g.counts, a._eig):
+        # per axis -Lap1 = V diag(lam) V' W1 with V' W1 V = I, in double precision
+        lam64, v64 = grids_mod._axis_eigenpairs(n)
         w1 = Grid((n,)).node_weights
-        assert np.allclose(v.T @ (w1[:, None] * v), np.eye(n), atol=1e-12)
+        assert np.allclose(v64.T @ (w1[:, None] * v64), np.eye(n), atol=1e-12)
         lap1 = NeumannLaplacian(Grid((n,)))._mat.toarray()
-        assert np.allclose(-lap1 @ v, v * lam, atol=1e-9 * lam.max())
+        assert np.allclose(-lap1 @ v64, v64 * lam64, atol=1e-9 * lam64.max())
+        # the shared operators keep lam and the float32 cast of V, nothing else
+        assert lam.tobytes() == lam64.tobytes()
+        assert v.dtype == np.float32 and v.tobytes() == v64.astype(np.float32).tobytes()
     rng = np.random.default_rng(2)
     diag, rhs = rng.uniform(0.0, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
     first = a.solve_shifted(0.05, diag, rhs)
@@ -297,6 +301,32 @@ def test_grid_operators_are_shared_and_read_only():
                                         np.ones(big.num_nodes))
     again = NeumannLaplacian(g).solve_shifted(0.05, diag, rhs)
     assert again.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("scale", [2.0**-140, 2.0**140])
+def test_shifted_solve_2d_is_scale_equivariant_beyond_float32_range(scale):
+    # the single-precision preconditioner sees r scaled by a power of two
+    # into float32's range, so a right-hand side far outside that range
+    # gives exactly the scaled solution
+    g = Grid((20, 17))
+    lap = NeumannLaplacian(g)
+    rng = np.random.default_rng(5)
+    diag, rhs = rng.uniform(0.2, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
+    x = lap.solve_shifted(0.05, diag, rhs)
+    assert lap.solve_shifted(0.05, diag, scale * rhs).tobytes() == (scale * x).tobytes()
+
+
+@pytest.mark.parametrize("scale", [2.0**-1040, 2.0**1020])
+def test_shifted_solve_2d_at_the_ends_of_double_range_fails_only_as_linalg_error(scale):
+    g = Grid((20, 17))
+    rng = np.random.default_rng(5)
+    diag, rhs = rng.uniform(0.2, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
+    with np.errstate(all="ignore"):
+        try:
+            x = NeumannLaplacian(g).solve_shifted(0.05, diag, scale * rhs)
+        except np.linalg.LinAlgError:
+            return
+    assert np.isfinite(x).all()
 
 
 def test_grid_operators_live_as_long_as_their_grid(monkeypatch):

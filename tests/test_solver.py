@@ -27,6 +27,8 @@ F_CRENEL_N1000_MU001 = 0.386613180689
 F_CRENEL_RICHARDSON = 0.386613280835
 F_CRENEL_N1000_MU1000 = 0.300014700638
 LOU_N1000_MU001 = 6.9099e-5
+# F of the cold mu=0.01 crenel solve on the 120 x 120 grid (perfbench pins the same)
+F_CRENEL_120x120_MU001 = 0.3866063583890749
 LOU_N2000_MU001 = 3.4635e-5
 
 
@@ -54,6 +56,13 @@ def test_crenel_oracle_value(crenel_state_mu001):
     F = total_population(state)
     assert F == pytest.approx(F_CRENEL_N1000_MU001, abs=1e-9)
     assert abs(F - F_CRENEL_RICHARDSON) <= 1e-4
+
+
+def test_crenel_2d_pinned_value():
+    g = Grid((120, 120))
+    state = solve_steady_state(make_crenel(g, 1.0, 0.3),
+                               ProblemParams(mu=0.01, kappa=1.0, m0=0.3))
+    assert abs(total_population(state) - F_CRENEL_120x120_MU001) <= 1e-10
 
 
 def test_max_principle(crenel_state_mu001):
