@@ -29,10 +29,9 @@ from .fields import (
     ResourceField,
     bv_seminorm,
     jump_count,
-    mean,
     near_bangbang_fraction,
 )
-from .grids import Grid, NeumannLaplacian, refine_fold_values
+from .grids import Grid, refine_fold_values
 from .optimizer import OptimConfig, OptimizationError, optimize
 from .solver import SolverConfig, solve_steady_state, total_population
 
@@ -100,14 +99,13 @@ def _squeezed_F(
     table = []
     for k in range(k_max + 1):
         grid = m.grid.refined(k)
-        lap = NeumannLaplacian(grid)
         m_k = ResourceField(grid, refine_fold_values(m.values, m.grid, k),
                             params.kappa, params.m0)
         row, prev, theta = [], None, None
         for mu in mus:
             guess = theta if prev is None else 2.0 * theta - prev
             state = solve_steady_state(m_k, dc_replace(params, mu=mu / 4.0**k),
-                                       IDENTITY_SOLVER, theta0=guess, lap=lap)
+                                       IDENTITY_SOLVER, theta0=guess)
             prev, theta = theta, state.theta.values
             row.append(total_population(state))
         table.append(row)
@@ -239,16 +237,13 @@ def efficiency_ratio(m: ResourceField, mu_list) -> float:
     sampled diffusivity grid (a lower bound for the supremum over all mu).
     Equals 1 exactly for constant m; theory caps it below 3 in 1D.
     """
-    if mean(m) <= 0:
-        raise ValueError("resource mean must be positive")
     mu_list = [float(mu) for mu in mu_list]
     if not mu_list:
         raise ValueError("mu_list must not be empty")
-    lap = NeumannLaplacian(m.grid)
     best = -np.inf
     for mu in mu_list:
         params = ProblemParams(mu=mu, kappa=m.kappa, m0=m.m0)
-        F = total_population(solve_steady_state(m, params, lap=lap))
+        F = total_population(solve_steady_state(m, params))
         best = max(best, F / m.m0)
     return float(best)
 

@@ -14,7 +14,6 @@ functionals; see fields.mean.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,7 +51,8 @@ class Grid:
         object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
 
     def __reduce__(self):
-        # rebuild through the constructor: the cached node weights stay behind
+        # rebuild through the constructor: the cached node weights and
+        # operators stay behind
         return Grid, (self.counts,)
 
     @property
@@ -80,6 +80,14 @@ class Grid:
             w = np.outer(_axis_weights(self.counts[1]), w).ravel()
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def _operators(self) -> tuple:
+        """(Lap, eig): the Laplacian as CSR and, in 2D, the scaled per-axis
+        eigenpairs ((lam_x, V_x), (lam_y, V_y)) of _axis_eigenpairs, lam in
+        double and V in single precision (None in 1D). Built on first use,
+        read-only, and shared by every NeumannLaplacian on this grid."""
+        return _build_operators(self)
 
     def mean(self, values: np.ndarray) -> float:
         """Weighted (trapezoid) average of nodal values; equals the continuum
@@ -144,22 +152,6 @@ def _read_only(mat: sp.csr_matrix) -> sp.csr_matrix:
     return mat
 
 
-_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _grid_operators(grid: Grid) -> tuple:
-    """(Lap, eig) of the grid: the Laplacian as CSR and, in 2D, the scaled
-    per-axis eigenpairs ((lam_x, V_x), (lam_y, V_y)) of _axis_eigenpairs,
-    lam in double and V in single precision (None in 1D). Built once per
-    grid and shared, read-only, by every NeumannLaplacian on that grid or
-    on an equal one; the entry lives as long as the Grid it was built
-    for."""
-    ops = _OPERATORS.get(grid)
-    if ops is None:
-        ops = _OPERATORS[grid] = _build_operators(grid)
-    return ops
-
-
 def _build_operators(grid: Grid) -> tuple:
     if grid.dim == 1:
         return _read_only(_lap1d_csr(grid.counts[0])), None
@@ -184,15 +176,13 @@ class NeumannLaplacian:
     Supports application to flat nodal vectors and solves of the shifted
     systems (mu * (-Lap) + diag(d)) x = rhs that the Newton and adjoint
     steps need. 1D systems are tridiagonal and go straight to LAPACK's gtsv
-    (Gaussian elimination with partial pivoting), O(N) per solve; the
-    Laplacian keeps the constant off-diagonals of the last mu it saw and
-    hands them to every 1D solve. 2D systems go through preconditioned
-    conjugate gradients in the trapezoid inner product <u, v>_W = u . (w v),
-    in which mu * (-Lap) + diag(d) is self-adjoint since W * Lap is
-    symmetric. The matrix must be positive definite in that inner product:
-    a 2D solve that meets a direction of nonpositive curvature raises
-    numpy.linalg.LinAlgError (see _Cg2D). The 1D solve takes any
-    nonsingular d. The preconditioner mu * (-Lap) + c I, with c the mean of
+    (Gaussian elimination with partial pivoting), O(N) per solve. 2D
+    systems go through preconditioned conjugate gradients in the trapezoid
+    inner product <u, v>_W = u . (w v), in which mu * (-Lap) + diag(d) is
+    self-adjoint since W * Lap is symmetric. The matrix must be positive
+    definite in that inner product: a 2D solve that meets a direction of
+    nonpositive curvature raises numpy.linalg.LinAlgError (see _Cg2D). The
+    1D solve takes any nonsingular d. The preconditioner mu * (-Lap) + c I, with c the mean of
     |d|, is inverted by fast diagonalization: the eigenvectors of each
     axis's 1D operator turn it into a diagonal, so one application is four
     small dense matrix products, made in single precision on the residual
@@ -201,11 +191,10 @@ class NeumannLaplacian:
     dimensions reject a non-finite d or rhs with numpy.linalg.LinAlgError
     before solving.
 
-    The CSR Laplacian and, in 2D, the per-axis eigenpairs are built once per
-    grid (_grid_operators, keyed weakly by the Grid) and shared, read-only,
-    by every NeumannLaplacian on that grid or an equal one; only the 1D
-    off-diagonals of the last mu belong to the instance. The constructor
-    stays the one construction point, cached or not.
+    The CSR Laplacian and, in 2D, the per-axis eigenpairs belong to the
+    Grid (Grid._operators), which builds them on first use; an instance
+    holds nothing but its grid, so constructing one is free and every solve
+    depends only on its arguments.
 
     Tolerance contract of solve_shifted(mu, d, rhs, rtol): a 2D solve
     returns x whose residual sup norm is at most max(floor, rtol) times
@@ -217,35 +206,16 @@ class NeumannLaplacian:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self._mat, self._eig = _grid_operators(grid)
-        self._last_band = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._mat @ v
-
-    def _band(self, mu: float) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """(mu, c, dl, du): the constant part c = 2 mu / h^2 of the diagonal
-        and the off-diagonals of the 1D system mu * (-Lap) + diag(d) for the
-        last mu asked for. Read-only and shared by every factor with that
-        mu; gtsv works on copies."""
-        if self._last_band is None or self._last_band[0] != mu:
-            n = self.grid.counts[0]
-            h = self.grid.spacings[0]
-            inv = mu / (h * h)
-            dl = np.full(n - 1, -inv)
-            du = np.full(n - 1, -inv)
-            dl[-1] = du[0] = -2.0 * inv
-            dl.setflags(write=False)
-            du.setflags(write=False)
-            self._last_band = (mu, 2.0 * inv, dl, du)
-        return self._last_band
+        return self.grid._operators[0] @ v
 
     def shifted_factor(self, mu: float, diag: np.ndarray):
         """Solver object for mu * (-Lap) + diag(d); has .solve(rhs, rtol=None).
         Every shifted solve goes through here."""
         if self.grid.dim == 1:
-            return _Banded1D(self._band(mu), diag)
-        return _Cg2D(self, mu, diag)
+            return _Banded1D(self.grid, mu, diag)
+        return _Cg2D(self.grid, mu, diag)
 
     def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray,
                       rtol: float | None = None) -> np.ndarray:
@@ -263,22 +233,28 @@ def _require_finite(diag: np.ndarray, rhs: np.ndarray) -> None:
 
 class _Banded1D:
     """1D shifted system mu * (-Lap) + diag(d) as its three diagonals
-    (dl, c + d, du), solved by LAPACK gtsv with no wrapper in between. The
-    shared constant c = 2 mu / h^2 and off-diagonals come from
-    NeumannLaplacian._band. An exactly singular matrix (gtsv info > 0)
-    raises numpy.linalg.LinAlgError.
+    (dl, 2 mu / h^2 + d, du), solved by LAPACK gtsv with no wrapper in
+    between. Each solve builds the three diagonals afresh and lets gtsv
+    overwrite them, so a factor keeps no state between solves. An exactly
+    singular matrix (gtsv info > 0) raises numpy.linalg.LinAlgError.
     """
 
-    def __init__(self, band: tuple[float, float, np.ndarray, np.ndarray],
-                 diag: np.ndarray):
-        _, centre, self._dl, self._du = band
-        self._d = centre + np.asarray(diag, dtype=float)
+    def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
+        self._grid, self._mu = grid, mu
+        self._diag = np.asarray(diag, dtype=float)
 
     def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
         """Direct solve; rtol is accepted for the common interface and ignored."""
         rhs = np.asarray(rhs, dtype=float)
-        _require_finite(self._d, rhs)
-        x, info = _GTSV(self._dl, self._d, self._du, rhs)[3:]
+        (n,), (h,) = self._grid.counts, self._grid.spacings
+        inv = self._mu / (h * h)
+        d = 2.0 * inv + self._diag
+        _require_finite(d, rhs)
+        off = np.empty((2, n - 1))          # rows dl and du, in one allocation
+        off.fill(-inv)
+        off[0, -1] = off[1, 0] = -2.0 * inv
+        x, info = _GTSV(off[0], d, off[1], rhs,
+                        overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         return x
@@ -323,25 +299,30 @@ class _Cg2D:
 
     The tolerance is max(floor, rtol), where floor is the rounding floor
     residual_floor times max(1, |d|) and rtol the optional relative
-    tolerance of solve (None: the floor alone). solve makes one CG pass and
-    then measures the true residual once; above the tolerance it raises
-    numpy.linalg.LinAlgError naming the tolerance it enforced, as the 1D
-    gtsv solve does for a singular matrix.
+    tolerance of solve (None: the floor alone). solve scales rhs by the
+    exact power of two 2^-e that puts max|rhs| in [1/2, 1) (_binary_exponent;
+    near the ends of double range as close as a normal 2^-e gets), makes
+    one CG pass on the scaled system and scales x back by 2^e, so x scales
+    exactly with rhs wherever it stays a normal double. It then measures
+    the true residual of the returned x, rescaled, against the scaled rhs;
+    above the tolerance (a subnormal x too coarse to meet it, or one that
+    overflowed) it raises numpy.linalg.LinAlgError naming the tolerance it enforced, as
+    the 1D gtsv solve does for a singular matrix. A zero rhs returns zeros.
     """
 
-    def __init__(self, lap: NeumannLaplacian, mu: float, diag: np.ndarray):
-        (lam_x, self._vx), (lam_y, self._vy) = lap._eig
+    def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
+        self._mat, ((lam_x, self._vx), (lam_y, self._vy)) = grid._operators
         diag = np.asarray(diag, dtype=float)
         shift = max(float(np.mean(np.abs(diag))), 1e-12)
         inv_eig = 1.0 / (mu * (lam_y[:, None] + lam_x[None, :]) + shift)
         self._inv_eig = inv_eig.astype(np.float32)
         self._work = np.empty((2,) + inv_eig.shape, dtype=np.float32)
-        self._lap, self._mu, self._diag = lap, mu, diag
-        self._floor = residual_floor(lap.grid, mu) * max(1.0, float(np.abs(diag).max()))
+        self._w, self._mu, self._diag = grid.node_weights, mu, diag
+        self._floor = residual_floor(grid, mu) * max(1.0, float(np.abs(diag).max()))
 
     def _apply(self, v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """A v = mu * (-Lap v) + d v, as a new array; tmp is scratch of v's size."""
-        q = self._lap._mat @ v
+        q = self._mat @ v
         q *= -self._mu
         q += np.multiply(self._diag, v, out=tmp)
         return q
@@ -354,8 +335,7 @@ class _Cg2D:
         exact, so the products stay inside float32's range whatever the
         size of r, and z scales exactly with r."""
         vx, vy, work = self._vx, self._vy, self._work
-        # clamped so that 2^-e and 2^e are normal doubles for any finite wr
-        e = min(max(math.frexp(float(wr[idamax(wr)]))[1], -1022), 1022)
+        e = _binary_exponent(wr)
         np.multiply(wr.reshape(work[0].shape), math.ldexp(1.0, -e), out=work[0])
         np.matmul(vy.T, work[0], out=work[1])
         np.matmul(work[1], vx, out=work[0])
@@ -364,16 +344,17 @@ class _Cg2D:
         np.matmul(work[1], vx.T, out=work[0])
         np.multiply(work[0], math.ldexp(1.0, e), out=out.reshape(work[0].shape), dtype=float)
 
-    def _cg(self, rhs: np.ndarray, tol: float) -> np.ndarray:
-        w = self._lap.grid.node_weights
-        res = rhs.copy()                    # recurred residual b - A x
+    def _cg(self, res: np.ndarray, tol: float) -> np.ndarray:
+        """x from x = 0, given the right-hand side in res, which the pass
+        owns and overwrites with the recurred residual b - A x."""
+        w = self._w
+        rhs_max = float(np.abs(res).max())
         tmp, wr, z = np.empty_like(res), np.empty_like(res), np.empty_like(res)
         self._precondition(np.multiply(w, res, out=wr), z)
         rz = float(wr @ z)
-        if not rz > 0.0:
-            return np.zeros_like(rhs)
+        if not rz > 0.0:                    # breakdown: x = 0 fails the gate of solve
+            return np.zeros_like(res)
         limit = 0.5 * tol
-        rhs_max = float(np.abs(rhs).max())
         x = np.zeros_like(res)
         p = z.copy()
         for _ in range(_KRYLOV_MAXITER):
@@ -397,17 +378,23 @@ class _Cg2D:
         return x
 
     def _residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
-        """Sup norm of the true residual rhs - A x relative to max(|x|, |rhs|)."""
+        """Sup norm of the true residual rhs - A x relative to max(|x|, |rhs|),
+        for the scaled, nonzero rhs of solve."""
         r = rhs - self._apply(x, np.empty_like(x))
         scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(rhs))))
-        return float(np.max(np.abs(r))) / max(scale, 1e-300)
+        return float(np.max(np.abs(r))) / scale
 
     def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         _require_finite(self._diag, rhs)
+        if not rhs.any():
+            return np.zeros_like(rhs)
         tol = self._floor if rtol is None else max(self._floor, rtol)
-        x = self._cg(rhs, tol)
-        rel = self._residual(x, rhs)
+        e = _binary_exponent(rhs)
+        down = math.ldexp(1.0, -e)
+        x = self._cg(rhs * down, tol)
+        x *= math.ldexp(1.0, e)
+        rel = self._residual(x * down, rhs * down)
         if not rel <= tol:
             enforced = (f"the rounding floor {self._floor:.3e}" if rtol is None else
                         f"the tolerance {tol:.3e} = max(requested rtol {rtol:.3e}, "
@@ -415,6 +402,12 @@ class _Cg2D:
             raise np.linalg.LinAlgError(
                 f"2D shifted solve: relative residual {rel:.3e} above {enforced}")
         return x
+
+
+def _binary_exponent(v: np.ndarray) -> int:
+    """The binary exponent e of max|v| (max|v| in [2^(e-1), 2^e)), clamped
+    so that 2^-e and 2^e are normal doubles for any finite flat v."""
+    return min(max(math.frexp(float(v[idamax(v)]))[1], -1022), 1022)
 
 
 def _fold_indices(n_out: int, m_in: int) -> np.ndarray:

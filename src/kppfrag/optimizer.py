@@ -110,7 +110,6 @@ def solve_adjoint(
     m: ResourceField,
     theta: ScalarField,
     params: ProblemParams,
-    lap: NeumannLaplacian | None = None,
 ) -> ScalarField:
     """Solve (mu * (-Lap) + diag(2 theta - m)) p = 1 and return the adjoint
     field p. Raises SingularAdjoint when the solve fails, p is not finite,
@@ -119,7 +118,7 @@ def solve_adjoint(
     grid = theta.grid
     mu = params.mu
     diag = 2.0 * theta.values - m.values
-    lap = lap or NeumannLaplacian(grid)
+    lap = NeumannLaplacian(grid)
     try:
         p = lap.solve_shifted(mu, diag, np.ones(grid.num_nodes))
     except np.linalg.LinAlgError as exc:
@@ -195,7 +194,6 @@ def armijo_ascent_step(
     lp_value: float,
     params: ProblemParams,
     theta0: np.ndarray | None = None,
-    lap: NeumannLaplacian | None = None,
 ):
     """Full step to the LP vertex: accept m + xi when
     F(m + xi) >= F(m) + c lp_value, c = ARMIJO_C.
@@ -211,7 +209,7 @@ def armijo_ascent_step(
         return m, F_current, 0.0, None
     trial = m.with_values(np.clip(m.values + xi.values, 0.0, m.kappa))
     try:
-        state = solve_steady_state(trial, params, theta0=theta0, lap=lap)
+        state = solve_steady_state(trial, params, theta0=theta0)
     except NoConvergence:
         return m, F_current, 0.0, None
     F_trial = total_population(state)
@@ -294,13 +292,12 @@ def _run_single_start(args) -> tuple:
         m_cur = random_fourier_guess(
             grid, params.kappa, params.m0, _start_seed(cfg.seed, start_index)
         )
-        lap = NeumannLaplacian(grid)
-        state = solve_steady_state(m_cur, params, lap=lap)
+        state = solve_steady_state(m_cur, params)
         F_cur = total_population(state)
         trajectory: list = []
         termination = "max_iters"
         for _ in range(cfg.max_outer_iters):
-            p = solve_adjoint(m_cur, state.theta, params, lap=lap)
+            p = solve_adjoint(m_cur, state.theta, params)
             g = objective_gradient(state.theta, p)
             xi, lp_value = best_perturbation(g, m_cur)
             if lp_value < STOP_LP_VALUE:
@@ -310,7 +307,7 @@ def _run_single_start(args) -> tuple:
             # a rejected step returns m_cur and F_cur unchanged
             m_cur, F_cur, step, state = armijo_ascent_step(
                 m_cur, xi, F_cur, lp_value, params,
-                theta0=state.theta.values, lap=lap,
+                theta0=state.theta.values,
             )
             trajectory.append((F_cur, step, lp_value))
             if step == 0.0:

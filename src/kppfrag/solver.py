@@ -147,7 +147,6 @@ def solve_steady_state(
     params: ProblemParams,
     cfg: SolverConfig | None = None,
     theta0: np.ndarray | None = None,
-    lap: NeumannLaplacian | None = None,
 ) -> SteadyState:
     """Compute the positive steady state for resource field m.
 
@@ -162,8 +161,9 @@ def solve_steady_state(
     theta0 : optional warm start (flat nodal array), used as given and
         never written to. Without it the solve starts from the constant
         mean(m).
-    lap : optional prebuilt Laplacian for m.grid (reused across solves in
-        the optimizer loops).
+
+    The Laplacian's operators belong to m.grid: built on the first solve
+    on that Grid object and reused by every later one.
 
     Newton takes full steps from theta0 or mean(m). At the first step whose
     linear solve fails, whose residual does not fall or whose iterate is
@@ -191,7 +191,7 @@ def solve_steady_state(
     mbar = mean(m)
     if mbar <= 0.0:
         raise NonPositiveMeanResource(f"mean(m) = {mbar} must be positive")
-    lap = lap or NeumannLaplacian(m.grid)
+    lap = NeumannLaplacian(m.grid)
     mu = params.mu
     m_vals = m.values
 

@@ -37,7 +37,6 @@ from kppfrag import (
     total_population,
 )
 from kppfrag.cli import main
-from kppfrag.grids import NeumannLaplacian
 from conftest import (
     constant_resource,
     interior_resource,
@@ -96,7 +95,6 @@ def test_criterion_01_constant_exactness():
 
 def test_criterion_02_bounds_battery():
     grid = Grid((257,))
-    lap = NeumannLaplacian(grid)
     rng = np.random.default_rng(0)
     t0 = time.perf_counter()
     worst_low, worst_high = np.inf, -np.inf
@@ -104,9 +102,7 @@ def test_criterion_02_bounds_battery():
         m0 = float(rng.uniform(0.1, 0.8))
         mu = float(10.0 ** rng.uniform(-3.0, 2.0))
         m = random_fourier_guess(grid, KAPPA, m0, seed=i)
-        state = solve_steady_state(
-            m, ProblemParams(mu=mu, kappa=KAPPA, m0=m0), lap=lap
-        )
+        state = solve_steady_state(m, ProblemParams(mu=mu, kappa=KAPPA, m0=m0))
         F = total_population(state)
         assert F >= m0 - 1e-8, (i, m0, mu, F)
         assert F <= KAPPA + 1e-8, (i, m0, mu, F)

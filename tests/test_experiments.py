@@ -5,6 +5,7 @@ import pytest
 
 from kppfrag import (
     Grid,
+    NonPositiveMeanResource,
     OptimConfig,
     OptimizationError,
     ProblemParams,
@@ -21,7 +22,7 @@ from kppfrag import (
     total_population,
 )
 import kppfrag.experiments as experiments_mod
-from kppfrag.grids import NeumannLaplacian
+import kppfrag.grids as grids_mod
 from conftest import constant_resource
 
 
@@ -163,14 +164,15 @@ def test_sweep_survives_failed_diffusivity(monkeypatch):
 
 
 def test_identity_experiments_build_one_laplacian_per_grid(monkeypatch):
+    # operator builds, one per Grid object the campaign solves on
     lap_builds = []
-    init = NeumannLaplacian.__init__
+    build = grids_mod._build_operators
 
-    def counting_init(self, grid):
+    def counting_build(grid):
         lap_builds.append(grid.counts)
-        init(self, grid)
+        return build(grid)
 
-    monkeypatch.setattr(NeumannLaplacian, "__init__", counting_init)
+    monkeypatch.setattr(grids_mod, "_build_operators", counting_build)
     m = make_crenel(Grid((33,)), 1.0, 0.3)
     params = ProblemParams(mu=0.5, kappa=1.0, m0=0.3)
     refined = [(33,), (65,), (129,), (257,)]
@@ -199,6 +201,14 @@ def test_efficiency_crenel_in_theory_window(crenel_1000):
     assert lo > hi
 
 
+def test_efficiency_zero_mean_is_a_solver_failure():
+    # admissible, since mean 0 is within MEAN_TOL of m0 = 1e-11; the
+    # solver's own check rejects it, which the CLI maps to exit 3
+    m = ResourceField(Grid((33,)), np.zeros(33), 1.0, 1e-11)
+    with pytest.raises(NonPositiveMeanResource):
+        efficiency_ratio(m, [1.0])
+
+
 def test_efficiency_rejects_empty_mu_list():
     m = make_crenel(Grid((33,)), 1.0, 0.3)
     with pytest.raises(ValueError):
@@ -214,8 +224,8 @@ def _record_solves(monkeypatch):
     calls = []
     real = experiments_mod.solve_steady_state
 
-    def recording(m, params, cfg=None, theta0=None, lap=None):
-        state = real(m, params, cfg, theta0=theta0, lap=lap)
+    def recording(m, params, cfg=None, theta0=None):
+        state = real(m, params, cfg, theta0=theta0)
         calls.append((m.grid.num_nodes, None if theta0 is None else np.array(theta0),
                       state.theta.values.copy(), state.iterations))
         return state
@@ -256,13 +266,12 @@ def _cold_lemma2_gaps(m, params, k_max):
     gaps = []
     for k in range(k_max + 1):
         grid = m.grid.refined(k)
-        lap = NeumannLaplacian(grid)
         m_k = ResourceField(grid, refine_fold_values(m.values, m.grid, k),
                             params.kappa, params.m0)
         gaps.append(min(
             total_population(solve_steady_state(
-                m_k, replace(params, mu=mu / 4.0**k), experiments_mod.IDENTITY_SOLVER,
-                lap=lap)) - params.m0
+                m_k, replace(params, mu=mu / 4.0**k),
+                experiments_mod.IDENTITY_SOLVER)) - params.m0
             for mu in mus))
     return gaps
 

@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -276,19 +277,20 @@ def test_shifted_solve_2d_stops_on_its_recurred_residual(monkeypatch, n, mu, kin
 
 
 def test_grid_operators_are_shared_and_read_only():
+    # every Laplacian on a grid reads the grid's operators, which are
+    # read-only and unchanged by solves on another grid
     g = Grid((12, 9))
-    a, b = NeumannLaplacian(g), NeumannLaplacian(Grid((12, 9)))
-    assert a._mat is b._mat and a._eig is b._eig
-    for arr in (a._mat.data, a._mat.indices, a._mat.indptr, *a._eig[0], *a._eig[1],
-                g.node_weights):
+    a = NeumannLaplacian(g)
+    mat, eig = g._operators
+    for arr in (mat.data, mat.indices, mat.indptr, *eig[0], *eig[1], g.node_weights):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
-    for n, (lam, v) in zip(g.counts, a._eig):
+    for n, (lam, v) in zip(g.counts, eig):
         # per axis -Lap1 = V diag(lam) V' W1 with V' W1 V = I, in double precision
         lam64, v64 = grids_mod._axis_eigenpairs(n)
         w1 = Grid((n,)).node_weights
         assert np.allclose(v64.T @ (w1[:, None] * v64), np.eye(n), atol=1e-12)
-        lap1 = NeumannLaplacian(Grid((n,)))._mat.toarray()
+        lap1 = Grid((n,))._operators[0].toarray()
         assert np.allclose(-lap1 @ v64, v64 * lam64, atol=1e-9 * lam64.max())
         # the shared operators keep lam and the float32 cast of V, nothing else
         assert lam.tobytes() == lam64.tobytes()
@@ -316,22 +318,38 @@ def test_shifted_solve_2d_is_scale_equivariant_beyond_float32_range(scale):
     assert lap.solve_shifted(0.05, diag, scale * rhs).tobytes() == (scale * x).tobytes()
 
 
-@pytest.mark.parametrize("scale", [2.0**-1040, 2.0**1020])
+@pytest.mark.parametrize("scale", [2.0**-1074, 2.0**-1040, 2.0**-1000, 2.0**1020])
 def test_shifted_solve_2d_at_the_ends_of_double_range_fails_only_as_linalg_error(scale):
+    # a returned x meets the tolerance contract against its own rhs; both
+    # are checked at unit scale, which the power of two reaches exactly
     g = Grid((20, 17))
+    mu = 0.05
     rng = np.random.default_rng(5)
     diag, rhs = rng.uniform(0.2, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
+    lap = NeumannLaplacian(g)
     with np.errstate(all="ignore"):
         try:
-            x = NeumannLaplacian(g).solve_shifted(0.05, diag, scale * rhs)
+            x = lap.solve_shifted(mu, diag, scale * rhs)
         except np.linalg.LinAlgError:
             return
     assert np.isfinite(x).all()
+    x_unit, rhs_unit = x / scale, (scale * rhs) / scale
+    resid = rhs_unit - (lap.apply(x_unit) * -mu + diag * x_unit)
+    floor = grids_mod.residual_floor(g, mu) * max(1.0, np.max(np.abs(diag)))
+    assert np.max(np.abs(resid)) <= floor * max(np.max(np.abs(x_unit)),
+                                                 np.max(np.abs(rhs_unit)))
+
+
+def test_shifted_solve_2d_of_zero_rhs_is_zero_without_cg(monkeypatch):
+    passes = _cg_passes(monkeypatch)
+    g = Grid((20, 17))
+    x = NeumannLaplacian(g).solve_shifted(0.05, np.ones(g.num_nodes), np.zeros(g.num_nodes))
+    assert passes == [] and x.shape == (g.num_nodes,) and not x.any()
 
 
 def test_grid_operators_live_as_long_as_their_grid(monkeypatch):
-    # grids used in turn keep their operators; a grid that is gone takes
-    # its entry with it
+    # each Grid object builds its operators on first use and keeps them; an
+    # equal grid builds its own, and operators go with their grid
     built = []
     real_build = grids_mod._build_operators
 
@@ -340,17 +358,20 @@ def test_grid_operators_live_as_long_as_their_grid(monkeypatch):
         return real_build(grid)
 
     monkeypatch.setattr(grids_mod, "_build_operators", counting_build)
-    grids_mod._OPERATORS.clear()
     small, large = Grid((13, 13)), Grid((27, 27))
-    first = NeumannLaplacian(small)._mat
+    assert NeumannLaplacian(small).grid is small and built == []
     for _ in range(3):
-        NeumannLaplacian(large)
-        assert NeumannLaplacian(small)._mat is first
-    assert built == [(13, 13), (27, 27)]
-    del small, first
+        NeumannLaplacian(large).apply(np.ones(large.num_nodes))
+        NeumannLaplacian(small).solve_shifted(0.1, np.ones(small.num_nodes),
+                                              np.ones(small.num_nodes))
+    assert built == [(27, 27), (13, 13)]
+    twin = Grid((13, 13))
+    assert twin._operators[0] is not small._operators[0]
+    assert built == [(27, 27), (13, 13), (13, 13)]
+    gone = weakref.ref(small._operators[0])
+    del small
     gc.collect()
-    assert Grid((13, 13)) not in grids_mod._OPERATORS
-    assert large in grids_mod._OPERATORS
+    assert gone() is None
 
 
 @pytest.mark.parametrize("n", [3, 4, 1000, 8193])
@@ -370,6 +391,24 @@ def test_shifted_solve_1d_bytes_match_solve_banded_oracle(n):
         rhs = rng.standard_normal(n)
         got = lap.shifted_factor(mu, diag).solve(rhs)
         assert got.tobytes() == banded_shifted_solve(g, mu, diag, rhs).tobytes()
+
+
+def test_shifted_solve_1d_keeps_no_state():
+    # gtsv overwrites the diagonals it is given: a factor solved twice and a
+    # Laplacian that alternates mu must still match the oracle's bytes
+    g = Grid((200,))
+    rng = np.random.default_rng(11)
+    lap = NeumannLaplacian(g)
+    diag, rhs = rng.uniform(-1.0, 1.0, g.num_nodes), rng.standard_normal(g.num_nodes)
+    inputs = diag.tobytes() + rhs.tobytes()
+    fac = lap.shifted_factor(0.3, diag)
+    expect = banded_shifted_solve(g, 0.3, diag, rhs).tobytes()
+    assert fac.solve(rhs).tobytes() == expect
+    assert fac.solve(rhs).tobytes() == expect
+    for mu in (0.3, 0.002, 0.3):
+        got = lap.solve_shifted(mu, diag, rhs)
+        assert got.tobytes() == banded_shifted_solve(g, mu, diag, rhs).tobytes()
+    assert diag.tobytes() + rhs.tobytes() == inputs
 
 
 @pytest.mark.parametrize("diag, rhs", [

@@ -416,7 +416,7 @@ def test_full_step_cold_solves_keep_the_constant_start(monkeypatch, mu):
             grids_mod.residual_floor(grid, mu), monotone=False)
         with monkeypatch.context() as mp:
             runs = _newton_runs(mp)
-            state = solve_steady_state(m, params, lap=lap)
+            state = solve_steady_state(m, params)
         assert len(runs) == 1 and not stalled
         assert len(runs[0]["norms"]) == 1 + runs[0]["steps"]
         assert state.theta.values.tobytes() == theta.tobytes()

@@ -2,8 +2,8 @@
 shifted solve: it counts them by wrapping NeumannLaplacian.shifted_factor,
 so a solve that bypasses that factory would silently corrupt its counts.
 Likewise it counts Laplacian builds by wrapping NeumannLaplacian.__init__,
-which must stay the construction point even where the per-grid operators
-come from the cache."""
+which must stay the construction point though the operators belong to the
+Grid and are built once per Grid object."""
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -56,7 +56,6 @@ def test_traced_lap_builds_count_constructions_through_the_cache(monkeypatch):
 
     monkeypatch.setattr(NeumannLaplacian, "__init__", counting_init)
     monkeypatch.setattr(grids_mod, "_build_operators", counting_build)
-    grids_mod._OPERATORS.clear()
     square, line = Grid((12, 12)), Grid((33,))
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
