@@ -345,7 +345,8 @@ def _execute(cfg: RunConfig) -> _Result:
             "mu": params.mu, "best_F": run.best_F,
             "termination": run.termination, "start_index": run.start_index,
             "seed": cfg.seed, "trajectory": [list(t) for t in run.trajectory],
-            "starts": [_entry(s, "trajectory") for s in run.starts],
+            "starts": [{**_entry(s, "trajectory"), "iterations": s.iterations}
+                       for s in run.starts],
         }
         return _Result([line], report,
                        {"best_m.csv": run.best_m, "theta.csv": state.theta},

@@ -191,6 +191,14 @@ class NeumannLaplacian:
     dimensions reject a non-finite d or rhs with numpy.linalg.LinAlgError
     before solving.
 
+    A solve takes one flat row or a stack of rows: d and rhs of shape
+    (S, N), rtol one value or one per row. Each row of the result is
+    bit-identical to the solve of that row alone: a 1D stack is one gtsv
+    call on its block-diagonal system, a 2D stack one CG solve per row. A
+    flat solve raises its numpy.linalg.LinAlgError; in a stack each failure
+    lands on its own row, and the stack raises RowSolveError, which carries
+    every row's x and message, once all rows were tried.
+
     The CSR Laplacian and, in 2D, the per-axis eigenpairs belong to the
     Grid (Grid._operators), which builds them on first use; an instance
     holds nothing but its grid, so constructing one is free and every solve
@@ -210,12 +218,19 @@ class NeumannLaplacian:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.grid._operators[0] @ v
 
+    def apply_rows(self, v: np.ndarray) -> np.ndarray:
+        """Lap applied to each row of the stack v (S, N), in C order; each
+        row is bit-identical to apply on that row alone."""
+        return np.ascontiguousarray(self.apply(v.T).T)
+
     def shifted_factor(self, mu: float, diag: np.ndarray):
-        """Solver object for mu * (-Lap) + diag(d); has .solve(rhs, rtol=None).
-        Every shifted solve goes through here."""
+        """Solver object for mu * (-Lap) + diag(d); has .solve(rhs, rtol=None),
+        rhs of d's shape. Every shifted solve goes through here."""
         if self.grid.dim == 1:
             return _Banded1D(self.grid, mu, diag)
-        return _Cg2D(self.grid, mu, diag)
+        if np.ndim(diag) == 1:
+            return _Cg2D(self.grid, mu, diag)
+        return _Cg2DRows(self.grid, mu, diag)
 
     def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray,
                       rtol: float | None = None) -> np.ndarray:
@@ -231,33 +246,104 @@ def _require_finite(diag: np.ndarray, rhs: np.ndarray) -> None:
         raise np.linalg.LinAlgError("shifted solve: non-finite diagonal or rhs")
 
 
+class RowSolveError(np.linalg.LinAlgError):
+    """A shifted solve of stacked rows in which some rows failed. x holds
+    the result of every row (NaN in a failed one), errors the message of
+    each failed row and None elsewhere; the message joins the errors."""
+
+    def __init__(self, x: np.ndarray, errors: list):
+        super().__init__("; ".join(e for e in errors if e is not None))
+        self.x, self.errors = x, errors
+
+
+def _solve_each_row(rhs: np.ndarray, solve_row) -> np.ndarray:
+    """Solve rhs row by row with solve_row(i), which returns row i's x or
+    raises numpy.linalg.LinAlgError. A flat rhs is one row and raises its
+    error as it is; in a stack (S, N) each failure lands on its own row,
+    and the stack raises RowSolveError after every row has been tried."""
+    rows = rhs.reshape(-1, rhs.shape[-1])
+    x, errors = [], [None] * len(rows)
+    for i in range(len(rows)):
+        try:
+            x.append(solve_row(i))
+        except np.linalg.LinAlgError as exc:
+            if rhs.ndim == 1:
+                raise
+            x.append(np.full(rows.shape[1], np.nan))
+            errors[i] = str(exc)
+    # stacked after the last solve, so no buffer is alive during one
+    x = x[0].reshape(rhs.shape) if len(x) == 1 else np.stack(x)
+    if any(e is not None for e in errors):
+        raise RowSolveError(x, errors)
+    return x
+
+
 class _Banded1D:
     """1D shifted system mu * (-Lap) + diag(d) as its three diagonals
     (dl, 2 mu / h^2 + d, du), solved by LAPACK gtsv with no wrapper in
     between. Each solve builds the three diagonals afresh and lets gtsv
     overwrite them, so a factor keeps no state between solves. An exactly
     singular matrix (gtsv info > 0) raises numpy.linalg.LinAlgError.
+
+    A stack of rows (d and rhs of shape (S, N)) is one gtsv call on the
+    block-diagonal system. The couplings at the block joins are zero, so
+    elimination never swaps across a join (|d| >= 0 = |dl|) and its
+    multiplier there is 0: each row's arithmetic is that of its own solve.
+    A non-finite entry in a row's d, rhs or x, or info > 0, sends the stack
+    to one solve per row (_solve_each_row), so the failure lands on that
+    row alone.
     """
 
     def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
         self._grid, self._mu = grid, mu
         self._diag = np.asarray(diag, dtype=float)
 
-    def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, rtol=None) -> np.ndarray:
         """Direct solve; rtol is accepted for the common interface and ignored."""
         rhs = np.asarray(rhs, dtype=float)
-        (n,), (h,) = self._grid.counts, self._grid.spacings
+        rows = rhs.reshape(-1, rhs.shape[-1])
+        diag = self._diag.reshape(rows.shape)
+        try:
+            x = self._gtsv(diag, rows)
+            if np.isfinite(x).all():
+                return x.reshape(rhs.shape)
+        except np.linalg.LinAlgError:
+            pass
+        return _solve_each_row(rhs, lambda i: self._gtsv(diag[i:i + 1], rows[i:i + 1])[0])
+
+    def _gtsv(self, diag: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """x of one gtsv call on the block-diagonal system of rows (S, N)."""
+        s, n = rows.shape
+        h = self._grid.spacings[0]
         inv = self._mu / (h * h)
-        d = 2.0 * inv + self._diag
-        _require_finite(d, rhs)
-        off = np.empty((2, n - 1))          # rows dl and du, in one allocation
+        d = 2.0 * inv + diag
+        _require_finite(d, rows)
+        off = np.empty((2, s, n))           # rows dl and du, in one allocation
         off.fill(-inv)
-        off[0, -1] = off[1, 0] = -2.0 * inv
-        x, info = _GTSV(off[0], d, off[1], rhs,
+        off[0, :, -2] = off[1, :, 0] = -2.0 * inv
+        off[:, :, -1] = 0.0                 # the couplings across block joins
+        x, info = _GTSV(off[0].ravel()[:-1], d.ravel(), off[1].ravel()[:-1], rows.ravel(),
                         overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
-        return x
+        return x.reshape(s, n)
+
+
+class _Cg2DRows:
+    """Stacked 2D shifted systems, one _Cg2D solve per row with that row's
+    d and, when rtol is a sequence, its own tolerance; failures land on
+    their rows (_solve_each_row)."""
+
+    def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
+        self._grid, self._mu, self._diag = grid, mu, diag
+
+    def solve(self, rhs: np.ndarray, rtol=None) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        rtols = np.broadcast_to(np.asarray(rtol, dtype=object), rhs.shape[:1])
+
+        def solve_row(i):
+            return _Cg2D(self._grid, self._mu, self._diag[i]).solve(rhs[i], rtols[i])
+        return _solve_each_row(rhs, solve_row)
 
 
 class _Cg2D:

@@ -1,6 +1,6 @@
 """Maximization of the steady-state population over admissible resources.
 
-The loop implemented by `optimize` is, per start:
+The loop implemented by `optimize` is, for each start:
 
     solve PDE -> solve adjoint -> nodal gradient -> exact LP direction
     -> full step to the LP vertex m + xi
@@ -14,6 +14,18 @@ the steady states use SolverConfig().
 These constants are fixed; OptimConfig carries only the number of starts,
 the seed and the outer-iteration cap. Multi-start plays the global-search
 role; starts are seeded Fourier fields and fully reproducible.
+
+The starts advance in lockstep (_ascent): m, theta and F of the live starts
+are the rows of stacked arrays, and each outer step makes one stacked
+adjoint solve, one gradient and LP, and one stacked trial steady solve
+(solver.steady_rows) over all of them; a start leaves the stack when it
+ends. Every row's arithmetic is that of its start run alone, so records
+and winners do not depend on which starts share a stack: a 1D stacked
+solve is one gtsv call whose blocks do not interact, 2D rows run one CG
+solve each, and dot products stay per row. solve_adjoint,
+objective_gradient, best_perturbation and armijo_ascent_step are the
+one-row cases of the same code. With KPPFRAG_THREADS > 1 the starts are
+split into contiguous chunks, one lockstep stack per worker process.
 
 Gradient derivation: with the objective F = weighted mean of theta and the
 steady-state constraint, the sensitivity solves the shifted system
@@ -42,12 +54,7 @@ import numpy as np
 
 from .fields import ProblemParams, ResourceField, ScalarField
 from .grids import Grid, NeumannLaplacian, residual_floor
-from .solver import (
-    NoConvergence,
-    SolverError,
-    solve_steady_state,
-    total_population,
-)
+from .solver import NoConvergence, SteadyState, _compact, solve_rows, steady_rows
 
 
 class SingularAdjoint(RuntimeError):
@@ -84,9 +91,13 @@ class StartRecord:
     start_index: int
     F: float
     termination: str
-    iterations: int
     trajectory: list
     error: str | None = None
+
+    @property
+    def iterations(self) -> int:
+        """Outer steps of the start: one trajectory row each."""
+        return len(self.trajectory)
 
     @property
     def failed(self) -> bool:
@@ -106,6 +117,30 @@ class OptimRun:
 # ---------------------------------------------------------------------------
 # adjoint and gradient
 
+def _adjoint_rows(grid: Grid, mu: float, m_vals: np.ndarray, theta: np.ndarray):
+    """solve_adjoint on every row of m_vals and theta (S, N), as (p, errors):
+    errors[i] is None or the SingularAdjoint of row i."""
+    lap = NeumannLaplacian(grid)
+    diag = 2.0 * theta - m_vals
+    p, failures = solve_rows(lap, mu, diag, np.ones_like(diag))
+    errors = [None if e is None else SingularAdjoint(f"adjoint solve failed: {e}")
+              for e in failures]
+    for i, row in enumerate(p):
+        if errors[i] is None and not np.isfinite(row).all():
+            errors[i] = SingularAdjoint("adjoint solve produced non-finite values")
+    ok = np.array([e is None for e in errors])
+    if ok.any():
+        pk, dk = _compact(ok, p, diag)
+        rnorm = np.abs(mu * (-lap.apply_rows(pk)) + dk * pk - 1.0).max(axis=1)
+        floor = residual_floor(grid, mu)
+        for k, i in enumerate(np.flatnonzero(ok)):
+            if rnorm[k] > max(1e-10, floor * max(1.0, float(np.abs(pk[k]).max()))):
+                errors[i] = SingularAdjoint(
+                    f"adjoint residual {rnorm[k]:.3e} above tolerance; "
+                    "steady state is not a stable branch")
+    return p, errors
+
+
 def solve_adjoint(
     m: ResourceField,
     theta: ScalarField,
@@ -115,39 +150,51 @@ def solve_adjoint(
     field p. Raises SingularAdjoint when the solve fails, p is not finite,
     or the residual ||A p - 1||_inf exceeds max(1e-10,
     residual_floor(grid, mu) * max(1, ||p||_inf))."""
-    grid = theta.grid
-    mu = params.mu
-    diag = 2.0 * theta.values - m.values
-    lap = NeumannLaplacian(grid)
-    try:
-        p = lap.solve_shifted(mu, diag, np.ones(grid.num_nodes))
-    except np.linalg.LinAlgError as exc:
-        raise SingularAdjoint(f"adjoint solve failed: {exc}") from exc
-    if not np.isfinite(p).all():
-        raise SingularAdjoint("adjoint solve produced non-finite values")
-    resid = mu * (-lap.apply(p)) + diag * p - 1.0
-    rnorm = float(np.abs(resid).max())
-    floor = residual_floor(grid, mu) * max(1.0, float(np.abs(p).max()))
-    if rnorm > max(1e-10, floor):
-        raise SingularAdjoint(
-            f"adjoint residual {rnorm:.3e} above tolerance; "
-            "steady state is not a stable branch"
-        )
-    return ScalarField(grid, p)
+    p, errors = _adjoint_rows(theta.grid, params.mu, m.values[None], theta.values[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return ScalarField(theta.grid, p[0])
+
+
+def _gradient(w: np.ndarray, theta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return w * p * theta / float(w.sum())
 
 
 def objective_gradient(theta: ScalarField, p: ScalarField) -> ScalarField:
     """Nodal gradient of the objective from the steady state theta and the
     adjoint field p of solve_adjoint: g = (w . p . theta) / sum(w), so that
     dF in direction xi is exactly sum_i g_i xi_i."""
-    grid = theta.grid
-    w = grid.node_weights
-    g = w * p.values * theta.values / float(w.sum())
-    return ScalarField(grid, g)
+    return ScalarField(theta.grid,
+                       _gradient(theta.grid.node_weights, theta.values, p.values))
 
 
 # ---------------------------------------------------------------------------
 # exact direction LP
+
+def _lp_rows(w: np.ndarray, g: np.ndarray, m_vals: np.ndarray, kappa: float):
+    """best_perturbation on every row of g and m_vals (S, N), as (xi, lp
+    values). The stable sort of -rate keeps tied nodes in ascending index
+    order; the dot products stay one per row, since a stacked product
+    rounds differently."""
+    n = g.shape[1]
+    rate = g / w
+    order = np.argsort(-rate, axis=1, kind="stable")
+    up = np.take_along_axis(w * (kappa - m_vals), order, axis=1)   # zeta caps, >= 0
+    dn = np.take_along_axis(w * m_vals, order, axis=1)             # zeta floors are -dn
+    # cumulative budget if nodes 0..j raised and the rest dropped
+    cum = np.cumsum(up, axis=1) - (dn.sum(axis=1)[:, None] - np.cumsum(dn, axis=1))
+    pivot = np.argmax(cum >= 0.0, axis=1)  # exists: cum[-1] = sum(up) >= 0
+    zeta_sorted = np.where(np.arange(n) <= pivot[:, None], up, -dn)
+    for i, k in enumerate(pivot):
+        zeta_sorted[i, k] = float(dn[i, k + 1:].sum()) - float(up[i, :k].sum())
+    zeta = np.empty_like(zeta_sorted)
+    np.put_along_axis(zeta, order, zeta_sorted, axis=1)
+    xi = zeta / w
+    values = np.array([float(gi @ xii) for gi, xii in zip(g, xi)]).reshape(len(g))
+    xi[values <= 0.0] = 0.0
+    values[values <= 0.0] = 0.0
+    return xi, values
+
 
 def best_perturbation(g: ScalarField, m: ResourceField) -> tuple[ScalarField, float]:
     """Exact maximizer of    sum_i g_i xi_i
@@ -163,29 +210,30 @@ def best_perturbation(g: ScalarField, m: ResourceField) -> tuple[ScalarField, fl
     node absorb the balance. Returns (xi, lp_value); when the optimum is
     <= 0 (constant rates, or a saturated profile) returns xi = 0, value 0.
     """
-    w = g.grid.node_weights
-    kappa = m.kappa
-    n = g.grid.num_nodes
-    rate = g.values / w
-    order = np.lexsort((np.arange(n), -rate))
-    up = (w * (kappa - m.values))[order]     # zeta caps, >= 0
-    dn = (w * m.values)[order]               # zeta floors are -dn, dn >= 0
-    # cumulative budget if nodes 0..j raised and the rest dropped
-    cum = np.cumsum(up) - (float(dn.sum()) - np.cumsum(dn))
-    pivot = int(np.argmax(cum >= 0.0))       # exists: cum[-1] = sum(up) >= 0
-    zeta_sorted = np.where(np.arange(n) <= pivot, up, -dn)
-    zeta_sorted[pivot] = float(dn[pivot + 1 :].sum()) - float(up[:pivot].sum())
-    zeta = np.empty(n)
-    zeta[order] = zeta_sorted
-    xi = zeta / w
-    value = float(g.values @ xi)
-    if value <= 0.0:
-        return ScalarField(g.grid, np.zeros(n)), 0.0
-    return ScalarField(g.grid, xi), value
+    xi, values = _lp_rows(g.grid.node_weights, g.values[None], m.values[None], m.kappa)
+    return ScalarField(g.grid, xi[0]), float(values[0])
 
 
 # ---------------------------------------------------------------------------
 # vertex step
+
+def _vertex_step_rows(grid: Grid, mu: float, kappa: float, m_vals: np.ndarray,
+                      xi: np.ndarray, F: np.ndarray, lp: np.ndarray, theta0):
+    """The full step of armijo_ascent_step on every row of m_vals and xi
+    (S, N), all with positive LP values lp. Returns (trial, F_trial,
+    accepted, steady): the clipped trials, their objectives, whether each
+    gains at least ARMIJO_C times its LP value over F, and the steady_rows
+    result of the trials, warm started from theta0. A row whose trial
+    solve ends in NoConvergence is not accepted; any other error in
+    steady[4] fails it."""
+    trial = np.clip(m_vals + xi, 0.0, kappa)
+    steady = steady_rows(grid, trial, mu, None, theta0)
+    theta, errors = steady[0], steady[4]
+    F_trial = np.array([np.nan if e is not None else grid.mean(t)
+                        for t, e in zip(theta, errors)]).reshape(len(trial))
+    accepted = np.array([e is None for e in errors]) & (F_trial >= F + ARMIJO_C * lp)
+    return trial, F_trial, accepted, steady
+
 
 def armijo_ascent_step(
     m: ResourceField,
@@ -203,19 +251,21 @@ def armijo_ascent_step(
     (m + xi, F_next, 1.0, state); when the increase falls short or the
     trial's steady solve does not converge, returns (m, F_current, 0.0,
     None), which signals termination to the caller. Makes at most one
-    steady solve.
+    steady solve: _vertex_step_rows on the one row.
     """
     if lp_value <= 0.0 or not np.any(xi.values):
         return m, F_current, 0.0, None
-    trial = m.with_values(np.clip(m.values + xi.values, 0.0, m.kappa))
-    try:
-        state = solve_steady_state(trial, params, theta0=theta0)
-    except NoConvergence:
+    trial, F_trial, accepted, (theta, rnorm, iterations, restarted, errors) = (
+        _vertex_step_rows(m.grid, params.mu, m.kappa, m.values[None], xi.values[None],
+                          np.array([F_current]), np.array([lp_value]),
+                          None if theta0 is None else np.asarray(theta0, dtype=float)[None]))
+    if errors[0] is not None and not isinstance(errors[0], NoConvergence):
+        raise errors[0]
+    if not accepted[0]:
         return m, F_current, 0.0, None
-    F_trial = total_population(state)
-    if F_trial >= F_current + ARMIJO_C * lp_value:
-        return trial, F_trial, 1.0, state
-    return m, F_current, 0.0, None
+    state = SteadyState(theta=ScalarField(m.grid, theta[0]), residual_norm=float(rnorm[0]),
+                        iterations=int(iterations[0]), used_fallback=bool(restarted[0]))
+    return m.with_values(trial[0]), float(F_trial[0]), 1.0, state
 
 
 # ---------------------------------------------------------------------------
@@ -286,50 +336,76 @@ def _start_seed(seed: int, start_index: int):
 # ---------------------------------------------------------------------------
 # the full multi-start loop
 
-def _run_single_start(args) -> tuple:
-    params, grid, cfg, start_index = args
-    try:
-        m_cur = random_fourier_guess(
-            grid, params.kappa, params.m0, _start_seed(cfg.seed, start_index)
-        )
-        state = solve_steady_state(m_cur, params)
-        F_cur = total_population(state)
-        trajectory: list = []
-        termination = "max_iters"
-        for _ in range(cfg.max_outer_iters):
-            p = solve_adjoint(m_cur, state.theta, params)
-            g = objective_gradient(state.theta, p)
-            xi, lp_value = best_perturbation(g, m_cur)
-            if lp_value < STOP_LP_VALUE:
-                trajectory.append((F_cur, 0.0, lp_value))
-                termination = "lp_value"
-                break
-            # a rejected step returns m_cur and F_cur unchanged
-            m_cur, F_cur, step, state = armijo_ascent_step(
-                m_cur, xi, F_cur, lp_value, params,
-                theta0=state.theta.values,
-            )
-            trajectory.append((F_cur, step, lp_value))
-            if step == 0.0:
-                termination = "step_zero"
-                break
-        return StartRecord(
-            start_index=start_index,
-            F=F_cur,
-            termination=termination,
-            iterations=len(trajectory),
-            trajectory=trajectory,
-            error=None,
-        ), m_cur
-    except (SolverError, SingularAdjoint, DegenerateSample) as exc:
-        return StartRecord(
-            start_index=start_index,
-            F=float("-inf"),
-            termination="failed",
-            iterations=0,
-            trajectory=[],
-            error=f"{type(exc).__name__}: {exc}",
-        ), None
+def _ascent(job) -> list:
+    """The vertex ascent of the starts in job = (params, grid, cfg, starts),
+    in lockstep. m, theta and F of the live starts are stacked rows, and
+    every outer step makes one adjoint, one gradient and LP, and one trial
+    steady solve over all of them. A start leaves the stack when it ends
+    (lp_value, step_zero, max_iters or failed); each row's arithmetic is
+    that of its start run alone. Returns (StartRecord, final m values or
+    None) per start, in start order."""
+    params, grid, cfg, starts = job
+    mu, kappa, w, n = params.mu, float(params.kappa), grid.node_weights, grid.num_nodes
+    out, trajectory = {}, {j: [] for j in starts}
+
+    def fail(j, exc):
+        out[int(j)] = (StartRecord(start_index=int(j), F=float("-inf"), termination="failed",
+                                   trajectory=[], error=f"{type(exc).__name__}: {exc}"), None)
+
+    def end(j, F, termination, m_final):
+        out[int(j)] = (StartRecord(start_index=int(j), F=float(F), termination=termination,
+                                   trajectory=trajectory[j]), m_final)
+
+    def survivors(errors):
+        """Fail the rows that have an error; True on the others."""
+        for j, e in zip(rows, errors):
+            if e is not None:
+                fail(j, e)
+        return np.array([e is None for e in errors], dtype=bool)
+
+    rows, guesses = [], []
+    for j in starts:
+        try:
+            guesses.append(random_fourier_guess(grid, kappa, params.m0,
+                                                _start_seed(cfg.seed, j)).values)
+            rows.append(j)
+        except DegenerateSample as exc:
+            fail(j, exc)
+    rows = np.array(rows, dtype=int)
+    m_vals = np.array(guesses).reshape(-1, n)
+    theta, _, _, _, errors = steady_rows(grid, m_vals, mu)
+    rows, m_vals, theta = _compact(survivors(errors), rows, m_vals,
+                                   np.array(theta).reshape(-1, n))
+    F = np.array([grid.mean(t) for t in theta])
+    for _ in range(cfg.max_outer_iters):
+        if not rows.size:
+            break
+        p, errors = _adjoint_rows(grid, mu, m_vals, theta)
+        rows, m_vals, theta, F, p = _compact(survivors(errors), rows, m_vals, theta, F, p)
+        xi, lp = _lp_rows(w, _gradient(w, theta, p), m_vals, kappa)
+        vertex = lp < STOP_LP_VALUE
+        for k in np.flatnonzero(vertex):
+            trajectory[rows[k]].append((float(F[k]), 0.0, float(lp[k])))
+            end(rows[k], F[k], "lp_value", m_vals[k])
+        rows, m_vals, theta, F, xi, lp = _compact(~vertex, rows, m_vals, theta, F, xi, lp)
+        if not rows.size:
+            break
+        trial, F_trial, accepted, (theta, *_, errors) = _vertex_step_rows(
+            grid, mu, kappa, m_vals, xi, F, lp, theta)
+        # a trial that does not converge is rejected; any other error fails
+        ok = survivors([None if isinstance(e, NoConvergence) else e for e in errors])
+        for k in np.flatnonzero(ok):
+            j = rows[k]
+            if accepted[k]:
+                trajectory[j].append((float(F_trial[k]), 1.0, float(lp[k])))
+            else:
+                trajectory[j].append((float(F[k]), 0.0, float(lp[k])))
+                end(j, F[k], "step_zero", m_vals[k])
+        rows, m_vals, theta, F = _compact(accepted, rows, trial,
+                                          np.array(theta).reshape(-1, n), F_trial)
+    for k, j in enumerate(rows):
+        end(j, F[k], "max_iters", m_vals[k])
+    return [out[j] for j in starts]
 
 
 def pool_size() -> int:
@@ -349,17 +425,18 @@ def optimize(params: ProblemParams, grid: Grid, cfg: OptimConfig | None = None) 
     """Multi-start ascent; returns the best start's result plus all records.
 
     Reduction is deterministic: highest F wins, ties broken by the lowest
-    start index. Set KPPFRAG_THREADS > 1 to run starts in a process pool;
-    the result is identical to the serial run.
+    start index. Set KPPFRAG_THREADS > 1 to split the starts into that many
+    contiguous chunks (at most one per start), each run in lockstep by one
+    worker process; the result is identical to the serial run.
     """
     cfg = cfg or OptimConfig()
-    jobs = [(params, grid, cfg, j) for j in range(cfg.starts)]
-    threads = pool_size()
-    if threads > 1 and cfg.starts > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, cfg.starts)) as pool:
-            outcomes = list(pool.map(_run_single_start, jobs))
+    chunks = np.array_split(np.arange(cfg.starts), min(pool_size(), cfg.starts))
+    jobs = [(params, grid, cfg, [int(j) for j in chunk]) for chunk in chunks]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            outcomes = [o for chunk in pool.map(_ascent, jobs) for o in chunk]
     else:
-        outcomes = [_run_single_start(job) for job in jobs]
+        outcomes = _ascent(jobs[0])
 
     records = [rec for rec, _ in outcomes]
     best = None
@@ -373,7 +450,7 @@ def optimize(params: ProblemParams, grid: Grid, cfg: OptimConfig | None = None) 
         raise OptimizationError(f"all {cfg.starts} starts failed: {msgs}")
     rec, m_final = best
     return OptimRun(
-        best_m=m_final,
+        best_m=ResourceField(grid, m_final, params.kappa, params.m0),
         best_F=rec.F,
         trajectory=rec.trajectory,
         termination=rec.termination,

@@ -48,6 +48,12 @@ monotone to rounding, while in 2D the inexact steps may break strict
 monotonicity.
 Adjoint solves keep the rounding floor, and the stopping test above does
 not depend on eta, so every accepted state meets the same residual gate.
+
+The Newton iteration works on rows: steady_rows solves a stack of resource
+fields (the optimizer's starts) together, one stacked linear solve per
+Newton step, and each row stops, stalls, restarts or fails by the rule
+above on its own, with the arithmetic of its own solve.
+solve_steady_state is its one-row case.
 """
 from __future__ import annotations
 
@@ -57,7 +63,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fields import ProblemParams, ScalarField, mean
-from .grids import NeumannLaplacian, residual_floor
+from .grids import NeumannLaplacian, RowSolveError, residual_floor
 
 
 class SolverError(RuntimeError):
@@ -101,39 +107,75 @@ class SteadyState:
 
 
 def _residual(lap, theta, m_vals, mu):
-    return mu * lap.apply(theta) + theta * (m_vals - theta)
+    return mu * lap.apply_rows(theta) + theta * (m_vals - theta)
+
+
+def _compact(keep, *arrays):
+    """The rows of each array where keep holds: the arrays themselves, not
+    copies, when it holds on every row."""
+    return arrays if keep.all() else tuple(a[keep] for a in arrays)
+
+
+def solve_rows(lap, mu, diag, rhs, rtol=None):
+    """lap.solve_shifted on stacked rows, as (x, errors): errors[i] is None,
+    or the message of row i's failed solve, whose x row is then NaN."""
+    try:
+        return lap.solve_shifted(mu, diag, rhs, rtol), [None] * len(rhs)
+    except RowSolveError as exc:
+        return exc.x, exc.errors
 
 
 def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
-    """Newton from theta by full steps; returns (theta, residual norm,
-    Newton steps, stalled). Unless monotone, the run stalls at the first
-    step whose linear solve fails, whose residual does not fall or whose
-    iterate is not strictly positive (a NaN fails both tests); the failed
-    step counts as a step. On the monotone run a failed linear solve
-    raises NoConvergence."""
+    """Newton by full steps from each row of theta (S, N), against the same
+    row of m_vals. Every row's arithmetic is that of its own run, and theta
+    itself is never written to. Returns (theta, rnorm, steps, stalled,
+    errors), one entry per row: the last iterate, its residual sup norm,
+    the Newton steps, whether the run stalled, and None or the row's
+    NoConvergence. Unless monotone, a row stalls at the first step whose
+    linear solve fails, whose residual does not fall or whose iterate is
+    not strictly positive (a NaN fails both tests), and keeps the iterate
+    before that step; the failed step counts as a step. On the monotone run
+    a failed linear solve ends its row with NoConvergence; on both runs the
+    step cap does."""
+    n_rows = len(theta)
+    out, errors = [None] * n_rows, [None] * n_rows
+    rnorm_out = np.zeros(n_rows)
+    steps = np.zeros(n_rows, dtype=int)
+    stalled = np.zeros(n_rows, dtype=bool)
+    live = np.arange(n_rows)            # the row of each working row
     r = _residual(lap, theta, m_vals, mu)
-    rnorm = float(np.abs(r).max())
-    newton_iters = 0
+    rnorm = np.abs(r).max(axis=1)
     while True:
-        if rnorm <= cfg.newton_tol or rnorm <= floor_limit * float(np.abs(theta).max()):
+        for k, i in enumerate(live):     # a row that ends here keeps this iterate
+            out[i], rnorm_out[i] = theta[k], rnorm[k]
+        going = ~((rnorm <= cfg.newton_tol)
+                  | (rnorm <= floor_limit * np.abs(theta).max(axis=1)))
+        for k in np.flatnonzero(going & (steps[live] >= MAX_NEWTON_ITERS)):
+            errors[live[k]] = NoConvergence("Newton iteration cap exceeded", rnorm[k])
+        going &= steps[live] < MAX_NEWTON_ITERS
+        theta, m_vals, r, rnorm, live = _compact(going, theta, m_vals, r, rnorm, live)
+        if not live.size:
             break
-        if newton_iters >= MAX_NEWTON_ITERS:
-            raise NoConvergence("Newton iteration cap exceeded", rnorm)
-        newton_iters += 1
-        try:
-            delta = lap.solve_shifted(mu, 2.0 * theta - m_vals, r,
-                                      rtol=min(NEWTON_FORCING, 0.5 * rnorm))
-        except np.linalg.LinAlgError as exc:
+        steps[live] += 1
+        delta, failures = solve_rows(lap, mu, 2.0 * theta - m_vals, r,
+                                     rtol=np.minimum(NEWTON_FORCING, 0.5 * rnorm))
+        solved = np.array([e is None for e in failures])
+        for k in np.flatnonzero(~solved):
             if monotone:
-                raise NoConvergence(f"linear solve failed: {exc}", rnorm) from exc
-            return theta, rnorm, newton_iters, True
+                errors[live[k]] = NoConvergence(f"linear solve failed: {failures[k]}",
+                                                rnorm[k])
+            stalled[live[k]] = not monotone
+        theta, m_vals, rnorm, live, delta = _compact(solved, theta, m_vals, rnorm, live, delta)
+        if not live.size:
+            break
         trial = theta + delta
         rt = _residual(lap, trial, m_vals, mu)
-        rtn = float(np.abs(rt).max())
-        if not monotone and not (rtn < rnorm and trial.min() > 0.0):
-            return theta, rnorm, newton_iters, True
-        theta, r, rnorm = trial, rt, rtn
-    return theta, rnorm, newton_iters, False
+        rtn = np.abs(rt).max(axis=1)
+        better = np.ones(len(live), dtype=bool) if monotone else (
+            (rtn < rnorm) & (trial.min(axis=1) > 0.0))
+        stalled[live[~better]] = True
+        theta, r, rnorm, m_vals, live = _compact(better, trial, rt, rtn, m_vals, live)
+    return out, rnorm_out, steps, stalled, errors
 
 
 def _below_mean(theta, grid, mbar):
@@ -142,13 +184,74 @@ def _below_mean(theta, grid, mbar):
     return grid.mean(theta) < (1.0 - 1e-8) * mbar
 
 
+def steady_rows(grid, m_vals, mu, cfg=None, theta0=None):
+    """The positive steady state of every row of m_vals (S, N) on grid, by
+    the rule of solve_steady_state, warm started from the rows of theta0
+    when it is given (read, never written). Each row's arithmetic is that
+    of its own solve. Returns (theta, rnorm, iterations, restarted, errors),
+    one entry per row; errors[i] is None or the SolverError that
+    solve_steady_state would raise for row i, whose other entries are then
+    meaningless."""
+    cfg = cfg or SolverConfig()
+    lap = NeumannLaplacian(grid)
+    grid._operators                     # built before any iterate exists
+    n_rows, n = m_vals.shape
+    mbar = [grid.mean(v) for v in m_vals]
+    theta = [None] * n_rows
+    rnorm = np.zeros(n_rows)
+    iterations = np.zeros(n_rows, dtype=int)
+    restarted = np.zeros(n_rows, dtype=bool)
+    errors = [None if b > 0.0 else NonPositiveMeanResource(f"mean(m) = {b} must be positive")
+              for b in mbar]
+    rows = [i for i in range(n_rows) if errors[i] is None]
+    floor_limit = residual_floor(grid, mu)
+
+    def record(rows, newton):
+        th, rn, steps, stalled, errs = newton
+        for k, i in enumerate(rows):
+            theta[i], rnorm[i], errors[i] = th[k], rn[k], errs[k]
+            iterations[i] += steps[k]
+        return [i for k, i in enumerate(rows) if stalled[k]]
+
+    if rows:
+        if theta0 is None:
+            start = np.repeat(np.array([mbar[i] for i in rows])[:, None], n, axis=1)
+        else:
+            start = np.asarray(theta0, dtype=float)
+            start = start if len(rows) == n_rows else start[rows]
+        m_rows = m_vals if len(rows) == n_rows else m_vals[rows]
+        stalled = record(rows, _newton(lap, start, m_rows, mu, cfg, floor_limit,
+                                       monotone=False))
+        del start, m_rows
+        again = [i for i in rows if errors[i] is None
+                 and (i in stalled or _below_mean(theta[i], grid, mbar[i]))]
+        if again:
+            restarted[again] = True
+            # the start array is not kept once Newton has left it
+            tops = np.array([float(np.max(m_vals[i])) for i in again])
+            record(again, _newton(lap, np.repeat(tops[:, None], n, axis=1),
+                                  m_vals if len(again) == n_rows else m_vals[again],
+                                  mu, cfg, floor_limit, monotone=True))
+            for i in again:
+                if errors[i] is None and _below_mean(theta[i], grid, mbar[i]):
+                    errors[i] = NoConvergence(
+                        "both starts converged to the trivial state theta ~ 0", rnorm[i])
+    for i in rows:
+        if errors[i] is None and float(np.min(theta[i])) <= 0.0:
+            errors[i] = NoConvergence("converged iterate is not strictly positive", rnorm[i])
+    if len(rows) < n_rows:
+        theta = [np.full(n, np.nan) if t is None else t for t in theta]
+    return theta, rnorm, iterations, restarted, errors
+
+
 def solve_steady_state(
     m: ScalarField,
     params: ProblemParams,
     cfg: SolverConfig | None = None,
     theta0: np.ndarray | None = None,
 ) -> SteadyState:
-    """Compute the positive steady state for resource field m.
+    """Compute the positive steady state for resource field m: steady_rows
+    on its one row.
 
     Parameters
     ----------
@@ -187,43 +290,16 @@ def solve_steady_state(
     NoConvergence : if a run exceeds MAX_NEWTON_ITERS steps, a linear solve
         of the restart fails, or the restart too ends at the trivial state.
     """
-    cfg = cfg or SolverConfig()
-    mbar = mean(m)
-    if mbar <= 0.0:
-        raise NonPositiveMeanResource(f"mean(m) = {mbar} must be positive")
-    lap = NeumannLaplacian(m.grid)
-    mu = params.mu
-    m_vals = m.values
-
-    theta = (
-        np.full(m.grid.num_nodes, mbar)
-        if theta0 is None
-        else np.asarray(theta0, dtype=float)
-    )
-    floor_limit = residual_floor(m.grid, mu)
-    theta, rnorm, newton_iters, stalled = _newton(
-        lap, theta, m_vals, mu, cfg, floor_limit, monotone=False
-    )
-    restarted = stalled or _below_mean(theta, m.grid, mbar)
-    if restarted:
-        theta, rnorm, more_iters, _ = _newton(
-            lap, np.full(m.grid.num_nodes, float(np.max(m_vals))), m_vals, mu, cfg,
-            floor_limit, monotone=True,
-        )
-        newton_iters += more_iters
-        if _below_mean(theta, m.grid, mbar):
-            raise NoConvergence(
-                "both starts converged to the trivial state theta ~ 0", rnorm
-            )
-
-    if float(np.min(theta)) <= 0.0:
-        raise NoConvergence("converged iterate is not strictly positive", rnorm)
-
+    theta, rnorm, iterations, restarted, errors = steady_rows(
+        m.grid, m.values[None], params.mu, cfg,
+        None if theta0 is None else np.asarray(theta0, dtype=float)[None])
+    if errors[0] is not None:
+        raise errors[0]
     return SteadyState(
-        theta=ScalarField(m.grid, theta),
-        residual_norm=rnorm,
-        iterations=newton_iters,
-        used_fallback=restarted,
+        theta=ScalarField(m.grid, theta[0]),
+        residual_norm=float(rnorm[0]),
+        iterations=int(iterations[0]),
+        used_fallback=bool(restarted[0]),
     )
 
 

@@ -409,6 +409,11 @@ def test_cmd_optimize_persists_run(tmp_path, capsys):
     assert rep["command"] == "optimize"
     assert rep["best_F"] >= 0.3 - 1e-8
     assert all(s["F"] is not None for s in rep["starts"])
+    # iterations is a property of the record, not a field, and still reported
+    assert [set(s) for s in rep["starts"]] == [
+        {"start_index", "F", "termination", "iterations", "error"}] * 2
+    winner = rep["starts"][rep["start_index"]]
+    assert winner["iterations"] == len(rep["trajectory"]) >= 1
     traj = rep["trajectory"]
     assert all(b[0] >= a[0] for a, b in zip(traj, traj[1:]))
     assert (out / "best_m.csv").exists()

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 from hypothesis import given, settings, strategies as st
 
 from kppfrag import (
@@ -432,6 +433,71 @@ def test_shifted_solve_1d_singular_raises_linalg_error():
     # zero shift: constants span the kernel of the Neumann Laplacian
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         NeumannLaplacian(Grid((3,))).solve_shifted(0.25, np.zeros(3), np.ones(3))
+
+
+def _gtsv_row(g, mu, diag, rhs):
+    """One LAPACK gtsv call on one row's shifted system, built here."""
+    (n,), (h,) = g.counts, g.spacings
+    inv = mu / (h * h)
+    dl, du = np.full(n - 1, -inv), np.full(n - 1, -inv)
+    dl[-1] = du[0] = -2.0 * inv
+    gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+    x, info = gtsv(dl, 2.0 * inv + diag, du, rhs)[3:]
+    return x, info
+
+
+@pytest.mark.parametrize("n, mu", [(9, 1.0 / 64.0), (1000, 0.01)])
+def test_stacked_1d_solve_is_per_row_gtsv_bit_for_bit(n, mu):
+    # one gtsv call on the block-diagonal stack: the zero couplings at the
+    # joins leave each row's elimination exactly its own
+    g = Grid((n,))
+    rng = np.random.default_rng(n)
+    diag = rng.uniform(-1.0, 1.0, (5, n))
+    diag[1] = rng.uniform(0.5, 2.0, n)
+    rhs = rng.standard_normal((5, n))
+    x = NeumannLaplacian(g).solve_shifted(mu, diag, rhs)
+    assert x.shape == (5, n) and x.flags.c_contiguous
+    for i in range(5):
+        expect, info = _gtsv_row(g, mu, diag[i], rhs[i])
+        assert info == 0 and x[i].tobytes() == expect.tobytes()
+    assert NeumannLaplacian(g).solve_shifted(mu, diag[:1], rhs[:1]).tobytes() == x[0].tobytes()
+
+
+def test_stacked_1d_solve_fails_row_by_row():
+    # a non-finite d (row 1) and an exactly singular matrix (row 3: zero
+    # shift, constants in the kernel) each fail alone, with the message of a
+    # one-row solve; every other row keeps its gtsv bytes
+    g, mu = Grid((9,)), 1.0 / 64.0        # h = 1/8, so mu / h^2 = 1: exact
+    rng = np.random.default_rng(5)
+    diag = rng.uniform(0.5, 2.0, (5, 9))
+    diag[1, 4] = np.nan
+    diag[3] = 0.0
+    rhs = rng.standard_normal((5, 9))
+    with pytest.raises(grids_mod.RowSolveError) as exc:
+        NeumannLaplacian(g).solve_shifted(mu, diag, rhs)
+    assert exc.value.errors == [
+        None, "shifted solve: non-finite diagonal or rhs", None, "singular matrix", None]
+    assert str(exc.value) == "shifted solve: non-finite diagonal or rhs; singular matrix"
+    assert np.isnan(exc.value.x[[1, 3]]).all()
+    for i in (0, 2, 4):
+        expect, info = _gtsv_row(g, mu, diag[i], rhs[i])
+        assert info == 0 and exc.value.x[i].tobytes() == expect.tobytes()
+    assert _gtsv_row(g, mu, diag[3], rhs[3])[1] > 0
+
+
+def test_stacked_2d_solve_fails_row_by_row():
+    # 2D rows run one CG solve each with their own d and tolerance
+    g = Grid((9, 7))
+    lap = NeumannLaplacian(g)
+    rng = np.random.default_rng(6)
+    diag = rng.uniform(0.5, 2.0, (3, g.num_nodes))
+    diag[1, 0] = np.inf
+    rhs = rng.standard_normal((3, g.num_nodes))
+    with pytest.raises(grids_mod.RowSolveError) as exc:
+        lap.solve_shifted(0.1, diag, rhs, rtol=np.array([1e-3, 1e-3, 1e-6]))
+    assert exc.value.errors == [None, "shifted solve: non-finite diagonal or rhs", None]
+    assert exc.value.x[0].tobytes() == lap.solve_shifted(0.1, diag[0], rhs[0], 1e-3).tobytes()
+    assert exc.value.x[2].tobytes() == lap.solve_shifted(0.1, diag[2], rhs[2], 1e-6).tobytes()
 
 
 def test_refined_counts():

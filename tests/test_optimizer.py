@@ -259,18 +259,20 @@ def test_unconverged_trial_is_rejected_after_one_solve(monkeypatch):
     xi, lp_value = best_perturbation(grad, m)
     assert lp_value > 0.0
     solves = []
+    real_rows = optimizer_mod.steady_rows
 
-    def failing_solve(*args, **kwargs):
-        solves.append(args[0])
-        raise NoConvergence("forced by test", float("nan"))
+    def failing_solve(grid, m_vals, *args, **kwargs):
+        solves.append(m_vals.copy())
+        out = real_rows(grid, m_vals, *args, **kwargs)
+        return out[:4] + ([NoConvergence("forced by test", float("nan"))] * len(m_vals),)
 
-    monkeypatch.setattr(optimizer_mod, "solve_steady_state", failing_solve)
+    monkeypatch.setattr(optimizer_mod, "steady_rows", failing_solve)
     m2, F2, step, state2 = armijo_ascent_step(
         m, xi, F0, lp_value, params, theta0=state.theta.values
     )
     assert m2 is m and F2 == F0 and step == 0.0 and state2 is None
     assert len(solves) == 1
-    assert np.array_equal(solves[0].values, np.clip(m.values + xi.values, 0.0, 1.0))
+    assert np.array_equal(solves[0], np.clip(m.values + xi.values, 0.0, 1.0)[None])
 
 
 def test_constant_resource_is_stationary_at_lp_level():
@@ -442,29 +444,29 @@ def test_ascent_properties(n, mu, max_outer_iters, seed):
 def test_rejected_full_step_ends_the_start(monkeypatch):
     # no full step can gain 1e12 times the LP value: the first is rejected
     monkeypatch.setattr(optimizer_mod, "ARMIJO_C", 1e12)
-    solve = optimizer_mod.solve_steady_state
-    ascent_step = optimizer_mod.armijo_ascent_step
-    trial_solves = []          # steady solves made inside each ascent step
+    solve = optimizer_mod.steady_rows
+    vertex_step = optimizer_mod._vertex_step_rows
+    trial_rows = []            # rows of each steady solve made in each vertex step
 
     def counting_step(*args, **kwargs):
-        trial_solves.append(0)
+        trial_rows.append([])
 
-        def counting_solve(*solve_args, **solve_kwargs):
-            trial_solves[-1] += 1
-            return solve(*solve_args, **solve_kwargs)
+        def counting_solve(grid, m_vals, *solve_args, **solve_kwargs):
+            trial_rows[-1].append(len(m_vals))
+            return solve(grid, m_vals, *solve_args, **solve_kwargs)
 
         with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(optimizer_mod, "solve_steady_state", counting_solve)
-            return ascent_step(*args, **kwargs)
+            inner.setattr(optimizer_mod, "steady_rows", counting_solve)
+            return vertex_step(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer_mod, "armijo_ascent_step", counting_step)
+    monkeypatch.setattr(optimizer_mod, "_vertex_step_rows", counting_step)
     cfg = OptimConfig(starts=2, seed=0)
     run = optimize(ProblemParams(mu=0.1, kappa=1.0, m0=0.3), Grid((33,)), cfg)
     assert [(rec.termination, rec.iterations) for rec in run.starts] == [
         ("step_zero", 1), ("step_zero", 1)]
-    # each start's one ascent step makes one trial: a rejected full step is
-    # not backtracked
-    assert trial_solves == [1, 1]
+    # both starts take their one ascent step together, and it makes one
+    # trial per start: a rejected full step is not backtracked
+    assert trial_rows == [[2]]
     for rec in run.starts:
         _check_finished_start(rec, cfg.max_outer_iters)
 

@@ -262,11 +262,11 @@ def test_first_run_solve_failure_restarts_from_max_m(monkeypatch, counts):
     real_solve = NeumannLaplacian.solve_shifted
     calls = []
 
-    def failing_once(self, *args, **kwargs):
+    def failing_once(self, mu, diag, rhs, rtol=None):
         calls.append(1)
         if len(calls) == 1:
-            raise np.linalg.LinAlgError("forced failure")
-        return real_solve(self, *args, **kwargs)
+            raise grids_mod.RowSolveError(np.full(rhs.shape, np.nan), ["forced failure"])
+        return real_solve(self, mu, diag, rhs, rtol)
 
     monkeypatch.setattr(NeumannLaplacian, "solve_shifted", failing_once)
     runs = _newton_runs(monkeypatch)
@@ -366,7 +366,7 @@ def test_non_positive_trial_restarts_though_its_residual_falls(monkeypatch):
         delta = real_solve(self, mu, diag, rhs, rtol)
         if not forced:
             forced.append(True)
-            delta[-1] = -0.5 * diag[-1]       # diag = 2 theta - m = 2 theta here
+            delta[:, -1] = -0.5 * diag[:, -1]   # diag = 2 theta - m = 2 theta here
         return delta
 
     monkeypatch.setattr(NeumannLaplacian, "solve_shifted", forced_solve)
@@ -411,17 +411,17 @@ def test_full_step_cold_solves_keep_the_constant_start(monkeypatch, mu):
     for seed in range(3):
         m = random_fourier_guess(grid, 1.0, 0.3, seed)
         lap = NeumannLaplacian(grid)
-        theta, rnorm, steps, stalled = solver_mod._newton(
-            lap, np.full(grid.num_nodes, mean(m)), m.values, mu, SolverConfig(),
+        theta, rnorm, steps, stalled, errors = solver_mod._newton(
+            lap, np.full((1, grid.num_nodes), mean(m)), m.values[None], mu, SolverConfig(),
             grids_mod.residual_floor(grid, mu), monotone=False)
         with monkeypatch.context() as mp:
             runs = _newton_runs(mp)
             state = solve_steady_state(m, params)
-        assert len(runs) == 1 and not stalled
-        assert len(runs[0]["norms"]) == 1 + runs[0]["steps"]
-        assert state.theta.values.tobytes() == theta.tobytes()
+        assert len(runs) == 1 and not stalled[0] and errors == [None]
+        assert len(runs[0]["norms"]) == 1 + runs[0]["steps"][0]
+        assert state.theta.values.tobytes() == theta[0].tobytes()
         assert (state.residual_norm, state.iterations, state.used_fallback) == (
-            rnorm, steps, False)
+            rnorm[0], steps[0], False)
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.01])
