@@ -353,8 +353,9 @@ def _ascent(job) -> list:
                                    trajectory=[], error=f"{type(exc).__name__}: {exc}"), None)
 
     def end(j, F, termination, m_final):
+        # a copy: a view would keep the whole stack of its step alive
         out[int(j)] = (StartRecord(start_index=int(j), F=float(F), termination=termination,
-                                   trajectory=trajectory[j]), m_final)
+                                   trajectory=trajectory[j]), m_final.copy())
 
     def survivors(errors):
         """Fail the rows that have an error; True on the others."""
@@ -383,6 +384,7 @@ def _ascent(job) -> list:
         p, errors = _adjoint_rows(grid, mu, m_vals, theta)
         rows, m_vals, theta, F, p = _compact(survivors(errors), rows, m_vals, theta, F, p)
         xi, lp = _lp_rows(w, _gradient(w, theta, p), m_vals, kappa)
+        del p
         vertex = lp < STOP_LP_VALUE
         for k in np.flatnonzero(vertex):
             trajectory[rows[k]].append((float(F[k]), 0.0, float(lp[k])))

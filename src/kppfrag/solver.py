@@ -107,7 +107,14 @@ class SteadyState:
 
 
 def _residual(lap, theta, m_vals, mu):
-    return mu * lap.apply_rows(theta) + theta * (m_vals - theta)
+    """mu * Lap(theta) + theta * (m - theta) per row, with the rounding of
+    that expression and one temporary."""
+    r = lap.apply_rows(theta)
+    r *= mu
+    growth = m_vals - theta
+    growth *= theta
+    r += growth
+    return r
 
 
 def _compact(keep, *arrays):
@@ -145,14 +152,21 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
     live = np.arange(n_rows)            # the row of each working row
     r = _residual(lap, theta, m_vals, mu)
     rnorm = np.abs(r).max(axis=1)
+
+    def settle(ending):
+        """Keep the current iterate and residual of the rows that end here:
+        copies when others go on, so no working stack stays alive."""
+        for k in np.flatnonzero(ending):
+            out[live[k]] = theta[k] if ending.all() else theta[k].copy()
+            rnorm_out[live[k]] = rnorm[k]
+
     while True:
-        for k, i in enumerate(live):     # a row that ends here keeps this iterate
-            out[i], rnorm_out[i] = theta[k], rnorm[k]
         going = ~((rnorm <= cfg.newton_tol)
                   | (rnorm <= floor_limit * np.abs(theta).max(axis=1)))
         for k in np.flatnonzero(going & (steps[live] >= MAX_NEWTON_ITERS)):
             errors[live[k]] = NoConvergence("Newton iteration cap exceeded", rnorm[k])
         going &= steps[live] < MAX_NEWTON_ITERS
+        settle(~going)
         theta, m_vals, r, rnorm, live = _compact(going, theta, m_vals, r, rnorm, live)
         if not live.size:
             break
@@ -165,6 +179,7 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
                 errors[live[k]] = NoConvergence(f"linear solve failed: {failures[k]}",
                                                 rnorm[k])
             stalled[live[k]] = not monotone
+        settle(~solved)
         theta, m_vals, rnorm, live, delta = _compact(solved, theta, m_vals, rnorm, live, delta)
         if not live.size:
             break
@@ -174,6 +189,7 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
         better = np.ones(len(live), dtype=bool) if monotone else (
             (rtn < rnorm) & (trial.min(axis=1) > 0.0))
         stalled[live[~better]] = True
+        settle(~better)
         theta, r, rnorm, m_vals, live = _compact(better, trial, rt, rtn, m_vals, live)
     return out, rnorm_out, steps, stalled, errors
 
