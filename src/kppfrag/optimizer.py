@@ -54,7 +54,7 @@ import numpy as np
 
 from .fields import ProblemParams, ResourceField, ScalarField
 from .grids import Grid, NeumannLaplacian, residual_floor
-from .solver import NoConvergence, SteadyState, _compact, solve_rows, steady_rows
+from .solver import SteadyState, _compact, solve_rows, steady_rows
 
 
 class SingularAdjoint(RuntimeError):
@@ -123,21 +123,20 @@ def _adjoint_rows(grid: Grid, mu: float, m_vals: np.ndarray, theta: np.ndarray):
     lap = NeumannLaplacian(grid)
     diag = 2.0 * theta - m_vals
     p, failures = solve_rows(lap, mu, diag, np.ones_like(diag))
-    errors = [None if e is None else SingularAdjoint(f"adjoint solve failed: {e}")
-              for e in failures]
-    for i, row in enumerate(p):
-        if errors[i] is None and not np.isfinite(row).all():
-            errors[i] = SingularAdjoint("adjoint solve produced non-finite values")
-    ok = np.array([e is None for e in errors])
-    if ok.any():
-        pk, dk = _compact(ok, p, diag)
+    finite = np.isfinite(p).all(axis=1)          # a failed row is NaN
+    errors = [None] * len(p)
+    for i in np.flatnonzero(~finite):
+        errors[i] = SingularAdjoint(f"adjoint solve failed: {failures[i]}" if failures[i]
+                                    else "adjoint solve produced non-finite values")
+    rows = np.flatnonzero(finite)
+    if rows.size:
+        pk, dk = _compact(finite, p, diag)
         rnorm = np.abs(mu * (-lap.apply_rows(pk)) + dk * pk - 1.0).max(axis=1)
-        floor = residual_floor(grid, mu)
-        for k, i in enumerate(np.flatnonzero(ok)):
-            if rnorm[k] > max(1e-10, floor * max(1.0, float(np.abs(pk[k]).max()))):
-                errors[i] = SingularAdjoint(
-                    f"adjoint residual {rnorm[k]:.3e} above tolerance; "
-                    "steady state is not a stable branch")
+        floor = residual_floor(grid, mu) * np.maximum(1.0, np.abs(pk).max(axis=1))
+        for k in np.flatnonzero(rnorm > np.maximum(1e-10, floor)):
+            errors[rows[k]] = SingularAdjoint(
+                f"adjoint residual {rnorm[k]:.3e} above tolerance; "
+                "steady state is not a stable branch")
     return p, errors
 
 
@@ -178,9 +177,10 @@ def _lp_rows(w: np.ndarray, g: np.ndarray, m_vals: np.ndarray, kappa: float):
     rounds differently."""
     n = g.shape[1]
     rate = g / w
-    order = np.argsort(-rate, axis=1, kind="stable")
-    up = np.take_along_axis(w * (kappa - m_vals), order, axis=1)   # zeta caps, >= 0
-    dn = np.take_along_axis(w * m_vals, order, axis=1)             # zeta floors are -dn
+    # flat indices of each row's nodes by descending rate
+    order = np.argsort(-rate, axis=1, kind="stable") + n * np.arange(len(g))[:, None]
+    up = np.take(w * (kappa - m_vals), order)      # zeta caps, >= 0
+    dn = np.take(w * m_vals, order)                # zeta floors are -dn
     # cumulative budget if nodes 0..j raised and the rest dropped
     cum = np.cumsum(up, axis=1) - (dn.sum(axis=1)[:, None] - np.cumsum(dn, axis=1))
     pivot = np.argmax(cum >= 0.0, axis=1)  # exists: cum[-1] = sum(up) >= 0
@@ -188,7 +188,7 @@ def _lp_rows(w: np.ndarray, g: np.ndarray, m_vals: np.ndarray, kappa: float):
     for i, k in enumerate(pivot):
         zeta_sorted[i, k] = float(dn[i, k + 1:].sum()) - float(up[i, :k].sum())
     zeta = np.empty_like(zeta_sorted)
-    np.put_along_axis(zeta, order, zeta_sorted, axis=1)
+    zeta.put(order, zeta_sorted)
     xi = zeta / w
     values = np.array([float(gi @ xii) for gi, xii in zip(g, xi)]).reshape(len(g))
     xi[values <= 0.0] = 0.0
@@ -223,15 +223,14 @@ def _vertex_step_rows(grid: Grid, mu: float, kappa: float, m_vals: np.ndarray,
     (S, N), all with positive LP values lp. Returns (trial, F_trial,
     accepted, steady): the clipped trials, their objectives, whether each
     gains at least ARMIJO_C times its LP value over F, and the steady_rows
-    result of the trials, warm started from theta0. A row whose trial
-    solve ends in NoConvergence is not accepted; any other error in
-    steady[4] fails it."""
+    result of the trials, warm started from theta0. A trial whose steady
+    solve ends in NoConvergence is not accepted."""
     trial = np.clip(m_vals + xi, 0.0, kappa)
     steady = steady_rows(grid, trial, mu, None, theta0)
-    theta, errors = steady[0], steady[4]
-    F_trial = np.array([np.nan if e is not None else grid.mean(t)
-                        for t, e in zip(theta, errors)]).reshape(len(trial))
-    accepted = np.array([e is None for e in errors]) & (F_trial >= F + ARMIJO_C * lp)
+    converged = np.array([e is None for e in steady[4]], dtype=bool)
+    F_trial = np.array([grid.mean(t) if ok else np.nan
+                        for t, ok in zip(steady[0], converged)]).reshape(len(trial))
+    accepted = converged & (F_trial >= F + ARMIJO_C * lp)
     return trial, F_trial, accepted, steady
 
 
@@ -255,12 +254,10 @@ def armijo_ascent_step(
     """
     if lp_value <= 0.0 or not np.any(xi.values):
         return m, F_current, 0.0, None
-    trial, F_trial, accepted, (theta, rnorm, iterations, restarted, errors) = (
+    trial, F_trial, accepted, (theta, rnorm, iterations, restarted, _) = (
         _vertex_step_rows(m.grid, params.mu, m.kappa, m.values[None], xi.values[None],
                           np.array([F_current]), np.array([lp_value]),
                           None if theta0 is None else np.asarray(theta0, dtype=float)[None]))
-    if errors[0] is not None and not isinstance(errors[0], NoConvergence):
-        raise errors[0]
     if not accepted[0]:
         return m, F_current, 0.0, None
     state = SteadyState(theta=ScalarField(m.grid, theta[0]), residual_norm=float(rnorm[0]),
@@ -392,12 +389,9 @@ def _ascent(job) -> list:
         rows, m_vals, theta, F, xi, lp = _compact(~vertex, rows, m_vals, theta, F, xi, lp)
         if not rows.size:
             break
-        trial, F_trial, accepted, (theta, *_, errors) = _vertex_step_rows(
+        trial, F_trial, accepted, (theta, *_) = _vertex_step_rows(
             grid, mu, kappa, m_vals, xi, F, lp, theta)
-        # a trial that does not converge is rejected; any other error fails
-        ok = survivors([None if isinstance(e, NoConvergence) else e for e in errors])
-        for k in np.flatnonzero(ok):
-            j = rows[k]
+        for k, j in enumerate(rows):
             if accepted[k]:
                 trajectory[j].append((float(F_trial[k]), 1.0, float(lp[k])))
             else:

@@ -156,16 +156,19 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
     def settle(ending):
         """Keep the current iterate and residual of the rows that end here:
         copies when others go on, so no working stack stays alive."""
-        for k in np.flatnonzero(ending):
-            out[live[k]] = theta[k] if ending.all() else theta[k].copy()
-            rnorm_out[live[k]] = rnorm[k]
+        if ending.any():
+            for k in np.flatnonzero(ending):
+                out[live[k]] = theta[k] if ending.all() else theta[k].copy()
+                rnorm_out[live[k]] = rnorm[k]
 
     while True:
         going = ~((rnorm <= cfg.newton_tol)
                   | (rnorm <= floor_limit * np.abs(theta).max(axis=1)))
-        for k in np.flatnonzero(going & (steps[live] >= MAX_NEWTON_ITERS)):
-            errors[live[k]] = NoConvergence("Newton iteration cap exceeded", rnorm[k])
-        going &= steps[live] < MAX_NEWTON_ITERS
+        capped = going & (steps[live] >= MAX_NEWTON_ITERS)
+        if capped.any():
+            for k in np.flatnonzero(capped):
+                errors[live[k]] = NoConvergence("Newton iteration cap exceeded", rnorm[k])
+            going &= ~capped
         settle(~going)
         theta, m_vals, r, rnorm, live = _compact(going, theta, m_vals, r, rnorm, live)
         if not live.size:
@@ -174,7 +177,7 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
         delta, failures = solve_rows(lap, mu, 2.0 * theta - m_vals, r,
                                      rtol=np.minimum(NEWTON_FORCING, 0.5 * rnorm))
         solved = np.array([e is None for e in failures])
-        for k in np.flatnonzero(~solved):
+        for k in np.flatnonzero(~solved) if not solved.all() else ():
             if monotone:
                 errors[live[k]] = NoConvergence(f"linear solve failed: {failures[k]}",
                                                 rnorm[k])
@@ -201,62 +204,38 @@ def _below_mean(theta, grid, mbar):
 
 
 def steady_rows(grid, m_vals, mu, cfg=None, theta0=None):
-    """The positive steady state of every row of m_vals (S, N) on grid, by
-    the rule of solve_steady_state, warm started from the rows of theta0
-    when it is given (read, never written). Each row's arithmetic is that
-    of its own solve. Returns (theta, rnorm, iterations, restarted, errors),
-    one entry per row; errors[i] is None or the SolverError that
-    solve_steady_state would raise for row i, whose other entries are then
-    meaningless."""
+    """The positive steady state of every row of m_vals (S, N) on grid, each
+    row of positive mean, by the rule of solve_steady_state, warm started
+    from the rows of theta0 when it is given (read, never written). Each
+    row's arithmetic is that of its own solve. Returns (theta, rnorm,
+    iterations, restarted, errors), one entry per row; errors[i] is None or
+    the NoConvergence that solve_steady_state would raise for row i."""
     cfg = cfg or SolverConfig()
     lap = NeumannLaplacian(grid)
     grid._operators                     # built before any iterate exists
-    n_rows, n = m_vals.shape
+    n = m_vals.shape[1]
     mbar = [grid.mean(v) for v in m_vals]
-    theta = [None] * n_rows
-    rnorm = np.zeros(n_rows)
-    iterations = np.zeros(n_rows, dtype=int)
-    restarted = np.zeros(n_rows, dtype=bool)
-    errors = [None if b > 0.0 else NonPositiveMeanResource(f"mean(m) = {b} must be positive")
-              for b in mbar]
-    rows = [i for i in range(n_rows) if errors[i] is None]
     floor_limit = residual_floor(grid, mu)
-
-    def record(rows, newton):
-        th, rn, steps, stalled, errs = newton
-        for k, i in enumerate(rows):
-            theta[i], rnorm[i], errors[i] = th[k], rn[k], errs[k]
-            iterations[i] += steps[k]
-        return [i for k, i in enumerate(rows) if stalled[k]]
-
-    if rows:
-        if theta0 is None:
-            start = np.repeat(np.array([mbar[i] for i in rows])[:, None], n, axis=1)
-        else:
-            start = np.asarray(theta0, dtype=float)
-            start = start if len(rows) == n_rows else start[rows]
-        m_rows = m_vals if len(rows) == n_rows else m_vals[rows]
-        stalled = record(rows, _newton(lap, start, m_rows, mu, cfg, floor_limit,
-                                       monotone=False))
-        del start, m_rows
-        again = [i for i in rows if errors[i] is None
-                 and (i in stalled or _below_mean(theta[i], grid, mbar[i]))]
-        if again:
-            restarted[again] = True
-            # the start array is not kept once Newton has left it
-            tops = np.array([float(np.max(m_vals[i])) for i in again])
-            record(again, _newton(lap, np.repeat(tops[:, None], n, axis=1),
-                                  m_vals if len(again) == n_rows else m_vals[again],
-                                  mu, cfg, floor_limit, monotone=True))
-            for i in again:
-                if errors[i] is None and _below_mean(theta[i], grid, mbar[i]):
-                    errors[i] = NoConvergence(
-                        "both starts converged to the trivial state theta ~ 0", rnorm[i])
-    for i in rows:
-        if errors[i] is None and float(np.min(theta[i])) <= 0.0:
+    # the start arrays are passed, not named, so none outlives its first step
+    theta, rnorm, steps, stalled, errors = _newton(
+        lap, np.repeat(np.array(mbar)[:, None], n, axis=1) if theta0 is None
+        else np.asarray(theta0, dtype=float), m_vals, mu, cfg, floor_limit, monotone=False)
+    iterations = steps.copy()
+    restarted = np.array([e is None and (s or _below_mean(t, grid, b))
+                          for t, s, e, b in zip(theta, stalled, errors, mbar)], dtype=bool)
+    if restarted.any():
+        (m_again,) = _compact(restarted, m_vals)
+        again = _newton(lap, np.repeat(m_again.max(axis=1)[:, None], n, axis=1), m_again,
+                        mu, cfg, floor_limit, monotone=True)
+        for k, i in enumerate(np.flatnonzero(restarted)):
+            theta[i], rnorm[i], errors[i] = again[0][k], again[1][k], again[4][k]
+            iterations[i] += again[2][k]
+            if errors[i] is None and _below_mean(theta[i], grid, mbar[i]):
+                errors[i] = NoConvergence(
+                    "both starts converged to the trivial state theta ~ 0", rnorm[i])
+    for i, t in enumerate(theta):
+        if errors[i] is None and float(np.min(t)) <= 0.0:
             errors[i] = NoConvergence("converged iterate is not strictly positive", rnorm[i])
-    if len(rows) < n_rows:
-        theta = [np.full(n, np.nan) if t is None else t for t in theta]
     return theta, rnorm, iterations, restarted, errors
 
 
@@ -306,6 +285,9 @@ def solve_steady_state(
     NoConvergence : if a run exceeds MAX_NEWTON_ITERS steps, a linear solve
         of the restart fails, or the restart too ends at the trivial state.
     """
+    mbar = mean(m)
+    if mbar <= 0.0:
+        raise NonPositiveMeanResource(f"mean(m) = {mbar} must be positive")
     theta, rnorm, iterations, restarted, errors = steady_rows(
         m.grid, m.values[None], params.mu, cfg,
         None if theta0 is None else np.asarray(theta0, dtype=float)[None])

@@ -113,6 +113,39 @@ def test_a_start_failing_mid_ascent_fails_alone(monkeypatch):
     assert run.starts[1].error == "SingularAdjoint: adjoint solve failed: forced failure"
 
 
+def reference_lp(g, m_vals, kappa, w):
+    """The one-row threshold LP as it was written before rows: ties in rate
+    go to the lower node index through lexsort."""
+    n = len(g)
+    rate = g / w
+    order = np.lexsort((np.arange(n), -rate))
+    up = (w * (kappa - m_vals))[order]
+    dn = (w * m_vals)[order]
+    cum = np.cumsum(up) - (float(dn.sum()) - np.cumsum(dn))
+    pivot = int(np.argmax(cum >= 0.0))
+    zeta_sorted = np.where(np.arange(n) <= pivot, up, -dn)
+    zeta_sorted[pivot] = float(dn[pivot + 1:].sum()) - float(up[:pivot].sum())
+    zeta = np.empty(n)
+    zeta[order] = zeta_sorted
+    xi = zeta / w
+    value = float(g @ xi)
+    return (np.zeros(n), 0.0) if value <= 0.0 else (xi, value)
+
+
+def test_stacked_lp_breaks_ties_as_the_one_row_lp():
+    # rates drawn from three values, so most nodes tie: the stacked stable
+    # sort must order each tie by node index, as lexsort did
+    grid = Grid((40,))
+    w = grid.node_weights
+    rng = np.random.default_rng(9)
+    g = w * rng.integers(0, 3, (6, 40))
+    m_vals = np.vstack([random_fourier_guess(grid, 1.0, 0.3, s).values for s in range(6)])
+    xi, values = optimizer_mod._lp_rows(w, g, m_vals, 1.0)
+    for i in range(6):
+        ref_xi, ref_value = reference_lp(g[i], m_vals[i], 1.0, w)
+        assert values[i] == ref_value > 0.0 and xi[i].tobytes() == ref_xi.tobytes()
+
+
 @pytest.mark.parametrize("threads", ["2", "3"])
 def test_uneven_pool_chunks_match_serial(monkeypatch, threads):
     # 5 starts in 2 or 3 contiguous chunks of unequal size
