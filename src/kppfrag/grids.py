@@ -305,28 +305,30 @@ class _Banded1D:
         diag = self._diag.reshape(rows.shape)
         try:
             x = self._gtsv(diag, rows)
-            if np.isfinite(x).all():
+            # a non-finite row can spill into its neighbours only
+            if len(rows) == 1 or np.isfinite(x).all():
                 return x.reshape(rhs.shape)
         except np.linalg.LinAlgError:
             pass
-        return _solve_each_row(rhs, lambda i: self._gtsv(diag[i:i + 1], rows[i:i + 1])[0])
+        return _solve_each_row(rhs, lambda i: self._gtsv(diag[i:i + 1], rows[i:i + 1]))
 
     def _gtsv(self, diag: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """x of one gtsv call on the block-diagonal system of rows (S, N)."""
+        """x, flat, of one gtsv call on the block-diagonal system of rows (S, N)."""
         s, n = rows.shape
-        h = self._grid.spacings[0]
+        h = 1.0 / (n - 1)                   # Grid.spacings, without its tuple
         inv = self._mu / (h * h)
-        d = 2.0 * inv + diag
+        d = (2.0 * inv + diag).ravel()
         _require_finite(d, rows)
-        off = np.empty((2, s, n))           # rows dl and du, in one allocation
-        off.fill(-inv)
-        off[0, :, -2] = off[1, :, 0] = -2.0 * inv
-        off[:, :, -1] = 0.0                 # the couplings across block joins
-        x, info = _GTSV(off[0].ravel()[:-1], d.ravel(), off[1].ravel()[:-1], rows.ravel(),
+        block = np.empty((2, n))            # one block's dl and du rows, and
+        block.fill(-inv)                    # in the last column its zero
+        block[0, -2] = block[1, 0] = -2.0 * inv     # couplings to the next
+        block[0, -1] = block[1, -1] = 0.0
+        off = block if s == 1 else np.tile(block, s)
+        x, info = _GTSV(off[0, :-1], d, off[1, :-1], rows.ravel(),
                         overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
-        return x.reshape(s, n)
+        return x
 
 
 class _Cg2DRows:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .fields import ProblemParams, ResourceField, ScalarField
 from .grids import Grid, NeumannLaplacian, residual_floor
-from .solver import SteadyState, _compact, solve_rows, steady_rows
+from .solver import SteadyState, solve_rows, steady_rows
 
 
 class SingularAdjoint(RuntimeError):
@@ -117,6 +117,12 @@ class OptimRun:
 # ---------------------------------------------------------------------------
 # adjoint and gradient
 
+def _compact(keep, *arrays):
+    """The rows of each array where keep holds: the arrays themselves, not
+    copies, when it holds on every row."""
+    return arrays if keep.all() else tuple(a[keep] for a in arrays)
+
+
 def _adjoint_rows(grid: Grid, mu: float, m_vals: np.ndarray, theta: np.ndarray):
     """solve_adjoint on every row of m_vals and theta (S, N), as (p, errors):
     errors[i] is None or the SingularAdjoint of row i."""
@@ -126,8 +132,9 @@ def _adjoint_rows(grid: Grid, mu: float, m_vals: np.ndarray, theta: np.ndarray):
     finite = np.isfinite(p).all(axis=1)          # a failed row is NaN
     errors = [None] * len(p)
     for i in np.flatnonzero(~finite):
-        errors[i] = SingularAdjoint(f"adjoint solve failed: {failures[i]}" if failures[i]
-                                    else "adjoint solve produced non-finite values")
+        errors[i] = SingularAdjoint(f"adjoint solve failed: {failures[i]}"
+                                    if failures and failures[i] else
+                                    "adjoint solve produced non-finite values")
     rows = np.flatnonzero(finite)
     if rows.size:
         pk, dk = _compact(finite, p, diag)

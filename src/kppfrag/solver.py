@@ -117,17 +117,12 @@ def _residual(lap, theta, m_vals, mu):
     return r
 
 
-def _compact(keep, *arrays):
-    """The rows of each array where keep holds: the arrays themselves, not
-    copies, when it holds on every row."""
-    return arrays if keep.all() else tuple(a[keep] for a in arrays)
-
-
 def solve_rows(lap, mu, diag, rhs, rtol=None):
-    """lap.solve_shifted on stacked rows, as (x, errors): errors[i] is None,
-    or the message of row i's failed solve, whose x row is then NaN."""
+    """lap.solve_shifted on stacked rows, as (x, errors): errors is None when
+    every row was solved, else errors[i] is None or the message of row i's
+    failed solve, whose x row is then NaN."""
     try:
-        return lap.solve_shifted(mu, diag, rhs, rtol), [None] * len(rhs)
+        return lap.solve_shifted(mu, diag, rhs, rtol), None
     except RowSolveError as exc:
         return exc.x, exc.errors
 
@@ -143,57 +138,68 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
     not strictly positive (a NaN fails both tests), and keeps the iterate
     before that step; the failed step counts as a step. On the monotone run
     a failed linear solve ends its row with NoConvergence; on both runs the
-    step cap does."""
+    step cap does. The per-row tests run on Python floats, which costs less
+    than array calls for the few rows of a stack."""
     n_rows = len(theta)
     out, errors = [None] * n_rows, [None] * n_rows
-    rnorm_out = np.zeros(n_rows)
-    steps = np.zeros(n_rows, dtype=int)
-    stalled = np.zeros(n_rows, dtype=bool)
-    live = np.arange(n_rows)            # the row of each working row
+    rnorm_out, steps, stalled = [0.0] * n_rows, [0] * n_rows, [False] * n_rows
+    live = list(range(n_rows))          # the row of each working row
     r = _residual(lap, theta, m_vals, mu)
-    rnorm = np.abs(r).max(axis=1)
+    rnorm = np.abs(r).max(axis=1).tolist()
 
-    def settle(ending):
-        """Keep the current iterate and residual of the rows that end here:
-        copies when others go on, so no working stack stays alive."""
-        if ending.any():
-            for k in np.flatnonzero(ending):
-                out[live[k]] = theta[k] if ending.all() else theta[k].copy()
-                rnorm_out[live[k]] = rnorm[k]
+    def keep_rows(keep, *arrays):
+        """End the working rows not in keep with the current iterate, copied
+        when rows go on so that no working stack stays alive; return the
+        arrays on the rows kept."""
+        nonlocal live, rnorm
+        if len(keep) == len(live):
+            return arrays
+        kept = set(keep)
+        for k, i in enumerate(live):
+            if k not in kept:
+                out[i], rnorm_out[i] = theta[k].copy() if keep else theta[k], rnorm[k]
+        live, rnorm = [live[k] for k in keep], [rnorm[k] for k in keep]
+        return tuple(a[keep] for a in arrays) if keep else arrays
 
-    while True:
-        going = ~((rnorm <= cfg.newton_tol)
-                  | (rnorm <= floor_limit * np.abs(theta).max(axis=1)))
-        capped = going & (steps[live] >= MAX_NEWTON_ITERS)
-        if capped.any():
-            for k in np.flatnonzero(capped):
-                errors[live[k]] = NoConvergence("Newton iteration cap exceeded", rnorm[k])
-            going &= ~capped
-        settle(~going)
-        theta, m_vals, r, rnorm, live = _compact(going, theta, m_vals, r, rnorm, live)
-        if not live.size:
+    while live:
+        top = np.abs(theta).max(axis=1).tolist()
+        going = []
+        for k, i in enumerate(live):
+            if rnorm[k] <= cfg.newton_tol or rnorm[k] <= floor_limit * top[k]:
+                continue
+            if steps[i] >= MAX_NEWTON_ITERS:
+                errors[i] = NoConvergence("Newton iteration cap exceeded", rnorm[k])
+                continue
+            going.append(k)
+        theta, m_vals, r = keep_rows(going, theta, m_vals, r)
+        if not live:
             break
-        steps[live] += 1
+        for i in live:
+            steps[i] += 1
         delta, failures = solve_rows(lap, mu, 2.0 * theta - m_vals, r,
-                                     rtol=np.minimum(NEWTON_FORCING, 0.5 * rnorm))
-        solved = np.array([e is None for e in failures])
-        for k in np.flatnonzero(~solved) if not solved.all() else ():
-            if monotone:
-                errors[live[k]] = NoConvergence(f"linear solve failed: {failures[k]}",
-                                                rnorm[k])
-            stalled[live[k]] = not monotone
-        settle(~solved)
-        theta, m_vals, rnorm, live, delta = _compact(solved, theta, m_vals, rnorm, live, delta)
-        if not live.size:
-            break
+                                     rtol=np.array([min(NEWTON_FORCING, 0.5 * x) for x in rnorm]))
+        if failures:
+            for k, e in enumerate(failures):
+                if e is not None and monotone:
+                    errors[live[k]] = NoConvergence(f"linear solve failed: {e}", rnorm[k])
+                elif e is not None:
+                    stalled[live[k]] = True
+            theta, m_vals, delta = keep_rows(
+                [k for k, e in enumerate(failures) if e is None], theta, m_vals, delta)
+            if not live:
+                break
         trial = theta + delta
         rt = _residual(lap, trial, m_vals, mu)
-        rtn = np.abs(rt).max(axis=1)
-        better = np.ones(len(live), dtype=bool) if monotone else (
-            (rtn < rnorm) & (trial.min(axis=1) > 0.0))
-        stalled[live[~better]] = True
-        settle(~better)
-        theta, r, rnorm, m_vals, live = _compact(better, trial, rt, rtn, m_vals, live)
+        rtn = np.abs(rt).max(axis=1).tolist()
+        if not monotone:
+            low = trial.min(axis=1).tolist()
+            better = [k for k in range(len(live)) if rtn[k] < rnorm[k] and low[k] > 0.0]
+            if len(better) < len(live):
+                for k in set(range(len(live))).difference(better):
+                    stalled[live[k]] = True
+                rtn = [rtn[k] for k in better]
+                trial, rt, m_vals = keep_rows(better, trial, rt, m_vals)
+        theta, r, rnorm = trial, rt, rtn
     return out, rnorm_out, steps, stalled, errors
 
 
@@ -204,32 +210,37 @@ def _below_mean(theta, grid, mbar):
 
 
 def steady_rows(grid, m_vals, mu, cfg=None, theta0=None):
-    """The positive steady state of every row of m_vals (S, N) on grid, each
-    row of positive mean, by the rule of solve_steady_state, warm started
-    from the rows of theta0 when it is given (read, never written). Each
-    row's arithmetic is that of its own solve. Returns (theta, rnorm,
-    iterations, restarted, errors), one entry per row; errors[i] is None or
-    the NoConvergence that solve_steady_state would raise for row i."""
+    """The positive steady state of every row of m_vals (S, N) on grid, by
+    the rule of solve_steady_state, warm started from the rows of theta0
+    when it is given (read, never written). Each row's arithmetic is that
+    of its own solve. Returns lists (theta, rnorm, iterations, restarted,
+    errors), one entry per row; errors[i] is None or the NoConvergence that
+    solve_steady_state would raise for row i. Raises
+    NonPositiveMeanResource when a row's mean is not positive."""
     cfg = cfg or SolverConfig()
+    mbar = [grid.mean(v) for v in m_vals]
+    for b in mbar:
+        if b <= 0.0:
+            raise NonPositiveMeanResource(f"mean(m) = {b} must be positive")
     lap = NeumannLaplacian(grid)
     grid._operators                     # built before any iterate exists
     n = m_vals.shape[1]
-    mbar = [grid.mean(v) for v in m_vals]
     floor_limit = residual_floor(grid, mu)
     # the start arrays are passed, not named, so none outlives its first step
-    theta, rnorm, steps, stalled, errors = _newton(
+    theta, rnorm, iterations, stalled, errors = _newton(
         lap, np.repeat(np.array(mbar)[:, None], n, axis=1) if theta0 is None
         else np.asarray(theta0, dtype=float), m_vals, mu, cfg, floor_limit, monotone=False)
-    iterations = steps.copy()
-    restarted = np.array([e is None and (s or _below_mean(t, grid, b))
-                          for t, s, e, b in zip(theta, stalled, errors, mbar)], dtype=bool)
-    if restarted.any():
-        (m_again,) = _compact(restarted, m_vals)
-        again = _newton(lap, np.repeat(m_again.max(axis=1)[:, None], n, axis=1), m_again,
-                        mu, cfg, floor_limit, monotone=True)
-        for k, i in enumerate(np.flatnonzero(restarted)):
-            theta[i], rnorm[i], errors[i] = again[0][k], again[1][k], again[4][k]
-            iterations[i] += again[2][k]
+    again = [i for i, (t, s, e, b) in enumerate(zip(theta, stalled, errors, mbar))
+             if e is None and (s or _below_mean(t, grid, b))]
+    restarted = [False] * len(mbar)
+    if again:
+        m_again = m_vals if len(again) == len(mbar) else m_vals[again]
+        th, rn, steps, _, errs = _newton(
+            lap, np.repeat(m_again.max(axis=1)[:, None], n, axis=1), m_again, mu, cfg,
+            floor_limit, monotone=True)
+        for k, i in enumerate(again):
+            theta[i], rnorm[i], errors[i], restarted[i] = th[k], rn[k], errs[k], True
+            iterations[i] += steps[k]
             if errors[i] is None and _below_mean(theta[i], grid, mbar[i]):
                 errors[i] = NoConvergence(
                     "both starts converged to the trivial state theta ~ 0", rnorm[i])
@@ -285,9 +296,6 @@ def solve_steady_state(
     NoConvergence : if a run exceeds MAX_NEWTON_ITERS steps, a linear solve
         of the restart fails, or the restart too ends at the trivial state.
     """
-    mbar = mean(m)
-    if mbar <= 0.0:
-        raise NonPositiveMeanResource(f"mean(m) = {mbar} must be positive")
     theta, rnorm, iterations, restarted, errors = steady_rows(
         m.grid, m.values[None], params.mu, cfg,
         None if theta0 is None else np.asarray(theta0, dtype=float)[None])

@@ -293,7 +293,7 @@ def _newton_runs(monkeypatch):
         run = {"monotone": monotone, "norms": [], "iterates": []}
         runs.append(run)
         out = real_newton(*args, monotone=monotone)
-        run["steps"], run["stalled"] = out[2], out[3]
+        (run["steps"],), (run["stalled"],) = out[2], out[3]    # one-row solves
         return out
 
     def recording_residual(lap, theta, m_vals, mu):
@@ -418,7 +418,7 @@ def test_full_step_cold_solves_keep_the_constant_start(monkeypatch, mu):
             runs = _newton_runs(mp)
             state = solve_steady_state(m, params)
         assert len(runs) == 1 and not stalled[0] and errors == [None]
-        assert len(runs[0]["norms"]) == 1 + runs[0]["steps"][0]
+        assert len(runs[0]["norms"]) == 1 + runs[0]["steps"]
         assert state.theta.values.tobytes() == theta[0].tobytes()
         assert (state.residual_norm, state.iterations, state.used_fallback) == (
             rnorm[0], steps[0], False)
