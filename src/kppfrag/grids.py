@@ -227,7 +227,7 @@ class NeumannLaplacian:
         """Solver object for mu * (-Lap) + diag(d); has .solve(rhs, rtol=None),
         rhs of d's shape. Every shifted solve goes through here."""
         if self.grid.dim == 1:
-            return _Banded1D(self.grid, mu, diag)
+            return _Banded1D(mu, diag)
         if np.ndim(diag) == 1:
             return _Cg2D(self.grid, mu, diag)
         return _Cg2DRows(self.grid, mu, diag)
@@ -294,9 +294,8 @@ class _Banded1D:
     row alone.
     """
 
-    def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
-        self._grid, self._mu = grid, mu
-        self._diag = np.asarray(diag, dtype=float)
+    def __init__(self, mu: float, diag: np.ndarray):
+        self._mu, self._diag = mu, np.asarray(diag, dtype=float)
 
     def solve(self, rhs: np.ndarray, rtol=None) -> np.ndarray:
         """Direct solve; rtol is accepted for the common interface and ignored."""
@@ -315,13 +314,15 @@ class _Banded1D:
     def _gtsv(self, diag: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """x, flat, of one gtsv call on the block-diagonal system of rows (S, N)."""
         s, n = rows.shape
-        h = 1.0 / (n - 1)                   # Grid.spacings, without its tuple
+        h = 1.0 / (n - 1)                   # Grid.spacings of the rows' grid
         inv = self._mu / (h * h)
         d = (2.0 * inv + diag).ravel()
         _require_finite(d, rows)
-        block = np.empty((2, n))            # one block's dl and du rows, and
-        block.fill(-inv)                    # in the last column its zero
-        block[0, -2] = block[1, 0] = -2.0 * inv     # couplings to the next
+        # one block's dl and du; the last column holds its zero couplings to
+        # the next block, so the tiled rows are the stack's off-diagonals
+        block = np.empty((2, n))
+        block.fill(-inv)
+        block[0, -2] = block[1, 0] = -2.0 * inv
         block[0, -1] = block[1, -1] = 0.0
         off = block if s == 1 else np.tile(block, s)
         x, info = _GTSV(off[0, :-1], d, off[1, :-1], rows.ravel(),

@@ -388,7 +388,7 @@ def _ascent(job) -> list:
         p, errors = _adjoint_rows(grid, mu, m_vals, theta)
         rows, m_vals, theta, F, p = _compact(survivors(errors), rows, m_vals, theta, F, p)
         xi, lp = _lp_rows(w, _gradient(w, theta, p), m_vals, kappa)
-        del p
+        del p                           # not kept alive through the trial solve
         vertex = lp < STOP_LP_VALUE
         for k in np.flatnonzero(vertex):
             trajectory[rows[k]].append((float(F[k]), 0.0, float(lp[k])))

@@ -176,8 +176,8 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
             break
         for i in live:
             steps[i] += 1
-        delta, failures = solve_rows(lap, mu, 2.0 * theta - m_vals, r,
-                                     rtol=np.array([min(NEWTON_FORCING, 0.5 * x) for x in rnorm]))
+        forcing = np.array([min(NEWTON_FORCING, 0.5 * x) for x in rnorm])
+        delta, failures = solve_rows(lap, mu, 2.0 * theta - m_vals, r, rtol=forcing)
         if failures:
             for k, e in enumerate(failures):
                 if e is not None and monotone:
