@@ -171,9 +171,10 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
                 errors[i] = NoConvergence("Newton iteration cap exceeded", rnorm[k])
                 continue
             going.append(k)
-        theta, m_vals, r = keep_rows(going, theta, m_vals, r)
-        if not live:
-            break
+        if len(going) < len(live):
+            theta, m_vals, r = keep_rows(going, theta, m_vals, r)
+            if not live:
+                break
         for i in live:
             steps[i] += 1
         forcing = np.array([min(NEWTON_FORCING, 0.5 * x) for x in rnorm])
