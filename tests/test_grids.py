@@ -3,8 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import get_lapack_funcs
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import get_lapack_funcs
 
 from kppfrag import (
     Grid,
