@@ -82,18 +82,23 @@ class Grid:
         return w
 
     @cached_property
+    def _weight_sum(self) -> float:
+        return float(self.node_weights.sum())
+
+    @cached_property
     def _operators(self) -> tuple:
         """(Lap, eig): the Laplacian as CSR and, in 2D, the scaled per-axis
-        eigenpairs ((lam_x, V_x), (lam_y, V_y)) of _axis_eigenpairs, lam in
-        double and V in single precision (None in 1D). Built on first use,
-        read-only, and shared by every NeumannLaplacian on this grid."""
+        eigenpairs (lam_x, V_x), (lam_y, V_y) of _axis_eigenpairs, lam in
+        double and V in single precision, followed by the (ny, nx) sum
+        lam_y + lam_x of the preconditioner's eigenvalues (eig is None in
+        1D). Built on first use, read-only, and shared by every
+        NeumannLaplacian on this grid."""
         return _build_operators(self)
 
     def mean(self, values: np.ndarray) -> float:
         """Weighted (trapezoid) average of nodal values; equals the continuum
         mean for piecewise linear interpolants and is exact on constants."""
-        w = self.node_weights
-        return float(w @ values) / float(w.sum())
+        return float(self.node_weights @ values) / self._weight_sum
 
     def coords_columns(self) -> list[np.ndarray]:
         """Per-axis coordinate of every node, in flat order (for CSV export)."""
@@ -159,7 +164,9 @@ def _build_operators(grid: Grid) -> tuple:
     mat = (sp.kron(sp.eye(ny), _lap1d_csr(nx)) + sp.kron(_lap1d_csr(ny), sp.eye(nx))).tocsr()
     eig_x = _single_eigenpairs(nx)
     eig_y = eig_x if ny == nx else _single_eigenpairs(ny)
-    return _read_only(mat), (eig_x, eig_y)
+    lam_sum = eig_y[0][:, None] + eig_x[0][None, :]
+    lam_sum.setflags(write=False)
+    return _read_only(mat), (eig_x, eig_y, lam_sum)
 
 
 def _single_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,9 +226,21 @@ class NeumannLaplacian:
         return self.grid._operators[0] @ v
 
     def apply_rows(self, v: np.ndarray) -> np.ndarray:
-        """Lap applied to each row of the stack v (S, N), in C order; each
-        row is bit-identical to apply on that row alone."""
-        return np.ascontiguousarray(self.apply(v.T).T)
+        """Lap applied to each row of the stack v (S, N), as a new C-order
+        array; each row is bit-identical to apply on that row alone. The
+        layouts differ because the costs do. A 1D product is three bands,
+        cheap next to the dispatch of one sparse product, so one
+        multi-vector product on the transposed stack beats S calls. A 2D
+        product is dear enough that the dispatch does not count, and the
+        multi-vector product on the transposed stack, with its (N, S)
+        copies out of cache, is slower than S products on contiguous rows
+        (ROADMAP item 4 has the timings)."""
+        if self.grid.dim == 1:
+            return np.ascontiguousarray(self.apply(v.T).T)
+        out = np.empty(v.shape)
+        for i, row in enumerate(v):
+            out[i] = self.apply(row)
+        return out
 
     def shifted_factor(self, mu: float, diag: np.ndarray):
         """Solver object for mu * (-Lap) + diag(d); has .solve(rhs, rtol=None),
@@ -318,13 +337,12 @@ class _Banded1D:
         inv = self._mu / (h * h)
         d = (2.0 * inv + diag).ravel()
         _require_finite(d, rows)
-        # one block's dl and du; the last column holds its zero couplings to
-        # the next block, so the tiled rows are the stack's off-diagonals
-        block = np.empty((2, n))
-        block.fill(-inv)
-        block[0, -2] = block[1, 0] = -2.0 * inv
-        block[0, -1] = block[1, -1] = 0.0
-        off = block if s == 1 else np.tile(block, s)
+        # the stack's dl and du, n per block: the mirror couplings -2 inv at
+        # each block's ends, and in its last column the zero couplings to
+        # the next block
+        off = np.full((2, s * n), -inv)
+        off[0, n - 2::n] = off[1, ::n] = -2.0 * inv
+        off[:, n - 1::n] = 0.0
         x, info = _GTSV(off[0, :-1], d, off[1, :-1], rows.ravel(),
                         overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
         if info > 0:
@@ -400,14 +418,15 @@ class _Cg2D:
     """
 
     def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
-        self._mat, ((lam_x, self._vx), (lam_y, self._vy)) = grid._operators
+        self._mat, ((_, self._vx), (_, self._vy), lam_sum) = grid._operators
         diag = np.asarray(diag, dtype=float)
-        shift = max(float(np.mean(np.abs(diag))), 1e-12)
-        inv_eig = 1.0 / (mu * (lam_y[:, None] + lam_x[None, :]) + shift)
+        abs_diag = np.abs(diag)
+        shift = max(float(np.mean(abs_diag)), 1e-12)
+        inv_eig = 1.0 / (mu * lam_sum + shift)
         self._inv_eig = inv_eig.astype(np.float32)
         self._work = np.empty((2,) + inv_eig.shape, dtype=np.float32)
         self._w, self._mu, self._diag = grid.node_weights, mu, diag
-        self._floor = residual_floor(grid, mu) * max(1.0, float(np.abs(diag).max()))
+        self._floor = residual_floor(grid, mu) * max(1.0, float(abs_diag.max()))
 
     def _apply(self, v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """A v = mu * (-Lap v) + d v, as a new array; tmp is scratch of v's size."""
@@ -424,20 +443,25 @@ class _Cg2D:
         exact, so the products stay inside float32's range whatever the
         size of r, and z scales exactly with r."""
         vx, vy, work = self._vx, self._vy, self._work
+        out_grid = out.reshape(work[0].shape)
         e = _binary_exponent(wr)
-        np.multiply(wr.reshape(work[0].shape), math.ldexp(1.0, -e), out=work[0])
+        # each scaling runs in double on out and the cast is a plain copy:
+        # a multiply that mixes precisions casts through a slower buffer
+        np.multiply(wr, math.ldexp(1.0, -e), out=out)
+        work[0] = out_grid
         np.matmul(vy.T, work[0], out=work[1])
         np.matmul(work[1], vx, out=work[0])
         work[0] *= self._inv_eig
         np.matmul(vy, work[0], out=work[1])
         np.matmul(work[1], vx.T, out=work[0])
-        np.multiply(work[0], math.ldexp(1.0, e), out=out.reshape(work[0].shape), dtype=float)
+        out_grid[...] = work[0]
+        out *= math.ldexp(1.0, e)
 
     def _cg(self, res: np.ndarray, tol: float) -> np.ndarray:
         """x from x = 0, given the right-hand side in res, which the pass
         owns and overwrites with the recurred residual b - A x."""
         w = self._w
-        rhs_max = float(np.abs(res).max())
+        rhs_max = _sup(res)
         tmp, wr, z = np.empty_like(res), np.empty_like(res), np.empty_like(res)
         self._precondition(np.multiply(w, res, out=wr), z)
         rz = float(wr @ z)
@@ -456,8 +480,7 @@ class _Cg2D:
             alpha = rz / curvature
             x += np.multiply(p, alpha, out=tmp)
             res -= np.multiply(q, alpha, out=tmp)
-            res_max = float(np.abs(res, out=tmp).max())
-            x_max = float(np.abs(x, out=tmp).max())
+            res_max, x_max = _sup(res), _sup(x)
             if res_max <= limit * max(rhs_max, x_max):
                 break
             self._precondition(np.multiply(w, res, out=wr), z)
@@ -468,10 +491,11 @@ class _Cg2D:
 
     def _residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
         """Sup norm of the true residual rhs - A x relative to max(|x|, |rhs|),
-        for the scaled, nonzero rhs of solve."""
+        for the scaled, nonzero rhs of solve. A NaN in x is NaN in r, and
+        np.max, unlike idamax on every BLAS, propagates it, so no tolerance
+        passes it."""
         r = rhs - self._apply(x, np.empty_like(x))
-        scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(rhs))))
-        return float(np.max(np.abs(r))) / scale
+        return float(np.abs(r, out=r).max()) / max(_sup(x), _sup(rhs))
 
     def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -493,10 +517,16 @@ class _Cg2D:
         return x
 
 
+def _sup(v: np.ndarray) -> float:
+    """max|v| of a flat float64 v, read in one BLAS idamax pass with no
+    temporary. NaN entries are not reliably seen."""
+    return abs(float(v[idamax(v)]))
+
+
 def _binary_exponent(v: np.ndarray) -> int:
     """The binary exponent e of max|v| (max|v| in [2^(e-1), 2^e)), clamped
     so that 2^-e and 2^e are normal doubles for any finite flat v."""
-    return min(max(math.frexp(float(v[idamax(v)]))[1], -1022), 1022)
+    return min(max(math.frexp(_sup(v))[1], -1022), 1022)
 
 
 def _fold_indices(n_out: int, m_in: int) -> np.ndarray:

@@ -303,13 +303,15 @@ def random_fourier_guess(
         for j in range(1, 6):
             f += c[j] * np.sin(j * np.pi * x) + c[5 + j] * np.cos(j * np.pi * x)
     else:
-        xg, yg = np.meshgrid(grid.axis_coords(0), grid.axis_coords(1))
+        # the modes are separable: evaluate them on the axes, a row of x
+        # and a column of y, and let the products broadcast to (ny, nx)
+        x, y = grid.axis_coords(0)[None, :], grid.axis_coords(1)[:, None]
         c = rng.uniform(-0.5, 0.5, 21)
-        f2 = np.full(xg.shape, c[0])
+        f2 = np.full((y.size, x.size), c[0])
         ci = 1
         for j in range(1, 6):
-            sx, cx = np.sin(j * np.pi * xg), np.cos(j * np.pi * xg)
-            sy, cy = np.sin(j * np.pi * yg), np.cos(j * np.pi * yg)
+            sx, cx = np.sin(j * np.pi * x), np.cos(j * np.pi * x)
+            sy, cy = np.sin(j * np.pi * y), np.cos(j * np.pi * y)
             f2 += (
                 c[ci] * sx * sy
                 + c[ci + 1] * sx * cy

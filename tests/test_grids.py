@@ -296,6 +296,11 @@ def test_grid_operators_are_shared_and_read_only():
         # the shared operators keep lam and the float32 cast of V, nothing else
         assert lam.tobytes() == lam64.tobytes()
         assert v.dtype == np.float32 and v.tobytes() == v64.astype(np.float32).tobytes()
+    # and the preconditioner's eigenvalue sums lam_y + lam_x on the (ny, nx) grid
+    (lam_x, _), (lam_y, _), lam_sum = eig
+    assert lam_sum.tobytes() == (lam_y[:, None] + lam_x[None, :]).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        lam_sum[0, 0] = 1.0
     rng = np.random.default_rng(2)
     diag, rhs = rng.uniform(0.0, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
     first = a.solve_shifted(0.05, diag, rhs)
@@ -461,6 +466,97 @@ def test_stacked_1d_solve_is_per_row_gtsv_bit_for_bit(n, mu):
         expect, info = _gtsv_row(g, mu, diag[i], rhs[i])
         assert info == 0 and x[i].tobytes() == expect.tobytes()
     assert NeumannLaplacian(g).solve_shifted(mu, diag[:1], rhs[:1]).tobytes() == x[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 1000])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_stacked_1d_solve_matches_flat_solves_bit_for_bit(n, rows):
+    # the stack's off-diagonals are built with strided assignments, one
+    # mirror coupling per block end and one zero join; at n = 3 a block's
+    # dl has n - 1 = 2 entries, so the two mirror couplings are adjacent
+    g = Grid((n,))
+    lap = NeumannLaplacian(g)
+    rng = np.random.default_rng(100 + n)
+    for mu in (1.0, 0.01):
+        diag = rng.uniform(-1.0, 1.0, (rows, n))
+        rhs = rng.standard_normal((rows, n))
+        x = lap.solve_shifted(mu, diag, rhs)
+        assert x.shape == (rows, n)
+        for i in range(rows):
+            flat = lap.solve_shifted(mu, diag[i], rhs[i])
+            assert x[i].tobytes() == flat.tobytes()
+            assert flat.tobytes() == _gtsv_row(g, mu, diag[i], rhs[i])[0].tobytes()
+
+
+@pytest.mark.parametrize("counts", [(40,), (9, 7), (60, 60)])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_apply_rows_is_per_row_apply_bit_for_bit(counts, rows):
+    # 1D makes one multi-vector product, 2D one product per row; either way
+    # every row is the product of apply on that row alone
+    g = Grid(counts)
+    lap = NeumannLaplacian(g)
+    v = np.random.default_rng(rows).standard_normal((rows, g.num_nodes))
+    out = lap.apply_rows(v)
+    assert out.shape == v.shape and out.flags.c_contiguous and out.flags.writeable
+    for i in range(rows):
+        assert out[i].tobytes() == lap.apply(v[i]).tobytes()
+
+
+def _nan_preconditioner(monkeypatch, target, call):
+    """Patch _Cg2D._precondition to put a NaN into its result on the given
+    call (1-based) of every solve whose d is the array target."""
+    real = grids_mod._Cg2D._precondition
+    calls = {}
+
+    def patched(self, wr, out):
+        real(self, wr, out)
+        if self._diag.tobytes() == target.tobytes():
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            if calls[id(self)] == call:
+                out[len(out) // 2] = np.nan
+
+    monkeypatch.setattr(grids_mod._Cg2D, "_precondition", patched)
+
+
+@pytest.mark.parametrize("call", [1, 3])
+def test_shifted_solve_2d_nan_in_cg_raises_on_its_row_alone(monkeypatch, call):
+    # a NaN born inside the CG loop must not come back as a solution: a
+    # flat solve raises LinAlgError, and in a stack the failure is that
+    # row's alone while the other rows keep their bytes
+    g, mu = Grid((9, 7)), 0.1
+    lap = NeumannLaplacian(g)
+    rng = np.random.default_rng(7)
+    diag = rng.uniform(0.5, 2.0, (3, g.num_nodes))
+    rhs = rng.standard_normal((3, g.num_nodes))
+    clean = [lap.solve_shifted(mu, diag[i], rhs[i]) for i in range(3)]
+    _nan_preconditioner(monkeypatch, diag[1], call)
+    with pytest.raises(np.linalg.LinAlgError):
+        lap.solve_shifted(mu, diag[1], rhs[1])
+    with pytest.raises(grids_mod.RowSolveError) as exc:
+        lap.solve_shifted(mu, diag, rhs)
+    errors = exc.value.errors
+    assert errors[0] is None and errors[2] is None and errors[1]
+    assert np.isnan(exc.value.x[1]).all()
+    for i in (0, 2):
+        assert exc.value.x[i].tobytes() == clean[i].tobytes()
+
+
+def test_shifted_solve_2d_true_residual_gate_catches_nan(monkeypatch):
+    # the CG stopping test reads sup norms through idamax, which need not
+    # see a NaN; the gate on the true residual of the returned x must
+    real_cg = grids_mod._Cg2D._cg
+
+    def nan_cg(self, *args):
+        x = real_cg(self, *args)
+        x[-1] = np.nan
+        return x
+
+    monkeypatch.setattr(grids_mod._Cg2D, "_cg", nan_cg)
+    g = Grid((9, 7))
+    rng = np.random.default_rng(8)
+    diag, rhs = rng.uniform(0.5, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
+    with pytest.raises(np.linalg.LinAlgError, match="relative residual nan"):
+        NeumannLaplacian(g).solve_shifted(0.1, diag, rhs)
 
 
 def test_stacked_1d_solve_fails_row_by_row():

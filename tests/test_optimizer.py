@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,6 +331,18 @@ def test_fourier_guess_pinned_stream_values():
         [0.47522909683898606, 0.18620265303718636, 0.0],
         rtol=0.0, atol=1e-15,
     )
+
+
+@pytest.mark.parametrize("counts, seed, digest", [
+    ((9, 7), 11, "d50d4e1cf69fbb952fb69f0a6ca0ca5b7040b5d7453f0df08fd4bc1c1d24937b"),
+    ((60, 60), 0, "ee466092a9a74c7dbc56c007de63a5cf96139d75b40b2e9c45d53da6a313c061"),
+])
+def test_fourier_guess_2d_bytes_are_pinned(counts, seed, digest):
+    # sha256 of every value, computed when the modes were still evaluated on
+    # the full meshgrid: the separable evaluation on the axes must keep
+    # each product's operands and order, so the bytes stay the same
+    u = random_fourier_guess(Grid(counts), 1.0, 0.3, seed)
+    assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
 
 
 def test_fourier_guess_2d_admissible():
