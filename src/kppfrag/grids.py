@@ -206,10 +206,10 @@ class NeumannLaplacian:
     lands on its own row, and the stack raises RowSolveError, which carries
     every row's x and message, once all rows were tried.
 
-    The CSR Laplacian and, in 2D, the per-axis eigenpairs belong to the
-    Grid (Grid._operators), which builds them on first use; an instance
-    holds nothing but its grid, so constructing one is free and every solve
-    depends only on its arguments.
+    The CSR Laplacian and, in 2D, the per-axis eigenpairs and their
+    eigenvalue sums belong to the Grid (Grid._operators), which builds them
+    on first use; an instance holds nothing but its grid, so constructing
+    one is free and every solve depends only on its arguments.
 
     Tolerance contract of solve_shifted(mu, d, rhs, rtol): a 2D solve
     returns x whose residual sup norm is at most max(floor, rtol) times
@@ -227,14 +227,11 @@ class NeumannLaplacian:
 
     def apply_rows(self, v: np.ndarray) -> np.ndarray:
         """Lap applied to each row of the stack v (S, N), as a new C-order
-        array; each row is bit-identical to apply on that row alone. The
-        layouts differ because the costs do. A 1D product is three bands,
-        cheap next to the dispatch of one sparse product, so one
-        multi-vector product on the transposed stack beats S calls. A 2D
-        product is dear enough that the dispatch does not count, and the
-        multi-vector product on the transposed stack, with its (N, S)
-        copies out of cache, is slower than S products on contiguous rows
-        (ROADMAP item 4 has the timings)."""
+        array; each row is bit-identical to apply on that row alone. 1D
+        makes one multi-vector product on the transposed stack, since a
+        three-band product costs less than the dispatch of a call. 2D makes
+        one product per row: there the multi-vector product on the
+        transposed stack is the slower, its (N, S) copies leaving cache."""
         if self.grid.dim == 1:
             return np.ascontiguousarray(self.apply(v.T).T)
         out = np.empty(v.shape)
@@ -340,7 +337,8 @@ class _Banded1D:
         # the stack's dl and du, n per block: the mirror couplings -2 inv at
         # each block's ends, and in its last column the zero couplings to
         # the next block
-        off = np.full((2, s * n), -inv)
+        off = np.empty((2, s * n))
+        off.fill(-inv)
         off[0, n - 2::n] = off[1, ::n] = -2.0 * inv
         off[:, n - 1::n] = 0.0
         x, info = _GTSV(off[0, :-1], d, off[1, :-1], rows.ravel(),
@@ -491,9 +489,9 @@ class _Cg2D:
 
     def _residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
         """Sup norm of the true residual rhs - A x relative to max(|x|, |rhs|),
-        for the scaled, nonzero rhs of solve. A NaN in x is NaN in r, and
-        np.max, unlike idamax on every BLAS, propagates it, so no tolerance
-        passes it."""
+        for the scaled, nonzero rhs of solve. A NaN in x is a NaN in r,
+        which np.max propagates and idamax may skip, so no tolerance passes
+        it."""
         r = rhs - self._apply(x, np.empty_like(x))
         return float(np.abs(r, out=r).max()) / max(_sup(x), _sup(rhs))
 
