@@ -338,9 +338,8 @@ def test_fourier_guess_pinned_stream_values():
     ((60, 60), 0, "ee466092a9a74c7dbc56c007de63a5cf96139d75b40b2e9c45d53da6a313c061"),
 ])
 def test_fourier_guess_2d_bytes_are_pinned(counts, seed, digest):
-    # sha256 of every value, computed when the modes were still evaluated on
-    # the full meshgrid: the separable evaluation on the axes must keep
-    # each product's operands and order, so the bytes stay the same
+    # sha256 of every value, pinned from the full-meshgrid evaluation: the
+    # separable one on the axes keeps each product's operands and order
     u = random_fourier_guess(Grid(counts), 1.0, 0.3, seed)
     assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
 
