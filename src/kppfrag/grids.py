@@ -170,9 +170,11 @@ def _build_operators(grid: Grid) -> tuple:
 
 
 def _single_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_axis_eigenpairs(n) with V cast to float32; both read-only."""
+    """_axis_eigenpairs(n) with V cast to float32; both read-only. V keeps
+    the Fortran order LAPACK returns it in: BLAS products round by operand
+    layout, so the preconditioner's bytes depend on it."""
     lam, v = _axis_eigenpairs(n)
-    v = v.astype(np.float32)
+    v = v.astype(np.float32, order="F")
     v.setflags(write=False)
     return lam, v
 

@@ -296,6 +296,7 @@ def test_grid_operators_are_shared_and_read_only():
         # the shared operators keep lam and the float32 cast of V, nothing else
         assert lam.tobytes() == lam64.tobytes()
         assert v.dtype == np.float32 and v.tobytes() == v64.astype(np.float32).tobytes()
+        assert v.flags.f_contiguous     # the layout the preconditioner's bytes assume
     # and the preconditioner's eigenvalue sums lam_y + lam_x on the (ny, nx) grid
     (lam_x, _), (lam_y, _), lam_sum = eig
     assert lam_sum.tobytes() == (lam_y[:, None] + lam_x[None, :]).tobytes()
