@@ -10,6 +10,19 @@ weights (1/2 at endpoints), so Lap is self-adjoint in the trapezoid inner
 product <u, v>_W = u . (w v) that the 2D conjugate-gradient solve uses.
 Those weights double as the quadrature used for all integral-like
 functionals; see fields.mean.
+
+The Laplacian is stored by diagonals (the DIA format; Saad, Iterative
+Methods for Sparse Linear Systems, 2003, section 3.4), with ascending
+offsets (-1, 0, 1) in 1D and (-N_x, -1, 0, 1, N_x) in 2D, written straight
+from the per-axis bands. A product adds the diagonals in offset order into
+a zeroed output, so each row sums the same products in the same order as a
+CSR product over sorted columns, and the two agree bit for bit. In 2D the
+x bands also run across the wrap from one grid row to the next, where
+they hold zeros; each adds +-0 to a sum that starts at +0 and changes no
+value. Only an inf in x shows: 0 * inf puts a NaN at its neighbour across
+the wrap, where a CSR product would stay finite. The product is non-finite
+at the inf's own row either way, and the shifted solves reject a
+non-finite d or rhs.
 """
 from __future__ import annotations
 
@@ -20,7 +33,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
-from scipy.linalg.blas import idamax
+from scipy.linalg.blas import ddot, idamax
 
 _EPS = float(np.finfo(float).eps)
 _KRYLOV_MAXITER = 500
@@ -87,12 +100,13 @@ class Grid:
 
     @cached_property
     def _operators(self) -> tuple:
-        """(Lap, eig): the Laplacian as CSR and, in 2D, the scaled per-axis
-        eigenpairs (lam_x, V_x), (lam_y, V_y) of _axis_eigenpairs, lam in
-        double and V in single precision, followed by the (ny, nx) sum
-        lam_y + lam_x of the preconditioner's eigenvalues (eig is None in
-        1D). Built on first use, read-only, and shared by every
-        NeumannLaplacian on this grid."""
+        """(Lap, eig): the Laplacian by diagonals (a scipy.sparse.dia_matrix
+        with ascending offsets; see the module docstring) and, in 2D, the
+        scaled per-axis eigenpairs (lam_x, V_x), (lam_y, V_y) of
+        _axis_eigenpairs, lam in double and V in single precision, followed
+        by the (ny, nx) sum lam_y + lam_x of the preconditioner's
+        eigenvalues (eig is None in 1D). Built on first use, read-only, and
+        shared by every NeumannLaplacian on this grid."""
         return _build_operators(self)
 
     def mean(self, values: np.ndarray) -> float:
@@ -127,12 +141,18 @@ def _axis_weights(n: int) -> np.ndarray:
     return w
 
 
-def _lap1d_csr(n: int) -> sp.csr_matrix:
+def _axis_bands(n: int) -> np.ndarray:
+    """The 1D Laplacian on n nodes as DIA data (3, n) for the offsets
+    (-1, 0, 1): column j of the row for offset k holds the entry in matrix
+    row j - k, column j, and the two slots outside the matrix (the last of
+    the lower band, the first of the upper) hold 0."""
     scale = (n - 1.0) ** 2
-    lower = np.full(n - 1, scale)
-    upper = np.full(n - 1, scale)
-    lower[-1] = upper[0] = 2.0 * scale
-    return sp.diags([lower, np.full(n, -2.0 * scale), upper], [-1, 0, 1], format="csr")
+    data = np.empty((3, n))
+    data.fill(scale)
+    data[1] = -2.0 * scale
+    data[0, -2] = data[2, 1] = 2.0 * scale
+    data[0, -1] = data[2, 0] = 0.0
+    return data
 
 
 def _axis_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,22 +171,34 @@ def _axis_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, q
 
 
-def _read_only(mat: sp.csr_matrix) -> sp.csr_matrix:
-    for a in (mat.data, mat.indices, mat.indptr):
-        a.setflags(write=False)
-    return mat
-
-
 def _build_operators(grid: Grid) -> tuple:
     if grid.dim == 1:
-        return _read_only(_lap1d_csr(grid.counts[0])), None
+        return _read_only_dia(_axis_bands(grid.counts[0]), [-1, 0, 1]), None
     nx, ny = grid.counts
-    mat = (sp.kron(sp.eye(ny), _lap1d_csr(nx)) + sp.kron(_lap1d_csr(ny), sp.eye(nx))).tocsr()
+    bx, by = _axis_bands(nx), _axis_bands(ny)
+    # the Kronecker sum I (x) Lap_x + Lap_y (x) I by diagonals: the x bands
+    # once per grid row, their zero slots falling on the row wraps, and
+    # each y band entry once per node of its grid row
+    data = np.empty((5, nx * ny))
+    data[0] = np.repeat(by[0], nx)
+    data[1] = np.tile(bx[0], ny)
+    data[2].fill(bx[1, 0] + by[1, 0])
+    data[3] = np.tile(bx[2], ny)
+    data[4] = np.repeat(by[2], nx)
     eig_x = _single_eigenpairs(nx)
     eig_y = eig_x if ny == nx else _single_eigenpairs(ny)
     lam_sum = eig_y[0][:, None] + eig_x[0][None, :]
     lam_sum.setflags(write=False)
-    return _read_only(mat), (eig_x, eig_y, lam_sum)
+    return _read_only_dia(data, [-nx, -1, 0, 1, nx]), (eig_x, eig_y, lam_sum)
+
+
+def _read_only_dia(data: np.ndarray, offsets: list) -> sp.dia_matrix:
+    """The square DIA matrix of data and its ascending offsets, read-only."""
+    n = data.shape[1]
+    mat = sp.dia_matrix((data, offsets), shape=(n, n))
+    for a in (mat.data, mat.offsets):
+        a.setflags(write=False)
+    return mat
 
 
 def _single_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +230,8 @@ class NeumannLaplacian:
     scaled by an exact power of two. The CG recurrence, its curvature test
     and the tolerance contract below stay in double precision. Both
     dimensions reject a non-finite d or rhs with numpy.linalg.LinAlgError
-    before solving.
+    before solving, and a non-finite x after it: the 1D solve tests x, the
+    2D solve its true residual.
 
     A solve takes one flat row or a stack of rows: d and rhs of shape
     (S, N), rtol one value or one per row. Each row of the result is
@@ -208,10 +241,10 @@ class NeumannLaplacian:
     lands on its own row, and the stack raises RowSolveError, which carries
     every row's x and message, once all rows were tried.
 
-    The CSR Laplacian and, in 2D, the per-axis eigenpairs and their
-    eigenvalue sums belong to the Grid (Grid._operators), which builds them
-    on first use; an instance holds nothing but its grid, so constructing
-    one is free and every solve depends only on its arguments.
+    The Laplacian, stored by diagonals, and, in 2D, the per-axis eigenpairs
+    and their eigenvalue sums belong to the Grid (Grid._operators), which
+    builds them on first use; an instance holds nothing but its grid, so
+    constructing one is free and every solve depends only on its arguments.
 
     Tolerance contract of solve_shifted(mu, d, rhs, rtol): a 2D solve
     returns x whose residual sup norm is at most max(floor, rtol) times
@@ -260,8 +293,17 @@ def _require_finite(diag: np.ndarray, rhs: np.ndarray) -> None:
     callers handle every 1D and 2D solve failure the same way. The check on
     d matters even where the solve would run: an inf in d can still give a
     finite x."""
-    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+    if not (_all_finite(diag) and _all_finite(rhs)):
         raise np.linalg.LinAlgError("shifted solve: non-finite diagonal or rhs")
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float64 array a is finite. A finite sum of
+    squares proves it, so one BLAS dot (which, unlike numpy's, warns of no
+    overflow) settles the common case; the exact test runs only when that
+    sum is not finite, as with finite entries whose squares overflow."""
+    v = a.ravel()
+    return math.isfinite(ddot(v, v)) or bool(np.isfinite(v).all())
 
 
 class RowSolveError(np.linalg.LinAlgError):
@@ -301,7 +343,9 @@ class _Banded1D:
     (dl, 2 mu / h^2 + d, du), solved by LAPACK gtsv with no wrapper in
     between. Each solve builds the three diagonals afresh and lets gtsv
     overwrite them, so a factor keeps no state between solves. An exactly
-    singular matrix (gtsv info > 0) raises numpy.linalg.LinAlgError.
+    singular matrix (gtsv info > 0) raises numpy.linalg.LinAlgError, and so
+    does a non-finite x, which a nearly singular matrix can give from finite
+    d and rhs.
 
     A stack of rows (d and rhs of shape (S, N)) is one gtsv call on the
     block-diagonal system. The couplings at the block joins are zero, so
@@ -321,10 +365,7 @@ class _Banded1D:
         rows = rhs.reshape(-1, rhs.shape[-1])
         diag = self._diag.reshape(rows.shape)
         try:
-            x = self._gtsv(diag, rows)
-            # a non-finite row can spill into its neighbours only
-            if len(rows) == 1 or np.isfinite(x).all():
-                return x.reshape(rhs.shape)
+            return self._gtsv(diag, rows).reshape(rhs.shape)
         except np.linalg.LinAlgError:
             pass
         return _solve_each_row(rhs, lambda i: self._gtsv(diag[i:i + 1], rows[i:i + 1]))
@@ -347,6 +388,8 @@ class _Banded1D:
                         overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
+        if not _all_finite(x):
+            raise np.linalg.LinAlgError("shifted solve: non-finite solution")
         return x
 
 

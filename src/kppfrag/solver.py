@@ -177,7 +177,9 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
                 break
         for i in live:
             steps[i] += 1
-        forcing = np.array([min(NEWTON_FORCING, 0.5 * x) for x in rnorm])
+        # the direct 1D solve ignores its tolerance
+        forcing = (np.array([min(NEWTON_FORCING, 0.5 * x) for x in rnorm])
+                   if lap.grid.dim == 2 else None)
         delta, failures = solve_rows(lap, mu, 2.0 * theta - m_vals, r, rtol=forcing)
         if failures:
             for k, e in enumerate(failures):

@@ -112,7 +112,7 @@ def largest_eigenvalue_magnitude(lap, iters: int = 2000, seed: int = 0) -> float
 def lil_lap1d_csr(n: int) -> sp.csr_matrix:
     """The 1D Neumann Laplacian as it was first assembled: a LIL matrix with
     the two boundary couplings assigned element by element, then scaled and
-    converted to CSR; bit-identity oracle for grids._lap1d_csr."""
+    converted to CSR; product oracle for the grid Laplacian in 1D."""
     scale = (n - 1.0) ** 2
     mat = sp.diags(
         [np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="lil"
@@ -120,6 +120,14 @@ def lil_lap1d_csr(n: int) -> sp.csr_matrix:
     mat[0, 1] = 2.0
     mat[n - 1, n - 2] = 2.0
     return (mat * scale).tocsr()
+
+
+def kron_lap2d_csr(nx: int, ny: int) -> sp.csr_matrix:
+    """The 2D Neumann Laplacian as the Kronecker sum I (x) Lap_x + Lap_y (x) I
+    of the 1D oracles, in CSR (x index fastest); product oracle for the
+    grid Laplacian in 2D."""
+    return (sp.kron(sp.eye(ny), lil_lap1d_csr(nx))
+            + sp.kron(lil_lap1d_csr(ny), sp.eye(nx))).tocsr()
 
 
 def banded_shifted_solve(grid: Grid, mu: float, diag: np.ndarray,

@@ -16,6 +16,7 @@ import kppfrag.grids as grids_mod
 from conftest import (
     banded_shifted_solve,
     dense_shifted,
+    kron_lap2d_csr,
     largest_eigenvalue_magnitude,
     lil_lap1d_csr,
 )
@@ -283,7 +284,8 @@ def test_grid_operators_are_shared_and_read_only():
     g = Grid((12, 9))
     a = NeumannLaplacian(g)
     mat, eig = g._operators
-    for arr in (mat.data, mat.indices, mat.indptr, *eig[0], *eig[1], g.node_weights):
+    assert mat.offsets.tolist() == [-12, -1, 0, 1, 12]
+    for arr in (mat.data, mat.offsets, *eig[0], *eig[1], g.node_weights):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     for n, (lam, v) in zip(g.counts, eig):
@@ -381,11 +383,25 @@ def test_grid_operators_live_as_long_as_their_grid(monkeypatch):
     assert gone() is None
 
 
-@pytest.mark.parametrize("n", [3, 4, 1000, 8193])
-def test_lap1d_csr_bytes_match_lil_oracle(n):
-    got, expect = grids_mod._lap1d_csr(n), lil_lap1d_csr(n)
-    for attr in ("indptr", "indices", "data"):
-        assert getattr(got, attr).tobytes() == getattr(expect, attr).tobytes()
+@pytest.mark.parametrize("counts", [
+    (3,), (4,), (33,), (1000,), (8193,),
+    (3, 3), (3, 5), (12, 9), (60, 60), (127, 65), (240, 240),
+], ids=lambda c: "x".join(map(str, c)))
+def test_laplacian_products_match_sparse_oracles(counts):
+    # the diagonals are added in ascending offset order, each row's products
+    # in the CSR oracle's column order; the row-wrap zeros of 2D add +-0 to
+    # a sum that starts at +0, so every product keeps the oracle's bytes,
+    # signed zeros included, for flat operands and (N, S) stacks alike
+    g = Grid(counts)
+    mat = g._operators[0]
+    oracle = lil_lap1d_csr(*counts) if g.dim == 1 else kron_lap2d_csr(*counts)
+    rng = np.random.default_rng(g.num_nodes)
+    shape = (g.num_nodes, 7)
+    for v in (rng.standard_normal(shape), rng.uniform(0.0, 1.0, shape),
+              np.where(rng.random(shape) < 0.5, 0.0, -0.0)):
+        for operand in (v[:, 0], v, np.asfortranarray(v)):
+            got, expect = mat @ operand, oracle @ operand
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4, 1000])
@@ -435,7 +451,31 @@ def test_shifted_solve_1d_nonfinite_raises_linalg_error(monkeypatch, diag, rhs):
     assert passes == []
 
 
-def test_shifted_solve_1d_singular_raises_linalg_error():
+def test_shifted_solve_1d_nonfinite_solution_raises_on_its_row_alone():
+    # a nearly singular matrix can overflow x from finite d and rhs: the
+    # flat solve raises, and in a stack the row fails alone
+    lap, mu = NeumannLaplacian(Grid((5,))), 1.0
+    diag = np.array([np.full(5, 1e-12), np.linspace(0.5, 2.0, 5)])
+    rhs = np.array([np.full(5, 1e300), np.ones(5)])
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite solution"):
+        lap.solve_shifted(mu, diag[0], rhs[0])
+    with pytest.raises(grids_mod.RowSolveError) as exc:
+        lap.solve_shifted(mu, diag, rhs)
+    assert exc.value.errors == ["shifted solve: non-finite solution", None]
+    assert np.isnan(exc.value.x[0]).all()
+    assert exc.value.x[1].tobytes() == lap.solve_shifted(mu, diag[1], rhs[1]).tobytes()
+
+
+def test_finite_entries_whose_squares_overflow_pass_the_finite_checks():
+    # the finiteness checks read one dot product per array; a dot that
+    # overflows on finite entries falls back to the exact test
+    big = np.array([1e200, -3e200, 2e200, 1e200, -1e200, 5e199, 1e200, 2e200, -1e200])
+    grids_mod._require_finite(big, big[::-1].copy())
+    for counts in ((9,), (3, 3)):
+        lap = NeumannLaplacian(Grid(counts))
+        x = lap.solve_shifted(0.25, np.ones(9), big)
+        assert np.isfinite(x).all() and np.max(np.abs(x)) > 1e199
+
     # zero shift: constants span the kernel of the Neumann Laplacian
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         NeumannLaplacian(Grid((3,))).solve_shifted(0.25, np.zeros(3), np.ones(3))
@@ -505,15 +545,18 @@ def test_apply_rows_is_per_row_apply_bit_for_bit(counts, rows):
 
 def _nan_preconditioner(monkeypatch, target, call):
     """Patch _Cg2D._precondition to put a NaN into its result on the given
-    call (1-based) of every solve whose d is the array target."""
+    call (1-based) of every solve whose d is the array target. The counts
+    are keyed by the solver objects themselves, which keeps each one alive:
+    keyed by id(), a later solve could reuse a freed solver's address and
+    start its count where that one stopped."""
     real = grids_mod._Cg2D._precondition
     calls = {}
 
     def patched(self, wr, out):
         real(self, wr, out)
         if self._diag.tobytes() == target.tobytes():
-            calls[id(self)] = calls.get(id(self), 0) + 1
-            if calls[id(self)] == call:
+            calls[self] = calls.get(self, 0) + 1
+            if calls[self] == call:
                 out[len(out) // 2] = np.nan
 
     monkeypatch.setattr(grids_mod._Cg2D, "_precondition", patched)

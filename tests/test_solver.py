@@ -483,6 +483,33 @@ def test_krylov_stall_surfaces_as_no_convergence(monkeypatch):
         solve_steady_state(m, ProblemParams(mu=0.1, kappa=1.0, m0=0.3))
 
 
+def test_nonfinite_1d_solution_ends_a_monotone_run_at_once(monkeypatch):
+    # gtsv can return a non-finite x from finite d and rhs; that is a failed
+    # linear solve, so a monotone run ends at its first step with
+    # NoConvergence instead of stepping on NaN iterates up to the cap
+    real_gtsv = grids_mod._GTSV
+    calls = []
+
+    def overflowing_gtsv(*args, **kwargs):
+        calls.append(1)
+        out = real_gtsv(*args, **kwargs)
+        out[3][0] = np.inf
+        return out
+
+    monkeypatch.setattr(grids_mod, "_GTSV", overflowing_gtsv)
+    grid, mu = Grid((33,)), 0.1
+    m = make_crenel(grid, 1.0, 0.3)
+    _, _, steps, _, errors = solver_mod._newton(
+        NeumannLaplacian(grid), np.ones((1, grid.num_nodes)), m.values[None], mu,
+        SolverConfig(), grids_mod.residual_floor(grid, mu), monotone=True)
+    assert steps == [1] and len(calls) == 2       # the stack, then its one row
+    assert isinstance(errors[0], NoConvergence)
+    assert str(errors[0]).startswith("linear solve failed: shifted solve: non-finite solution")
+    with pytest.raises(NoConvergence, match="linear solve failed"):
+        solve_steady_state(m, ProblemParams(mu=mu, kappa=1.0, m0=0.3))
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("counts", [(33,), (12, 12)])
 def test_nonfinite_warm_start_restarts_from_max_m(counts):
     # a NaN warm start never counts as converged: its first Newton solve
