@@ -476,6 +476,8 @@ def test_finite_entries_whose_squares_overflow_pass_the_finite_checks():
         x = lap.solve_shifted(0.25, np.ones(9), big)
         assert np.isfinite(x).all() and np.max(np.abs(x)) > 1e199
 
+
+def test_shifted_solve_1d_singular_raises_linalg_error():
     # zero shift: constants span the kernel of the Neumann Laplacian
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         NeumannLaplacian(Grid((3,))).solve_shifted(0.25, np.zeros(3), np.ones(3))

@@ -486,7 +486,7 @@ def test_krylov_stall_surfaces_as_no_convergence(monkeypatch):
 def test_nonfinite_1d_solution_ends_a_monotone_run_at_once(monkeypatch):
     # gtsv can return a non-finite x from finite d and rhs; that is a failed
     # linear solve, so a monotone run ends at its first step with
-    # NoConvergence instead of stepping on NaN iterates up to the cap
+    # NoConvergence and never takes a non-finite iterate
     real_gtsv = grids_mod._GTSV
     calls = []
 
