@@ -214,43 +214,44 @@ def _single_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 class NeumannLaplacian:
     """The discrete Laplacian with mirror (zero-flux) boundary rows.
 
-    Supports application to flat nodal vectors and solves of the shifted
-    systems (mu * (-Lap) + diag(d)) x = rhs that the Newton and adjoint
-    steps need. 1D systems are tridiagonal and go straight to LAPACK's gtsv
-    (Gaussian elimination with partial pivoting), O(N) per solve. 2D
-    systems go through preconditioned conjugate gradients in the trapezoid
-    inner product <u, v>_W = u . (w v), in which mu * (-Lap) + diag(d) is
-    self-adjoint since W * Lap is symmetric. The matrix must be positive
-    definite in that inner product: a 2D solve that meets a direction of
-    nonpositive curvature raises numpy.linalg.LinAlgError (see _Cg2D). The
-    1D solve takes any nonsingular d. The preconditioner mu * (-Lap) + c I, with c the mean of
-    |d|, is inverted by fast diagonalization: the eigenvectors of each
-    axis's 1D operator turn it into a diagonal, so one application is four
-    small dense matrix products, made in single precision on the residual
-    scaled by an exact power of two. The CG recurrence, its curvature test
-    and the tolerance contract below stay in double precision. Both
-    dimensions reject a non-finite d or rhs with numpy.linalg.LinAlgError
-    before solving, and a non-finite x after it: the 1D solve tests x, the
-    2D solve its true residual.
+    Supports application to flat nodal vectors and solves of stacks of the
+    shifted systems (mu * (-Lap) + diag(d)) x = rhs that the Newton and
+    adjoint steps need. 1D systems are tridiagonal and go straight to
+    LAPACK's gtsv (Gaussian elimination with partial pivoting), O(N) per
+    solve. 2D systems go through preconditioned conjugate gradients in the
+    trapezoid inner product <u, v>_W = u . (w v), in which
+    mu * (-Lap) + diag(d) is self-adjoint since W * Lap is symmetric. The
+    matrix must be positive definite in that inner product: a 2D row that
+    meets a direction of nonpositive curvature fails (see _Cg2D). The 1D
+    solve takes any nonsingular d. The preconditioner mu * (-Lap) + c I,
+    with c the mean of |d|, is inverted by fast diagonalization: the
+    eigenvectors of each axis's 1D operator turn it into a diagonal, so one
+    application is four small dense matrix products, made in single
+    precision on the residual scaled by an exact power of two. The CG
+    recurrence, its curvature test and the tolerance contract below stay in
+    double precision. Both dimensions fail a row with a non-finite d or rhs
+    before solving it, and one with a non-finite x after it: the 1D solve
+    tests x, the 2D solve its true residual.
 
-    A solve takes one flat row or a stack of rows: d and rhs of shape
-    (S, N), rtol one value or one per row. Each row of the result is
-    bit-identical to the solve of that row alone: a 1D stack is one gtsv
-    call on its block-diagonal system, a 2D stack one CG solve per row. A
-    flat solve raises its numpy.linalg.LinAlgError; in a stack each failure
-    lands on its own row, and the stack raises RowSolveError, which carries
-    every row's x and message, once all rows were tried.
+    A solve takes a stack of rows, d and rhs of shape (S, N) (a single
+    system is the stack d[None], rhs[None]), and returns (x, errors): x of
+    shape (S, N), and errors[i] the message of row i's failed solve, whose
+    x row is then NaN, or None. No row failure raises; each is tried and
+    lands on its own row. Each row of x is bit-identical to the solve of
+    that row alone: a 1D stack is one gtsv call on its block-diagonal
+    system, a 2D stack one CG solve per row.
 
     The Laplacian, stored by diagonals, and, in 2D, the per-axis eigenpairs
     and their eigenvalue sums belong to the Grid (Grid._operators), which
     builds them on first use; an instance holds nothing but its grid, so
     constructing one is free and every solve depends only on its arguments.
 
-    Tolerance contract of solve_shifted(mu, d, rhs, rtol): a 2D solve
-    returns x whose residual sup norm is at most max(floor, rtol) times
-    max(|x|, |rhs|), floor being the rounding floor of _Cg2D; rtol=None
-    (the default) asks for the floor itself. A Newton step passes its
-    forcing term as rtol; every other caller takes the floor. The 1D solve
+    Tolerance contract of solve_shifted(mu, d, rhs, rtol): rtol is None or
+    one value per row, and each 2D row solved returns its x with a residual
+    sup norm of at most max(floor, rtol[i]) times max(|x|, |rhs|) on that
+    row, floor being the rounding floor of _Cg2D; rtol=None (the default)
+    asks for the floor itself on every row. A Newton step passes its
+    forcing terms as rtol; every other caller takes the floor. The 1D solve
     is direct, ignores rtol and is bit-identical for every rtol.
     """
 
@@ -275,16 +276,16 @@ class NeumannLaplacian:
         return out
 
     def shifted_factor(self, mu: float, diag: np.ndarray):
-        """Solver object for mu * (-Lap) + diag(d); has .solve(rhs, rtol=None),
-        rhs of d's shape. Every shifted solve goes through here."""
+        """Solver object for the stack of systems mu * (-Lap) + diag(d[i]), d
+        of shape (S, N); its .solve(rhs, rtol=None) takes rhs of d's shape
+        and returns (x, errors) as solve_shifted does. Every shifted solve
+        goes through here."""
         if self.grid.dim == 1:
             return _Banded1D(mu, diag)
-        if np.ndim(diag) == 1:
-            return _Cg2D(self.grid, mu, diag)
         return _Cg2DRows(self.grid, mu, diag)
 
     def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray,
-                      rtol: float | None = None) -> np.ndarray:
+                      rtol=None) -> tuple[np.ndarray, list]:
         return self.shifted_factor(mu, diag).solve(rhs, rtol)
 
 
@@ -306,36 +307,20 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(ddot(v, v)) or bool(np.isfinite(v).all())
 
 
-class RowSolveError(np.linalg.LinAlgError):
-    """A shifted solve of stacked rows in which some rows failed. x holds
-    the result of every row (NaN in a failed one), errors the message of
-    each failed row and None elsewhere; the message joins the errors."""
-
-    def __init__(self, x: np.ndarray, errors: list):
-        super().__init__("; ".join(e for e in errors if e is not None))
-        self.x, self.errors = x, errors
-
-
-def _solve_each_row(rhs: np.ndarray, solve_row) -> np.ndarray:
-    """Solve rhs row by row with solve_row(i), which returns row i's x or
-    raises numpy.linalg.LinAlgError. A flat rhs is one row and raises its
-    error as it is; in a stack (S, N) each failure lands on its own row,
-    and the stack raises RowSolveError after every row has been tried."""
-    rows = rhs.reshape(-1, rhs.shape[-1])
-    x, errors = [], [None] * len(rows)
-    for i in range(len(rows)):
+def _solve_each_row(rhs: np.ndarray, solve_row) -> tuple[np.ndarray, list]:
+    """(x, errors) of the stack rhs (S, N) solved row by row with
+    solve_row(i), which returns row i's x or raises
+    numpy.linalg.LinAlgError: a failed row is NaN in x with its message in
+    errors, and every other entry of errors is None."""
+    x, errors = [], [None] * len(rhs)
+    for i in range(len(rhs)):
         try:
             x.append(solve_row(i))
         except np.linalg.LinAlgError as exc:
-            if rhs.ndim == 1:
-                raise
-            x.append(np.full(rows.shape[1], np.nan))
+            x.append(np.full(rhs.shape[1], np.nan))
             errors[i] = str(exc)
     # stacked after the last solve, so no buffer is alive during one
-    x = x[0].reshape(rhs.shape) if len(x) == 1 else np.stack(x)
-    if any(e is not None for e in errors):
-        raise RowSolveError(x, errors)
-    return x
+    return (x[0][None] if len(x) == 1 else np.stack(x)), errors
 
 
 class _Banded1D:
@@ -347,31 +332,30 @@ class _Banded1D:
     does a non-finite x, which a nearly singular matrix can give from finite
     d and rhs.
 
-    A stack of rows (d and rhs of shape (S, N)) is one gtsv call on the
+    The stack of rows (d and rhs of shape (S, N)) is one gtsv call on the
     block-diagonal system. The couplings at the block joins are zero, so
     elimination never swaps across a join (|d| >= 0 = |dl|) and its
     multiplier there is 0: each row's arithmetic is that of its own solve.
     A non-finite entry in a row's d, rhs or x, or info > 0, sends the stack
     to one solve per row (_solve_each_row), so the failure lands on that
-    row alone.
+    row alone, as NaN with its message.
     """
 
     def __init__(self, mu: float, diag: np.ndarray):
-        self._mu, self._diag = mu, np.asarray(diag, dtype=float)
+        self._mu, self._diag = mu, diag
 
-    def solve(self, rhs: np.ndarray, rtol=None) -> np.ndarray:
-        """Direct solve; rtol is accepted for the common interface and ignored."""
-        rhs = np.asarray(rhs, dtype=float)
-        rows = rhs.reshape(-1, rhs.shape[-1])
-        diag = self._diag.reshape(rows.shape)
+    def solve(self, rhs: np.ndarray, rtol=None) -> tuple[np.ndarray, list]:
+        """Direct solve as (x, errors); rtol is accepted for the common
+        interface and ignored."""
+        diag = self._diag
         try:
-            return self._gtsv(diag, rows).reshape(rhs.shape)
+            return self._gtsv(diag, rhs), [None] * len(rhs)
         except np.linalg.LinAlgError:
             pass
-        return _solve_each_row(rhs, lambda i: self._gtsv(diag[i:i + 1], rows[i:i + 1]))
+        return _solve_each_row(rhs, lambda i: self._gtsv(diag[i:i + 1], rhs[i:i + 1])[0])
 
     def _gtsv(self, diag: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """x, flat, of one gtsv call on the block-diagonal system of rows (S, N)."""
+        """x (S, N) of one gtsv call on the block-diagonal system of rows (S, N)."""
         s, n = rows.shape
         h = 1.0 / (n - 1)                   # Grid.spacings of the rows' grid
         inv = self._mu / (h * h)
@@ -390,23 +374,21 @@ class _Banded1D:
             raise np.linalg.LinAlgError("singular matrix")
         if not _all_finite(x):
             raise np.linalg.LinAlgError("shifted solve: non-finite solution")
-        return x
+        return x.reshape(s, n)
 
 
 class _Cg2DRows:
     """Stacked 2D shifted systems, one _Cg2D solve per row with that row's
-    d and, when rtol is a sequence, its own tolerance; failures land on
+    d and, unless rtol is None, its own tolerance rtol[i]; failures land on
     their rows (_solve_each_row)."""
 
     def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
         self._grid, self._mu, self._diag = grid, mu, diag
 
-    def solve(self, rhs: np.ndarray, rtol=None) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        rtols = np.broadcast_to(np.asarray(rtol, dtype=object), rhs.shape[:1])
-
+    def solve(self, rhs: np.ndarray, rtol=None) -> tuple[np.ndarray, list]:
         def solve_row(i):
-            return _Cg2D(self._grid, self._mu, self._diag[i]).solve(rhs[i], rtols[i])
+            return _Cg2D(self._grid, self._mu, self._diag[i]).solve(
+                rhs[i], None if rtol is None else rtol[i])
         return _solve_each_row(rhs, solve_row)
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from .fields import ProblemParams, ResourceField, ScalarField
 from .grids import Grid, NeumannLaplacian, residual_floor
-from .solver import SteadyState, solve_rows, steady_rows
+from .solver import SteadyState, steady_rows
 
 
 class SingularAdjoint(RuntimeError):
@@ -128,12 +128,12 @@ def _adjoint_rows(grid: Grid, mu: float, m_vals: np.ndarray, theta: np.ndarray):
     errors[i] is None or the SingularAdjoint of row i."""
     lap = NeumannLaplacian(grid)
     diag = 2.0 * theta - m_vals
-    p, failures = solve_rows(lap, mu, diag, np.ones_like(diag))
+    p, failures = lap.solve_shifted(mu, diag, np.ones_like(diag))
     finite = np.isfinite(p).all(axis=1)          # a failed row is NaN
     errors = [None] * len(p)
     for i in np.flatnonzero(~finite):
         errors[i] = SingularAdjoint(f"adjoint solve failed: {failures[i]}"
-                                    if failures and failures[i] else
+                                    if failures[i] else
                                     "adjoint solve produced non-finite values")
     rows = np.flatnonzero(finite)
     if rows.size:

@@ -63,7 +63,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fields import ProblemParams, ScalarField, mean
-from .grids import NeumannLaplacian, RowSolveError, residual_floor
+from .grids import NeumannLaplacian, residual_floor
 
 
 class SolverError(RuntimeError):
@@ -117,16 +117,6 @@ def _residual(lap, theta, m_vals, mu):
     return r
 
 
-def solve_rows(lap, mu, diag, rhs, rtol=None):
-    """lap.solve_shifted on stacked rows, as (x, errors): errors is None when
-    every row was solved, else errors[i] is None or the message of row i's
-    failed solve, whose x row is then NaN."""
-    try:
-        return lap.solve_shifted(mu, diag, rhs, rtol), None
-    except RowSolveError as exc:
-        return exc.x, exc.errors
-
-
 def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
     """Newton by full steps from each row of theta (S, N), against the same
     row of m_vals. Every row's arithmetic is that of its own run, and theta
@@ -139,7 +129,9 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
     before that step; the failed step counts as a step. On the monotone run
     a failed linear solve ends its row with NoConvergence; on both runs the
     step cap does. The per-row tests run on Python floats, which costs less
-    than array calls for the few rows of a stack."""
+    than array calls for the few rows of a stack. Each step is one stacked
+    lap.solve_shifted on the working rows, which returns a failed row as
+    NaN with its message and raises for none."""
     n_rows = len(theta)
     out, errors = [None] * n_rows, [None] * n_rows
     rnorm_out, steps, stalled = [0.0] * n_rows, [0] * n_rows, [False] * n_rows
@@ -178,10 +170,9 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
         for i in live:
             steps[i] += 1
         # the direct 1D solve ignores its tolerance
-        forcing = (np.array([min(NEWTON_FORCING, 0.5 * x) for x in rnorm])
-                   if lap.grid.dim == 2 else None)
-        delta, failures = solve_rows(lap, mu, 2.0 * theta - m_vals, r, rtol=forcing)
-        if failures:
+        forcing = [min(NEWTON_FORCING, 0.5 * x) for x in rnorm] if lap.grid.dim == 2 else None
+        delta, failures = lap.solve_shifted(mu, 2.0 * theta - m_vals, r, forcing)
+        if any(e is not None for e in failures):
             for k, e in enumerate(failures):
                 if e is not None and monotone:
                     errors[live[k]] = NoConvergence(f"linear solve failed: {e}", rnorm[k])

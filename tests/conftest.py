@@ -147,6 +147,14 @@ def banded_shifted_solve(grid: Grid, mu: float, diag: np.ndarray,
     return solve_banded((1, 1), ab, rhs)
 
 
+def solve_one(lap, mu: float, diag: np.ndarray, rhs: np.ndarray, rtol=None):
+    """One shifted system solved as the one-row stack (d[None], rhs[None]):
+    (x, error), x the row's solution (NaN if its solve failed) and error
+    the row's message or None."""
+    x, errors = lap.solve_shifted(mu, diag[None], rhs[None], None if rtol is None else [rtol])
+    return x[0], errors[0]
+
+
 def l1_distance(a: ScalarField, b: ScalarField) -> float:
     if a.grid != b.grid:
         raise FieldError("fields on different grids")

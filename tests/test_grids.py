@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -19,7 +20,15 @@ from conftest import (
     kron_lap2d_csr,
     largest_eigenvalue_magnitude,
     lil_lap1d_csr,
+    solve_one,
 )
+
+
+def assert_row_failed(x, error, match):
+    """A failed row of a shifted solve: NaN throughout, with a message
+    that matches the pattern match."""
+    assert error is not None and re.search(match, error), error
+    assert np.isnan(x).all()
 
 
 def test_grid_validation():
@@ -113,7 +122,8 @@ def test_shifted_solve_residual(counts):
     diag = rng.uniform(0.5, 2.0, g.num_nodes)
     rhs = rng.standard_normal(g.num_nodes)
     mu = 0.37
-    x = lap.solve_shifted(mu, diag, rhs)
+    x, err = solve_one(lap, mu, diag, rhs)
+    assert err is None
     resid = mu * (-lap.apply(x)) + diag * x - rhs
     assert np.max(np.abs(resid)) <= 1e-9 * max(1.0, np.max(np.abs(x)))
 
@@ -122,9 +132,11 @@ def test_shifted_factor_reuse_matches_solve():
     g = Grid((21,))
     lap = NeumannLaplacian(g)
     diag = np.linspace(0.5, 1.5, 21)
-    fac = lap.shifted_factor(0.2, diag)
-    rhs = np.ones(21)
-    assert np.allclose(fac.solve(rhs), lap.solve_shifted(0.2, diag, rhs), rtol=1e-13)
+    fac = lap.shifted_factor(0.2, diag[None])
+    rhs = np.ones((1, 21))
+    (x, errors), (expect, _) = fac.solve(rhs), lap.solve_shifted(0.2, diag[None], rhs)
+    assert errors == [None]
+    assert np.allclose(x, expect, rtol=1e-13)
 
 
 def test_dense_oracle_matches_operator():
@@ -140,7 +152,7 @@ def test_dense_oracle_matches_operator():
 def test_shifted_solve_indefinite_matches_dense_oracle(counts):
     # Newton matrices mu*(-Lap) + diag(2 theta - m) can be indefinite: the
     # direct 1D solve takes them, while a 2D CG solve either matches the
-    # oracle or raises LinAlgError naming positive definiteness
+    # oracle or fails its row with a message naming positive definiteness
     g = Grid(counts)
     rng = np.random.default_rng(11)
     diag = rng.uniform(-1.0, 1.0, g.num_nodes)
@@ -150,10 +162,9 @@ def test_shifted_solve_indefinite_matches_dense_oracle(counts):
     assert eig.min() < 0.0 < eig.max()
     assert np.linalg.cond(dense) < 1e6
     expect = np.linalg.solve(dense, rhs)
-    try:
-        got = NeumannLaplacian(g).solve_shifted(0.05, diag, rhs)
-    except np.linalg.LinAlgError as exc:
-        assert g.dim == 2 and "not positive definite" in str(exc)
+    got, err = solve_one(NeumannLaplacian(g), 0.05, diag, rhs)
+    if err is not None:
+        assert g.dim == 2 and "not positive definite" in err and np.isnan(got).all()
         return
     assert np.allclose(got, expect, rtol=1e-9, atol=1e-11 * np.max(np.abs(expect)))
 
@@ -184,8 +195,8 @@ def test_shifted_solve_2d_spd_matches_dense_oracle(monkeypatch, rtol):
     dense = dense_shifted(g, mu, diag)
     assert np.linalg.eigvals(dense).real.min() > 0.0
     expect = np.linalg.solve(dense, rhs)
-    got = NeumannLaplacian(g).solve_shifted(mu, diag, rhs, rtol=rtol)
-    assert len(passes) == 1
+    got, err = solve_one(NeumannLaplacian(g), mu, diag, rhs, rtol)
+    assert err is None and len(passes) == 1
     floor = grids_mod.residual_floor(g, mu) * max(1.0, np.max(np.abs(diag)))
     tol = floor if rtol is None else max(floor, rtol)
     scale = max(np.max(np.abs(got)), np.max(np.abs(rhs)))
@@ -195,14 +206,14 @@ def test_shifted_solve_2d_spd_matches_dense_oracle(monkeypatch, rtol):
 
 def test_shifted_solve_2d_stall_raises_linalg_error(monkeypatch):
     # one Krylov step cannot reach the rounding floor on a variable shift;
-    # the solve must give up after its one CG pass with a LinAlgError
+    # the solve must give up after its one CG pass and fail its row
     g = Grid((10, 12))
     rng = np.random.default_rng(0)
     monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
     passes = _cg_passes(monkeypatch)
-    with pytest.raises(np.linalg.LinAlgError, match="above the rounding floor"):
-        NeumannLaplacian(g).solve_shifted(0.1, rng.uniform(-1.0, 1.0, g.num_nodes),
-                                          rng.standard_normal(g.num_nodes))
+    x, err = solve_one(NeumannLaplacian(g), 0.1, rng.uniform(-1.0, 1.0, g.num_nodes),
+                       rng.standard_normal(g.num_nodes))
+    assert_row_failed(x, err, "above the rounding floor")
     assert len(passes) == 1
 
 
@@ -212,7 +223,8 @@ def test_shifted_solve_2d_rtol_bounds_relative_residual():
     rng = np.random.default_rng(5)
     mu, diag = 0.05, rng.uniform(0.0, 2.0, g.num_nodes)
     rhs = rng.standard_normal(g.num_nodes)
-    x = lap.solve_shifted(mu, diag, rhs, rtol=1e-3)
+    x, err = solve_one(lap, mu, diag, rhs, 1e-3)
+    assert err is None
     resid = mu * (-lap.apply(x)) + diag * x - rhs
     floor = grids_mod.residual_floor(g, mu) * max(1.0, np.max(np.abs(diag)))
     rel = np.max(np.abs(resid)) / max(np.max(np.abs(x)), np.max(np.abs(rhs)))
@@ -224,8 +236,10 @@ def test_shifted_solve_1d_ignores_rtol():
     lap = NeumannLaplacian(g)
     rng = np.random.default_rng(9)
     diag, rhs = rng.uniform(-1.0, 1.0, 101), rng.standard_normal(101)
-    exact = lap.solve_shifted(0.01, diag, rhs)
-    assert lap.solve_shifted(0.01, diag, rhs, rtol=1e-2).tobytes() == exact.tobytes()
+    (exact, err), (loose, loose_err) = (solve_one(lap, 0.01, diag, rhs),
+                                        solve_one(lap, 0.01, diag, rhs, 1e-2))
+    assert err is None and loose_err is None
+    assert loose.tobytes() == exact.tobytes()
 
 
 def test_shifted_solve_2d_stall_with_rtol_names_the_tolerance(monkeypatch):
@@ -233,9 +247,9 @@ def test_shifted_solve_2d_stall_with_rtol_names_the_tolerance(monkeypatch):
     rng = np.random.default_rng(0)
     monkeypatch.setattr(grids_mod, "_KRYLOV_MAXITER", 1)
     passes = _cg_passes(monkeypatch)
-    with pytest.raises(np.linalg.LinAlgError, match="requested rtol 1.000e-06"):
-        NeumannLaplacian(g).solve_shifted(0.1, rng.uniform(-1.0, 1.0, g.num_nodes),
-                                          rng.standard_normal(g.num_nodes), rtol=1e-6)
+    x, err = solve_one(NeumannLaplacian(g), 0.1, rng.uniform(-1.0, 1.0, g.num_nodes),
+                       rng.standard_normal(g.num_nodes), 1e-6)
+    assert_row_failed(x, err, "requested rtol 1.000e-06")
     assert len(passes) == 1
 
 
@@ -255,7 +269,7 @@ def test_shifted_solve_2d_stops_on_its_recurred_residual(monkeypatch, n, mu, kin
     # The CG loop stops once its recurred residual is under half the
     # tolerance. Were the recurrence to drift below the true residual, the
     # loop would stop early, and the true residual would land above the
-    # tolerance (solve raises) or above the half tolerance the loop claims
+    # tolerance (the row fails) or above the half tolerance the loop claims
     # (checked where rtol is far above the rounding floor). An
     # indefinite shift either meets the same test or is rejected, by the
     # curvature test of the first pass.
@@ -265,10 +279,9 @@ def test_shifted_solve_2d_stops_on_its_recurred_residual(monkeypatch, n, mu, kin
     diag = _shift(kind, g.num_nodes, rng)
     rhs = rng.standard_normal(g.num_nodes)
     passes = _cg_passes(monkeypatch)
-    try:
-        x = lap.solve_shifted(mu, diag, rhs, rtol=rtol)
-    except np.linalg.LinAlgError as exc:
-        assert kind == "indefinite" and "not positive definite" in str(exc)
+    x, err = solve_one(lap, mu, diag, rhs, rtol)
+    if err is not None:
+        assert kind == "indefinite" and "not positive definite" in err and np.isnan(x).all()
         assert len(passes) == 1
         return
     assert len(passes) == 1
@@ -306,11 +319,12 @@ def test_grid_operators_are_shared_and_read_only():
         lam_sum[0, 0] = 1.0
     rng = np.random.default_rng(2)
     diag, rhs = rng.uniform(0.0, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
-    first = a.solve_shifted(0.05, diag, rhs)
+    first, first_err = solve_one(a, 0.05, diag, rhs)
     big = Grid((60, 60))
-    NeumannLaplacian(big).solve_shifted(0.05, np.ones(big.num_nodes),
-                                        np.ones(big.num_nodes))
-    again = NeumannLaplacian(g).solve_shifted(0.05, diag, rhs)
+    big_err = solve_one(NeumannLaplacian(big), 0.05, np.ones(big.num_nodes),
+                        np.ones(big.num_nodes))[1]
+    again, again_err = solve_one(NeumannLaplacian(g), 0.05, diag, rhs)
+    assert first_err is None and big_err is None and again_err is None
     assert again.tobytes() == first.tobytes()
 
 
@@ -323,24 +337,27 @@ def test_shifted_solve_2d_is_scale_equivariant_beyond_float32_range(scale):
     lap = NeumannLaplacian(g)
     rng = np.random.default_rng(5)
     diag, rhs = rng.uniform(0.2, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
-    x = lap.solve_shifted(0.05, diag, rhs)
-    assert lap.solve_shifted(0.05, diag, scale * rhs).tobytes() == (scale * x).tobytes()
+    (x, err), (scaled, scaled_err) = (solve_one(lap, 0.05, diag, rhs),
+                                      solve_one(lap, 0.05, diag, scale * rhs))
+    assert err is None and scaled_err is None
+    assert scaled.tobytes() == (scale * x).tobytes()
 
 
 @pytest.mark.parametrize("scale", [2.0**-1074, 2.0**-1040, 2.0**-1000, 2.0**1020])
 def test_shifted_solve_2d_at_the_ends_of_double_range_fails_only_as_linalg_error(scale):
-    # a returned x meets the tolerance contract against its own rhs; both
-    # are checked at unit scale, which the power of two reaches exactly
+    # a row either fails (NaN, with its message) or returns an x that meets
+    # the tolerance contract against its own rhs; both are checked at unit
+    # scale, which the power of two reaches exactly
     g = Grid((20, 17))
     mu = 0.05
     rng = np.random.default_rng(5)
     diag, rhs = rng.uniform(0.2, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
     lap = NeumannLaplacian(g)
     with np.errstate(all="ignore"):
-        try:
-            x = lap.solve_shifted(mu, diag, scale * rhs)
-        except np.linalg.LinAlgError:
-            return
+        x, err = solve_one(lap, mu, diag, scale * rhs)
+    if err is not None:
+        assert np.isnan(x).all()
+        return
     assert np.isfinite(x).all()
     x_unit, rhs_unit = x / scale, (scale * rhs) / scale
     resid = rhs_unit - (lap.apply(x_unit) * -mu + diag * x_unit)
@@ -352,8 +369,10 @@ def test_shifted_solve_2d_at_the_ends_of_double_range_fails_only_as_linalg_error
 def test_shifted_solve_2d_of_zero_rhs_is_zero_without_cg(monkeypatch):
     passes = _cg_passes(monkeypatch)
     g = Grid((20, 17))
-    x = NeumannLaplacian(g).solve_shifted(0.05, np.ones(g.num_nodes), np.zeros(g.num_nodes))
-    assert passes == [] and x.shape == (g.num_nodes,) and not x.any()
+    x, errors = NeumannLaplacian(g).solve_shifted(0.05, np.ones((1, g.num_nodes)),
+                                                  np.zeros((1, g.num_nodes)))
+    assert passes == [] and errors == [None]
+    assert x.shape == (1, g.num_nodes) and not x.any()
 
 
 def test_grid_operators_live_as_long_as_their_grid(monkeypatch):
@@ -371,8 +390,8 @@ def test_grid_operators_live_as_long_as_their_grid(monkeypatch):
     assert NeumannLaplacian(small).grid is small and built == []
     for _ in range(3):
         NeumannLaplacian(large).apply(np.ones(large.num_nodes))
-        NeumannLaplacian(small).solve_shifted(0.1, np.ones(small.num_nodes),
-                                              np.ones(small.num_nodes))
+        assert solve_one(NeumannLaplacian(small), 0.1, np.ones(small.num_nodes),
+                         np.ones(small.num_nodes))[1] is None
     assert built == [(27, 27), (13, 13)]
     twin = Grid((13, 13))
     assert twin._operators[0] is not small._operators[0]
@@ -412,8 +431,9 @@ def test_shifted_solve_1d_bytes_match_solve_banded_oracle(n):
     for mu in (1.0, 0.01):
         diag = rng.uniform(-1.0, 1.0, n)
         rhs = rng.standard_normal(n)
-        got = lap.shifted_factor(mu, diag).solve(rhs)
-        assert got.tobytes() == banded_shifted_solve(g, mu, diag, rhs).tobytes()
+        got, errors = lap.shifted_factor(mu, diag[None]).solve(rhs[None])
+        assert errors == [None]
+        assert got[0].tobytes() == banded_shifted_solve(g, mu, diag, rhs).tobytes()
 
 
 def test_shifted_solve_1d_keeps_no_state():
@@ -424,12 +444,14 @@ def test_shifted_solve_1d_keeps_no_state():
     lap = NeumannLaplacian(g)
     diag, rhs = rng.uniform(-1.0, 1.0, g.num_nodes), rng.standard_normal(g.num_nodes)
     inputs = diag.tobytes() + rhs.tobytes()
-    fac = lap.shifted_factor(0.3, diag)
+    fac = lap.shifted_factor(0.3, diag[None])
     expect = banded_shifted_solve(g, 0.3, diag, rhs).tobytes()
-    assert fac.solve(rhs).tobytes() == expect
-    assert fac.solve(rhs).tobytes() == expect
+    for _ in range(2):
+        got, errors = fac.solve(rhs[None])
+        assert errors == [None] and got[0].tobytes() == expect
     for mu in (0.3, 0.002, 0.3):
-        got = lap.solve_shifted(mu, diag, rhs)
+        got, err = solve_one(lap, mu, diag, rhs)
+        assert err is None
         assert got.tobytes() == banded_shifted_solve(g, mu, diag, rhs).tobytes()
     assert diag.tobytes() + rhs.tobytes() == inputs
 
@@ -440,30 +462,29 @@ def test_shifted_solve_1d_keeps_no_state():
     ([1.0, np.inf, 1.0], [1.0, 1.0, 1.0]),
 ])
 def test_shifted_solve_1d_nonfinite_raises_linalg_error(monkeypatch, diag, rhs):
-    # rejected up front in both dimensions, with the same message; no CG
-    # pass runs in 2D
+    # rejected up front in both dimensions, the row failing with the same
+    # message; no CG pass runs in 2D
     passes = _cg_passes(monkeypatch)
     for counts in ((3,), (3, 3)):
         reps = Grid(counts).num_nodes // 3
-        with pytest.raises(np.linalg.LinAlgError, match="non-finite diagonal or rhs"):
-            NeumannLaplacian(Grid(counts)).solve_shifted(
-                0.25, np.tile(diag, reps), np.tile(rhs, reps))
+        x, err = solve_one(NeumannLaplacian(Grid(counts)), 0.25,
+                           np.tile(diag, reps), np.tile(rhs, reps))
+        assert_row_failed(x, err, "non-finite diagonal or rhs")
     assert passes == []
 
 
 def test_shifted_solve_1d_nonfinite_solution_raises_on_its_row_alone():
     # a nearly singular matrix can overflow x from finite d and rhs: the
-    # flat solve raises, and in a stack the row fails alone
+    # row fails, alone on its own and alone in a stack
     lap, mu = NeumannLaplacian(Grid((5,))), 1.0
     diag = np.array([np.full(5, 1e-12), np.linspace(0.5, 2.0, 5)])
     rhs = np.array([np.full(5, 1e300), np.ones(5)])
-    with pytest.raises(np.linalg.LinAlgError, match="non-finite solution"):
-        lap.solve_shifted(mu, diag[0], rhs[0])
-    with pytest.raises(grids_mod.RowSolveError) as exc:
-        lap.solve_shifted(mu, diag, rhs)
-    assert exc.value.errors == ["shifted solve: non-finite solution", None]
-    assert np.isnan(exc.value.x[0]).all()
-    assert exc.value.x[1].tobytes() == lap.solve_shifted(mu, diag[1], rhs[1]).tobytes()
+    assert_row_failed(*solve_one(lap, mu, diag[0], rhs[0]), "non-finite solution")
+    x, errors = lap.solve_shifted(mu, diag, rhs)
+    assert errors == ["shifted solve: non-finite solution", None]
+    assert np.isnan(x[0]).all()
+    alone, err = solve_one(lap, mu, diag[1], rhs[1])
+    assert err is None and x[1].tobytes() == alone.tobytes()
 
 
 def test_finite_entries_whose_squares_overflow_pass_the_finite_checks():
@@ -473,14 +494,14 @@ def test_finite_entries_whose_squares_overflow_pass_the_finite_checks():
     grids_mod._require_finite(big, big[::-1].copy())
     for counts in ((9,), (3, 3)):
         lap = NeumannLaplacian(Grid(counts))
-        x = lap.solve_shifted(0.25, np.ones(9), big)
-        assert np.isfinite(x).all() and np.max(np.abs(x)) > 1e199
+        x, err = solve_one(lap, 0.25, np.ones(9), big)
+        assert err is None and np.isfinite(x).all() and np.max(np.abs(x)) > 1e199
 
 
 def test_shifted_solve_1d_singular_raises_linalg_error():
     # zero shift: constants span the kernel of the Neumann Laplacian
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        NeumannLaplacian(Grid((3,))).solve_shifted(0.25, np.zeros(3), np.ones(3))
+    x, err = solve_one(NeumannLaplacian(Grid((3,))), 0.25, np.zeros(3), np.ones(3))
+    assert_row_failed(x, err, "singular matrix")
 
 
 def _gtsv_row(g, mu, diag, rhs):
@@ -503,12 +524,13 @@ def test_stacked_1d_solve_is_per_row_gtsv_bit_for_bit(n, mu):
     diag = rng.uniform(-1.0, 1.0, (5, n))
     diag[1] = rng.uniform(0.5, 2.0, n)
     rhs = rng.standard_normal((5, n))
-    x = NeumannLaplacian(g).solve_shifted(mu, diag, rhs)
-    assert x.shape == (5, n) and x.flags.c_contiguous
+    x, errors = NeumannLaplacian(g).solve_shifted(mu, diag, rhs)
+    assert errors == [None] * 5 and x.shape == (5, n) and x.flags.c_contiguous
     for i in range(5):
         expect, info = _gtsv_row(g, mu, diag[i], rhs[i])
         assert info == 0 and x[i].tobytes() == expect.tobytes()
-    assert NeumannLaplacian(g).solve_shifted(mu, diag[:1], rhs[:1]).tobytes() == x[0].tobytes()
+    one, errors = NeumannLaplacian(g).solve_shifted(mu, diag[:1], rhs[:1])
+    assert errors == [None] and one.tobytes() == x[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4, 1000])
@@ -523,11 +545,11 @@ def test_stacked_1d_solve_matches_flat_solves_bit_for_bit(n, rows):
     for mu in (1.0, 0.01):
         diag = rng.uniform(-1.0, 1.0, (rows, n))
         rhs = rng.standard_normal((rows, n))
-        x = lap.solve_shifted(mu, diag, rhs)
-        assert x.shape == (rows, n)
+        x, errors = lap.solve_shifted(mu, diag, rhs)
+        assert errors == [None] * rows and x.shape == (rows, n)
         for i in range(rows):
-            flat = lap.solve_shifted(mu, diag[i], rhs[i])
-            assert x[i].tobytes() == flat.tobytes()
+            flat, err = solve_one(lap, mu, diag[i], rhs[i])
+            assert err is None and x[i].tobytes() == flat.tobytes()
             assert flat.tobytes() == _gtsv_row(g, mu, diag[i], rhs[i])[0].tobytes()
 
 
@@ -566,25 +588,23 @@ def _nan_preconditioner(monkeypatch, target, call):
 
 @pytest.mark.parametrize("call", [1, 3])
 def test_shifted_solve_2d_nan_in_cg_raises_on_its_row_alone(monkeypatch, call):
-    # a NaN born inside the CG loop must not come back as a solution: a
-    # flat solve raises LinAlgError, and in a stack the failure is that
-    # row's alone while the other rows keep their bytes
+    # a NaN born inside the CG loop must not come back as a solution: the
+    # row fails on its own, and in a stack the failure is that row's alone
+    # while the other rows keep their bytes
     g, mu = Grid((9, 7)), 0.1
     lap = NeumannLaplacian(g)
     rng = np.random.default_rng(7)
     diag = rng.uniform(0.5, 2.0, (3, g.num_nodes))
     rhs = rng.standard_normal((3, g.num_nodes))
-    clean = [lap.solve_shifted(mu, diag[i], rhs[i]) for i in range(3)]
+    clean = [solve_one(lap, mu, diag[i], rhs[i]) for i in range(3)]
+    assert [err for _, err in clean] == [None] * 3
     _nan_preconditioner(monkeypatch, diag[1], call)
-    with pytest.raises(np.linalg.LinAlgError):
-        lap.solve_shifted(mu, diag[1], rhs[1])
-    with pytest.raises(grids_mod.RowSolveError) as exc:
-        lap.solve_shifted(mu, diag, rhs)
-    errors = exc.value.errors
+    assert_row_failed(*solve_one(lap, mu, diag[1], rhs[1]), "")
+    x, errors = lap.solve_shifted(mu, diag, rhs)
     assert errors[0] is None and errors[2] is None and errors[1]
-    assert np.isnan(exc.value.x[1]).all()
+    assert np.isnan(x[1]).all()
     for i in (0, 2):
-        assert exc.value.x[i].tobytes() == clean[i].tobytes()
+        assert x[i].tobytes() == clean[i][0].tobytes()
 
 
 def test_shifted_solve_2d_true_residual_gate_catches_nan(monkeypatch):
@@ -601,8 +621,8 @@ def test_shifted_solve_2d_true_residual_gate_catches_nan(monkeypatch):
     g = Grid((9, 7))
     rng = np.random.default_rng(8)
     diag, rhs = rng.uniform(0.5, 2.0, g.num_nodes), rng.standard_normal(g.num_nodes)
-    with pytest.raises(np.linalg.LinAlgError, match="relative residual nan"):
-        NeumannLaplacian(g).solve_shifted(0.1, diag, rhs)
+    x, err = solve_one(NeumannLaplacian(g), 0.1, diag, rhs)
+    assert_row_failed(x, err, "relative residual nan")
 
 
 def test_stacked_1d_solve_fails_row_by_row():
@@ -610,21 +630,24 @@ def test_stacked_1d_solve_fails_row_by_row():
     # shift, constants in the kernel) each fail alone, with the message of a
     # one-row solve; every other row keeps its gtsv bytes
     g, mu = Grid((9,)), 1.0 / 64.0        # h = 1/8, so mu / h^2 = 1: exact
+    lap = NeumannLaplacian(g)
     rng = np.random.default_rng(5)
     diag = rng.uniform(0.5, 2.0, (5, 9))
     diag[1, 4] = np.nan
     diag[3] = 0.0
     rhs = rng.standard_normal((5, 9))
-    with pytest.raises(grids_mod.RowSolveError) as exc:
-        NeumannLaplacian(g).solve_shifted(mu, diag, rhs)
-    assert exc.value.errors == [
+    x, errors = lap.solve_shifted(mu, diag, rhs)
+    assert errors == [
         None, "shifted solve: non-finite diagonal or rhs", None, "singular matrix", None]
-    assert str(exc.value) == "shifted solve: non-finite diagonal or rhs; singular matrix"
-    assert np.isnan(exc.value.x[[1, 3]]).all()
+    assert np.isnan(x[[1, 3]]).all()
     for i in (0, 2, 4):
         expect, info = _gtsv_row(g, mu, diag[i], rhs[i])
-        assert info == 0 and exc.value.x[i].tobytes() == expect.tobytes()
+        assert info == 0 and x[i].tobytes() == expect.tobytes()
     assert _gtsv_row(g, mu, diag[3], rhs[3])[1] > 0
+    # a stack in which every row is exactly singular fails on every row
+    x, errors = lap.solve_shifted(mu, np.zeros((3, 9)), rhs[:3])
+    assert errors == ["singular matrix"] * 3
+    assert x.shape == (3, 9) and np.isnan(x).all()
 
 
 def test_stacked_2d_solve_fails_row_by_row():
@@ -635,11 +658,17 @@ def test_stacked_2d_solve_fails_row_by_row():
     diag = rng.uniform(0.5, 2.0, (3, g.num_nodes))
     diag[1, 0] = np.inf
     rhs = rng.standard_normal((3, g.num_nodes))
-    with pytest.raises(grids_mod.RowSolveError) as exc:
-        lap.solve_shifted(0.1, diag, rhs, rtol=np.array([1e-3, 1e-3, 1e-6]))
-    assert exc.value.errors == [None, "shifted solve: non-finite diagonal or rhs", None]
-    assert exc.value.x[0].tobytes() == lap.solve_shifted(0.1, diag[0], rhs[0], 1e-3).tobytes()
-    assert exc.value.x[2].tobytes() == lap.solve_shifted(0.1, diag[2], rhs[2], 1e-6).tobytes()
+    x, errors = lap.solve_shifted(0.1, diag, rhs, rtol=[1e-3, 1e-3, 1e-6])
+    assert errors == [None, "shifted solve: non-finite diagonal or rhs", None]
+    assert np.isnan(x[1]).all()
+    for i, rtol in ((0, 1e-3), (2, 1e-6)):
+        alone, err = solve_one(lap, 0.1, diag[i], rhs[i], rtol)
+        assert err is None and x[i].tobytes() == alone.tobytes()
+    # a stack with an inf in every row's d fails on every row
+    diag[:, 0] = np.inf
+    x, errors = lap.solve_shifted(0.1, diag, rhs)
+    assert errors == ["shifted solve: non-finite diagonal or rhs"] * 3
+    assert x.shape == (3, g.num_nodes) and np.isnan(x).all()
 
 
 def test_refined_counts():
