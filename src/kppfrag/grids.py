@@ -14,15 +14,27 @@ functionals; see fields.mean.
 The Laplacian is stored by diagonals (the DIA format; Saad, Iterative
 Methods for Sparse Linear Systems, 2003, section 3.4), with ascending
 offsets (-1, 0, 1) in 1D and (-N_x, -1, 0, 1, N_x) in 2D, written straight
-from the per-axis bands. A product adds the diagonals in offset order into
-a zeroed output, so each row sums the same products in the same order as a
-CSR product over sorted columns, and the two agree bit for bit. In 2D the
-x bands also run across the wrap from one grid row to the next, where
+from the per-axis bands. A 2D product adds the diagonals in offset order
+into a zeroed output, so each row sums the same products in the same order
+as a CSR product over sorted columns, and the two agree bit for bit. In 2D
+the x bands also run across the wrap from one grid row to the next, where
 they hold zeros; each adds +-0 to a sum that starts at +0 and changes no
 value. Only an inf in x shows: 0 * inf puts a NaN at its neighbour across
 the wrap, where a CSR product would stay finite. The product is non-finite
 at the inf's own row either way, and the shifted solves reject a
 non-finite d or rhs.
+
+In 1D the grid keeps the band data alone, and a product of a whole (S, N)
+stack is one numpy correlation of the flattened stack with the interior
+stencil (s, -2s, s), s = 1/h^2, read from the bands. numpy sums each
+output from +0 in kernel order, ((+0 + s x[i-1]) - 2s x[i]) + s x[i+1],
+which is the DIA order, so every interior node gets the DIA (and CSR)
+product's bytes. The outputs in the first and last column of each row are
+then overwritten with the mirror rows, summed in the same order,
+(+0 + a) + b. Those are the only outputs whose window reaches across a
+join between two rows of the stack, so no row ever reads another. Where
+two NaNs meet in a sum, which of them survives may differ from the DIA
+product: a NaN stays a NaN, its sign bit is not pinned.
 """
 from __future__ import annotations
 
@@ -100,13 +112,13 @@ class Grid:
 
     @cached_property
     def _operators(self) -> tuple:
-        """(Lap, eig): the Laplacian by diagonals (a scipy.sparse.dia_matrix
-        with ascending offsets; see the module docstring) and, in 2D, the
-        scaled per-axis eigenpairs (lam_x, V_x), (lam_y, V_y) of
-        _axis_eigenpairs, lam in double and V in single precision, followed
-        by the (ny, nx) sum lam_y + lam_x of the preconditioner's
-        eigenvalues (eig is None in 1D). Built on first use, read-only, and
-        shared by every NeumannLaplacian on this grid."""
+        """(Lap, eig): the Laplacian by diagonals (in 1D its band data
+        (3, N), in 2D a scipy.sparse.dia_matrix with ascending offsets; see
+        the module docstring) and, in 2D, the scaled per-axis eigenpairs
+        (lam_x, V_x), (lam_y, V_y) of _axis_eigenpairs, lam in double and V
+        in single precision, followed by the (ny, nx) sum lam_y + lam_x of
+        the preconditioner's eigenvalues (eig is None in 1D). Built on first
+        use, read-only, and shared by every NeumannLaplacian on this grid."""
         return _build_operators(self)
 
     def mean(self, values: np.ndarray) -> float:
@@ -173,7 +185,9 @@ def _axis_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _build_operators(grid: Grid) -> tuple:
     if grid.dim == 1:
-        return _read_only_dia(_axis_bands(grid.counts[0]), [-1, 0, 1]), None
+        bands = _axis_bands(grid.counts[0])
+        bands.setflags(write=False)
+        return bands, None
     nx, ny = grid.counts
     bx, by = _axis_bands(nx), _axis_bands(ny)
     # the Kronecker sum I (x) Lap_x + Lap_y (x) I by diagonals: the x bands
@@ -241,6 +255,13 @@ class NeumannLaplacian:
     that row alone: a 1D stack is one gtsv call on its block-diagonal
     system, a 2D stack one CG solve per row.
 
+    A 1D product, of one vector or of a whole stack, is one correlation of
+    the flattened rows with the stencil (s, -2s, s), followed by the two
+    mirror rows written over the first and last column of every row. Those
+    columns are the only outputs whose stencil window spans a join between
+    rows, so rows cannot mix; each output sums its products from +0 in DIA
+    order (module docstring). A 2D product is the DIA product of scipy.
+
     The Laplacian, stored by diagonals, and, in 2D, the per-axis eigenpairs
     and their eigenvalue sums belong to the Grid (Grid._operators), which
     builds them on first use; an instance holds nothing but its grid, so
@@ -259,17 +280,24 @@ class NeumannLaplacian:
         self.grid = grid
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.grid._operators[0] @ v
+        """Lap v for a flat nodal vector v (N,), or Lap applied to each
+        column of v (N, K)."""
+        lap = self.grid._operators[0]
+        if self.grid.dim == 2:
+            return lap @ v
+        if v.ndim == 1:
+            return _apply_1d(lap, v[None])[0]
+        return _apply_1d(lap, v.T).T
 
     def apply_rows(self, v: np.ndarray) -> np.ndarray:
         """Lap applied to each row of the stack v (S, N), as a new C-order
         array; each row is bit-identical to apply on that row alone. 1D
-        makes one multi-vector product on the transposed stack, since a
-        three-band product costs less than the dispatch of a call. 2D makes
-        one product per row: there the multi-vector product on the
-        transposed stack is the slower, its (N, S) copies leaving cache."""
+        makes one correlation over the whole stack (apply on the transposed
+        stack, which hands it back without a copy). 2D makes one product
+        per row: there the multi-vector product on the transposed stack is
+        the slower, its (N, S) copies leaving cache."""
         if self.grid.dim == 1:
-            return np.ascontiguousarray(self.apply(v.T).T)
+            return self.apply(v.T).T
         out = np.empty(v.shape)
         for i, row in enumerate(v):
             out[i] = self.apply(row)
@@ -287,6 +315,25 @@ class NeumannLaplacian:
     def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray,
                       rtol=None) -> tuple[np.ndarray, list]:
         return self.shifted_factor(mu, diag).solve(rhs, rtol)
+
+
+def _apply_1d(bands: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Lap applied to each row of rows (S, N) in 1D, as a new C-order array,
+    from the Laplacian's band data (see the module docstring): one
+    correlation of the flattened stack with the interior stencil, then the
+    two mirror rows, which overwrite the outputs at the row joins. The mirror
+    rows take Python floats, whose arithmetic is IEEE double as numpy's is,
+    and which cost a one-row product less than column operations do."""
+    s, n = rows.shape
+    if not rows.size:
+        return np.empty((s, n))
+    # the bands' diagonal holds matrix row 1, interior at every n >= 3
+    out = np.correlate(rows.ravel(), bands.diagonal(), "same").reshape(s, n)
+    first, up = bands.item(1, 0), bands.item(2, 1)
+    low, last = bands.item(0, n - 2), bands.item(1, n - 1)
+    out[:, 0] = [(0.0 + first * a) + up * b for a, b in rows[:, :2].tolist()]
+    out[:, -1] = [(0.0 + low * a) + last * b for a, b in rows[:, -2:].tolist()]
+    return out
 
 
 def _require_finite(diag: np.ndarray, rhs: np.ndarray) -> None:

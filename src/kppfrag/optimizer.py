@@ -46,6 +46,7 @@ Laplacian's boundary rows, which is what makes W * Lap symmetric.
 """
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -181,23 +182,33 @@ def _lp_rows(w: np.ndarray, g: np.ndarray, m_vals: np.ndarray, kappa: float):
     """best_perturbation on every row of g and m_vals (S, N), as (xi, lp
     values). The stable sort of -rate keeps tied nodes in ascending index
     order; the dot products stay one per row, since a stacked product
-    rounds differently."""
-    n = g.shape[1]
-    rate = g / w
+    rounds differently. The nodes before the pivot in sort order rise to
+    kappa - m and those after it drop to -m: xi is set in node order
+    straight from m, which is exactly zeta / w for any m that is not
+    subnormal, since the trapezoid weights (1, 1/2, 1/4) are powers of two.
+    Only the pivot divides by its w."""
+    s, n = g.shape
     # flat indices of each row's nodes by descending rate
-    order = np.argsort(-rate, axis=1, kind="stable") + n * np.arange(len(g))[:, None]
+    order = np.argsort(np.divide(g, -w), axis=1, kind="stable")
+    order += n * np.arange(s)[:, None]
     up = np.take(w * (kappa - m_vals), order)      # zeta caps, >= 0
     dn = np.take(w * m_vals, order)                # zeta floors are -dn
     # cumulative budget if nodes 0..j raised and the rest dropped
-    cum = np.cumsum(up, axis=1) - (dn.sum(axis=1)[:, None] - np.cumsum(dn, axis=1))
+    cum = np.cumsum(up, axis=1)
+    rest = np.cumsum(dn, axis=1)
+    np.subtract(dn.sum(axis=1)[:, None], rest, out=rest)
+    cum -= rest
     pivot = np.argmax(cum >= 0.0, axis=1)  # exists: cum[-1] = sum(up) >= 0
-    zeta_sorted = np.where(np.arange(n) <= pivot[:, None], up, -dn)
+    rise = np.empty(s * n, dtype=bool)
+    rise[order] = np.arange(n) < pivot[:, None]
+    xi = np.negative(m_vals)
+    np.add(xi, kappa, out=xi, where=rise.reshape(s, n))
+    flat = xi.reshape(-1)
     for i, k in enumerate(pivot):
-        zeta_sorted[i, k] = float(dn[i, k + 1:].sum()) - float(up[i, :k].sum())
-    zeta = np.empty_like(zeta_sorted)
-    zeta.put(order, zeta_sorted)
-    xi = zeta / w
-    values = np.array([float(gi @ xii) for gi, xii in zip(g, xi)]).reshape(len(g))
+        node = order[i, k]
+        zeta = float(dn[i, k + 1:].sum()) - float(up[i, :k].sum())
+        flat[node] = zeta / w[node - i * n]
+    values = np.array([float(gi @ xii) for gi, xii in zip(g, xi)]).reshape(s)
     xi[values <= 0.0] = 0.0
     values[values <= 0.0] = 0.0
     return xi, values
@@ -297,21 +308,21 @@ def random_fourier_guess(
     """
     rng = np.random.default_rng(seed)
     if grid.dim == 1:
-        x = grid.axis_coords(0)
+        sin, cos = _axis_modes(grid.counts[0])
         c = rng.uniform(-0.5, 0.5, 11)
         f = np.full(grid.num_nodes, c[0])
         for j in range(1, 6):
-            f += c[j] * np.sin(j * np.pi * x) + c[5 + j] * np.cos(j * np.pi * x)
+            f += c[j] * sin[j - 1] + c[5 + j] * cos[j - 1]
     else:
-        # the modes are separable: evaluate them on the axes, a row of x
-        # and a column of y, and let the products broadcast to (ny, nx)
-        x, y = grid.axis_coords(0)[None, :], grid.axis_coords(1)[:, None]
+        # the modes are separable: take them on the axes, a row of x and a
+        # column of y, and let the products broadcast to (ny, nx)
+        (sin_x, cos_x), (sin_y, cos_y) = (_axis_modes(n) for n in grid.counts)
         c = rng.uniform(-0.5, 0.5, 21)
-        f2 = np.full((y.size, x.size), c[0])
+        f2 = np.full((grid.counts[1], grid.counts[0]), c[0])
         ci = 1
-        for j in range(1, 6):
-            sx, cx = np.sin(j * np.pi * x), np.cos(j * np.pi * x)
-            sy, cy = np.sin(j * np.pi * y), np.cos(j * np.pi * y)
+        for j in range(5):
+            sx, cx = sin_x[j][None, :], cos_x[j][None, :]
+            sy, cy = sin_y[j][:, None], cos_y[j][:, None]
             f2 += (
                 c[ci] * sx * sy
                 + c[ci + 1] * sx * cy
@@ -330,6 +341,18 @@ def random_fourier_guess(
     a = min(abs((kappa - m0) / hi), abs(m0 / lo))
     vals = np.clip(a * (f - fbar) + m0, 0.0, kappa)
     return ResourceField(grid, vals, kappa, m0)
+
+
+@functools.lru_cache(maxsize=8)
+def _axis_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sin, cos), each (5, n): sin(j pi x) and cos(j pi x) for j = 1..5 on
+    the n nodes of an axis, read-only. Every draw on an axis of n nodes
+    reuses them: a sweep draws the same starts again at each mu."""
+    x = np.linspace(0.0, 1.0, n)
+    modes = tuple(np.array([f(j * np.pi * x) for j in range(1, 6)]) for f in (np.sin, np.cos))
+    for a in modes:
+        a.setflags(write=False)
+    return modes
 
 
 def _start_seed(seed: int, start_index: int):

@@ -32,10 +32,11 @@ theta ~ 0. A damped step would buy nothing, since any full step leaves
 F(theta + delta) = delta^2 >= 0. No iterate is ever clipped: positivity
 is tested on the first run and proved on the restart.
 
-Residual tolerances: convergence means ||R||_inf <= newton_tol, or
-||R||_inf below the floating-point evaluation floor of the stiff term
-(grids.residual_floor times ||theta||), which is the best any method can do
-in double precision at large mu / h^2.
+Residual tolerances: convergence means ||R||_inf <= newton_tol, or a
+finite ||R||_inf below the floating-point evaluation floor of the stiff
+term (grids.residual_floor times ||theta||), which is the best any method
+can do in double precision at large mu / h^2. An iterate that overflowed
+never converges: on the restart its next linear solve fails.
 
 Newton's linear solves are inexact (Dembo, Eisenstat and Steihaug 1982,
 SIAM J. Numer. Anal. 19): each step solves its Jacobian system only to the
@@ -57,6 +58,7 @@ solve_steady_state is its one-row case.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -157,7 +159,10 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
         top = np.abs(theta).max(axis=1).tolist()
         going = []
         for k, i in enumerate(live):
-            if rnorm[k] <= cfg.newton_tol or rnorm[k] <= floor_limit * top[k]:
+            # an overflowed iterate has max|theta| = inf, and its floor test
+            # would read inf <= inf
+            if rnorm[k] <= cfg.newton_tol or (math.isfinite(rnorm[k])
+                                              and rnorm[k] <= floor_limit * top[k]):
                 continue
             if steps[i] >= MAX_NEWTON_ITERS:
                 errors[i] = NoConvergence("Newton iteration cap exceeded", rnorm[k])

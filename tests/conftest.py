@@ -75,6 +75,31 @@ def lp_bruteforce(g_vals: np.ndarray, m_vals: np.ndarray, kappa: float,
     return best
 
 
+def lp_rows_scatter(w: np.ndarray, g: np.ndarray, m_vals: np.ndarray, kappa: float):
+    """The direction LP on every row of g and m_vals (S, N), as (xi, lp
+    values), by the threshold method in zeta = w . xi: sort by descending
+    rate g / w (stable), fill the sorted caps and floors around the pivot,
+    scatter zeta back to node order and divide by w. Byte oracle for
+    optimizer._lp_rows, which sets xi in node order without the scatter."""
+    n = g.shape[1]
+    rate = g / w
+    order = np.argsort(-rate, axis=1, kind="stable") + n * np.arange(len(g))[:, None]
+    up = np.take(w * (kappa - m_vals), order)
+    dn = np.take(w * m_vals, order)
+    cum = np.cumsum(up, axis=1) - (dn.sum(axis=1)[:, None] - np.cumsum(dn, axis=1))
+    pivot = np.argmax(cum >= 0.0, axis=1)
+    zeta_sorted = np.where(np.arange(n) <= pivot[:, None], up, -dn)
+    for i, k in enumerate(pivot):
+        zeta_sorted[i, k] = float(dn[i, k + 1:].sum()) - float(up[i, :k].sum())
+    zeta = np.empty_like(zeta_sorted)
+    zeta.put(order, zeta_sorted)
+    xi = zeta / w
+    values = np.array([float(gi @ xii) for gi, xii in zip(g, xi)]).reshape(len(g))
+    xi[values <= 0.0] = 0.0
+    values[values <= 0.0] = 0.0
+    return xi, values
+
+
 def dense_shifted(grid: Grid, mu: float, diag: np.ndarray) -> np.ndarray:
     """Dense mu * (-Lap) + diag(d), assembled node by node from the
     mirrored-ghost stencil (x index fastest in 2D); test oracle only."""

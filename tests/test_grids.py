@@ -1,4 +1,5 @@
 import gc
+import itertools
 import re
 import weakref
 
@@ -306,12 +307,17 @@ def test_grid_operators_are_shared_and_read_only():
         lam64, v64 = grids_mod._axis_eigenpairs(n)
         w1 = Grid((n,)).node_weights
         assert np.allclose(v64.T @ (w1[:, None] * v64), np.eye(n), atol=1e-12)
-        lap1 = Grid((n,))._operators[0].toarray()
+        lap1 = NeumannLaplacian(Grid((n,))).apply(np.eye(n))
         assert np.allclose(-lap1 @ v64, v64 * lam64, atol=1e-9 * lam64.max())
         # the shared operators keep lam and the float32 cast of V, nothing else
         assert lam.tobytes() == lam64.tobytes()
         assert v.dtype == np.float32 and v.tobytes() == v64.astype(np.float32).tobytes()
         assert v.flags.f_contiguous     # the layout the preconditioner's bytes assume
+    # a 1D grid keeps its band data alone, read-only too
+    bands, no_eig = Grid((9,))._operators
+    assert no_eig is None and bands.shape == (3, 9)
+    with pytest.raises(ValueError, match="read-only"):
+        bands[0, 0] = 1.0
     # and the preconditioner's eigenvalue sums lam_y + lam_x on the (ny, nx) grid
     (lam_x, _), (lam_y, _), lam_sum = eig
     assert lam_sum.tobytes() == (lam_y[:, None] + lam_x[None, :]).tobytes()
@@ -407,20 +413,61 @@ def test_grid_operators_live_as_long_as_their_grid(monkeypatch):
     (3, 3), (3, 5), (12, 9), (60, 60), (127, 65), (240, 240),
 ], ids=lambda c: "x".join(map(str, c)))
 def test_laplacian_products_match_sparse_oracles(counts):
-    # the diagonals are added in ascending offset order, each row's products
-    # in the CSR oracle's column order; the row-wrap zeros of 2D add +-0 to
-    # a sum that starts at +0, so every product keeps the oracle's bytes,
-    # signed zeros included, for flat operands and (N, S) stacks alike
+    # 2D adds the diagonals in ascending offset order, each row's products
+    # in the CSR oracle's column order; the row-wrap zeros add +-0 to a sum
+    # that starts at +0. 1D sums the same products in the same order, by
+    # one correlation and the two mirror rows. So every product keeps the
+    # oracle's bytes, signed zeros included: flat operands, (N, K) columns
+    # and, through apply_rows, (S, N) stacks of one and of seven rows
     g = Grid(counts)
-    mat = g._operators[0]
+    lap = NeumannLaplacian(g)
     oracle = lil_lap1d_csr(*counts) if g.dim == 1 else kron_lap2d_csr(*counts)
     rng = np.random.default_rng(g.num_nodes)
     shape = (g.num_nodes, 7)
     for v in (rng.standard_normal(shape), rng.uniform(0.0, 1.0, shape),
               np.where(rng.random(shape) < 0.5, 0.0, -0.0)):
         for operand in (v[:, 0], v, np.asfortranarray(v)):
-            got, expect = mat @ operand, oracle @ operand
+            got, expect = lap.apply(operand), oracle @ operand
             assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+        if g.dim == 1:
+            for rows in (v.T[:1], v.T, np.ascontiguousarray(v.T)):
+                got, expect = lap.apply_rows(rows), (oracle @ rows.T).T
+                assert got.shape == expect.shape and got.flags.c_contiguous
+                assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 33])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_1d_stack_product_keeps_a_nonfinite_row_to_itself(n, bad):
+    # the outputs whose stencil window spans a row join are overwritten by
+    # the mirror rows, so a non-finite entry anywhere in one row, its ends
+    # included, leaves every other row's bytes as they were
+    lap = NeumannLaplacian(Grid((n,)))
+    rows = np.random.default_rng(n).standard_normal((7, n))
+    clean = lap.apply_rows(rows)
+    for col in sorted({0, 1, n // 2, n - 2, n - 1}):
+        dirty = rows.copy()
+        dirty[3, col] = bad
+        with np.errstate(invalid="ignore"):
+            got = lap.apply_rows(dirty)
+        keep = np.arange(7) != 3
+        assert got[keep].tobytes() == clean[keep].tobytes()
+        assert not np.isfinite(got[3]).all()
+
+
+def test_1d_product_matches_the_csr_oracle_on_special_values():
+    # every five-node row over nine special values (9^5 rows, one stack):
+    # the bytes of every entry that is not NaN are the oracle's, and NaN
+    # falls where the oracle's does; where two NaNs meet in a sum, which
+    # one survives (its sign bit) is the build's choice
+    vals = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e-320]
+    rows = np.array(list(itertools.product(vals, repeat=5)))
+    with np.errstate(all="ignore"):
+        got = NeumannLaplacian(Grid((5,))).apply_rows(rows)
+        expect = (lil_lap1d_csr(5) @ rows.T).T
+    nan = np.isnan(expect)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expect[~nan].tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4, 1000])

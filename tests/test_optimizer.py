@@ -28,7 +28,7 @@ from kppfrag import (
 import kppfrag.grids as grids_mod
 import kppfrag.optimizer as optimizer_mod
 from kppfrag.grids import NeumannLaplacian, residual_floor
-from conftest import constant_resource, interior_resource, lp_bruteforce
+from conftest import constant_resource, interior_resource, lp_bruteforce, lp_rows_scatter
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +191,34 @@ def test_lp_matches_bruteforce_quick():
         assert value == pytest.approx(ref, abs=1e-12)
 
 
+def _lp_stacks():
+    """(w, g, m_vals, saturated) stacks for the LP byte oracle: random rows
+    in 1D and 2D, rows whose rates g / w tie exactly (across the weights 1,
+    1/2 and 1/4 too), zero gradients, and saturated rows (saturated True):
+    m already at the LP's vertex, so that the LP value is <= 0."""
+    rng = np.random.default_rng(26)
+    for counts in ((3,), (40,), (1000,), (3, 3), (9, 7), (30, 30)):
+        grid = Grid(counts)
+        w, n = grid.node_weights, grid.num_nodes
+        m_vals = np.vstack([random_fourier_guess(grid, 1.0, 0.3, s).values for s in range(5)])
+        yield w, rng.standard_normal((5, n)), m_vals, False
+        yield w, w * rng.integers(-2, 3, (5, n)) / 8.0, m_vals, False
+        yield w, np.zeros((1, n)), m_vals[:1], False
+        rate = rng.standard_normal((5, n))
+        ranks = np.argsort(np.argsort(-rate, axis=1, kind="stable"), axis=1)
+        yield w, w * rate, np.where(ranks < n // 3, 1.0, 0.0), True
+
+
+def test_lp_rows_match_the_scatter_oracle_byte_for_byte():
+    for w, g, m_vals, saturated in _lp_stacks():
+        xi, values = optimizer_mod._lp_rows(w, g, m_vals, 1.0)
+        ref_xi, ref_values = lp_rows_scatter(w, g, m_vals, 1.0)
+        assert xi.tobytes() == ref_xi.tobytes()
+        assert values.tobytes() == ref_values.tobytes()
+        if saturated:
+            assert not values.any() and not xi.any()
+
+
 def test_lp_matches_bruteforce_2d():
     rng = np.random.default_rng(8)
     g = Grid((3, 3))
@@ -342,6 +370,31 @@ def test_fourier_guess_2d_bytes_are_pinned(counts, seed, digest):
     # separable one on the axes keeps each product's operands and order
     u = random_fourier_guess(Grid(counts), 1.0, 0.3, seed)
     assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
+
+
+_DRAW_DIGESTS = {
+    ((101,), 0): "5f551366493414d3abe5cc61fbcc8697a1379115f6385dcd40dc916088f4a728",
+    ((1000,), 3): "88eb01bddb494b1f4f17221ace88764f1273157ece133615436bc26c55c99c74",
+    ((17, 33), 4): "ebc5a476cfa97cd92b91310f0aa99177e564d5b7366a5b36d63e075261423690",
+    ((33, 17), 5): "34a7c0c48b80600620860c87554b305abcf1e45852f7861547a6b0b7d1839689",
+}
+
+
+def test_fourier_guess_bytes_survive_the_mode_cache():
+    # sha256 pins from the draws that evaluated their modes afresh: a draw
+    # that computes the axis modes and one that finds them cached give the
+    # same bytes, on 1D and 2D grids of two sizes each, interleaved so that
+    # the cache holds several axis lengths at once
+    optimizer_mod._axis_modes.cache_clear()
+    for _ in range(2):
+        for (counts, seed), digest in _DRAW_DIGESTS.items():
+            u = random_fourier_guess(Grid(counts), 1.0, 0.3, seed)
+            assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
+    assert optimizer_mod._axis_modes.cache_info().misses == 4    # 101, 1000, 17, 33
+    for modes in optimizer_mod._axis_modes(17):
+        assert modes.shape == (5, 17)
+        with pytest.raises(ValueError, match="read-only"):
+            modes[0, 0] = 1.0
 
 
 def test_fourier_guess_2d_admissible():

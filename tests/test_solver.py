@@ -508,6 +508,42 @@ def test_nonfinite_1d_solution_ends_a_monotone_run_at_once(monkeypatch):
     assert len(calls) == 6
 
 
+def test_overflowing_newton_iterate_never_converges(monkeypatch):
+    # theta = m = 2^1000 (one node at half of it, so the residual is finite
+    # and far above the floor): a solve whose x holds the largest finite
+    # double overflows theta + delta to inf at that node, and the residual
+    # there to inf. The floor test would read inf <= inf; a residual must
+    # be finite to converge, so the monotone run's next linear solve fails
+    # and ends the row with NoConvergence, while the first run stalls and
+    # keeps the finite iterate it had
+    real_gtsv = grids_mod._GTSV
+    calls = []
+
+    def huge_gtsv(*args, **kwargs):
+        calls.append(1)
+        out = real_gtsv(*args, **kwargs)
+        out[3][0] = np.finfo(float).max
+        return out
+
+    monkeypatch.setattr(grids_mod, "_GTSV", huge_gtsv)
+    grid, mu = Grid((33,)), 0.1
+    theta = np.full((1, grid.num_nodes), 2.0**1000)
+    theta[0, -1] = 2.0**999
+    lap, floor = NeumannLaplacian(grid), grids_mod.residual_floor(grid, mu)
+    with np.errstate(all="ignore"):
+        out, rnorm, steps, stalled, errors = solver_mod._newton(
+            lap, theta, theta, mu, SolverConfig(), floor, monotone=True)
+    assert steps == [2] and len(calls) == 1       # the second solve rejects its d
+    assert isinstance(errors[0], NoConvergence)
+    assert str(errors[0]).startswith("linear solve failed: shifted solve: non-finite diagonal")
+    assert rnorm == [np.inf]
+    with np.errstate(all="ignore"):
+        out, rnorm, steps, stalled, errors = solver_mod._newton(
+            lap, theta, theta, mu, SolverConfig(), floor, monotone=False)
+    assert steps == [1] and stalled == [True] and errors == [None]
+    assert out[0].tobytes() == theta[0].tobytes() and np.isfinite(rnorm[0])
+
+
 @pytest.mark.parametrize("counts", [(33,), (12, 12)])
 def test_nonfinite_warm_start_restarts_from_max_m(counts):
     # a NaN warm start never counts as converged: its first Newton solve
