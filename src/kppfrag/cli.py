@@ -180,8 +180,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
     # any grid refined more than log2(MAX_NODES) times is over the cap, so
     # clamping k there keeps the power of two small
     k = merged["k_max"] if command in REFINING_COMMANDS else 0
-    if math.prod((n - 1) * 2 ** min(k, MAX_NODES.bit_length()) + 1
-                 for n in grid) > MAX_NODES:
+    if Grid(grid).refined(min(k, MAX_NODES.bit_length())).num_nodes > MAX_NODES:
         raise ConfigError("grid", f"{command} would build a grid of more than "
                           f"MAX_NODES = {MAX_NODES} nodes")
     return RunConfig(command=command, **merged)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, GridError, _axis_weights
+from .grids import Grid, GridError
 
 MEAN_TOL = 1e-10
 BOUND_TOL = 1e-12
@@ -155,7 +155,7 @@ def make_crenel(grid: Grid, kappa: float, m0: float) -> ResourceField:
     (y-independent)."""
     if not (0 < m0 < kappa):
         raise AdmissibilityError(f"need 0 < m0 < kappa, got m0={m0}, kappa={kappa}")
-    w = _axis_weights(grid.counts[0])
+    w = Grid(grid.counts[:1]).node_weights
     col = _fill_greedy(w, m0 * float(w.sum()) / kappa) * kappa
     vals = col if grid.dim == 1 else np.tile(col, grid.counts[1])
     return ResourceField(grid, vals, kappa, m0)

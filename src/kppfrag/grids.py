@@ -11,12 +11,17 @@ product <u, v>_W = u . (w v) that the 2D conjugate-gradient solve uses.
 Those weights double as the quadrature used for all integral-like
 functionals; see fields.mean.
 
+Every operation of the Laplacian, its product and its shifted solves,
+takes and returns stacks of rows of shape (S, N), one nodal vector per
+row; a single vector is the one-row stack v[None].
+
 The Laplacian is stored by diagonals (the DIA format; Saad, Iterative
 Methods for Sparse Linear Systems, 2003, section 3.4), with ascending
 offsets (-1, 0, 1) in 1D and (-N_x, -1, 0, 1, N_x) in 2D, written straight
-from the per-axis bands. A 2D product adds the diagonals in offset order
-into a zeroed output, so each row sums the same products in the same order
-as a CSR product over sorted columns, and the two agree bit for bit. In 2D
+from the per-axis bands. A 2D product, one per row of the stack, adds the
+diagonals in offset order into a zeroed output, so each row sums the same
+products in the same order as a CSR product over sorted columns, and the
+two agree bit for bit. In 2D
 the x bands also run across the wrap from one grid row to the next, where
 they hold zeros; each adds +-0 to a sum that starts at +0 and changes no
 value. Only an inf in x shows: 0 * inf puts a NaN at its neighbour across
@@ -228,11 +233,13 @@ def _single_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 class NeumannLaplacian:
     """The discrete Laplacian with mirror (zero-flux) boundary rows.
 
-    Supports application to flat nodal vectors and solves of stacks of the
-    shifted systems (mu * (-Lap) + diag(d)) x = rhs that the Newton and
-    adjoint steps need. 1D systems are tridiagonal and go straight to
-    LAPACK's gtsv (Gaussian elimination with partial pivoting), O(N) per
-    solve. 2D systems go through preconditioned conjugate gradients in the
+    Every operation takes and returns stacks of rows of shape (S, N), one
+    nodal vector per row (a single vector is the stack v[None]): the
+    product Lap v and the solves of the shifted systems
+    (mu * (-Lap) + diag(d)) x = rhs that the Newton and adjoint steps need.
+    Each row of a result is bit-identical to that of the row alone. 1D
+    systems are tridiagonal and go straight to LAPACK's gtsv (Gaussian
+    elimination with partial pivoting), O(N) per solve. 2D systems go through preconditioned conjugate gradients in the
     trapezoid inner product <u, v>_W = u . (w v), in which
     mu * (-Lap) + diag(d) is self-adjoint since W * Lap is symmetric. The
     matrix must be positive definite in that inner product: a 2D row that
@@ -247,20 +254,19 @@ class NeumannLaplacian:
     before solving it, and one with a non-finite x after it: the 1D solve
     tests x, the 2D solve its true residual.
 
-    A solve takes a stack of rows, d and rhs of shape (S, N) (a single
-    system is the stack d[None], rhs[None]), and returns (x, errors): x of
+    A solve takes d and rhs of shape (S, N) and returns (x, errors): x of
     shape (S, N), and errors[i] the message of row i's failed solve, whose
     x row is then NaN, or None. No row failure raises; each is tried and
-    lands on its own row. Each row of x is bit-identical to the solve of
-    that row alone: a 1D stack is one gtsv call on its block-diagonal
+    lands on its own row. A 1D stack is one gtsv call on its block-diagonal
     system, a 2D stack one CG solve per row.
 
-    A 1D product, of one vector or of a whole stack, is one correlation of
-    the flattened rows with the stencil (s, -2s, s), followed by the two
-    mirror rows written over the first and last column of every row. Those
+    A 1D product is one correlation of the flattened rows with the stencil
+    (s, -2s, s), followed by the two mirror rows written over the first and
+    last column of every row. Those
     columns are the only outputs whose stencil window spans a join between
     rows, so rows cannot mix; each output sums its products from +0 in DIA
-    order (module docstring). A 2D product is the DIA product of scipy.
+    order (module docstring). A 2D product is scipy's DIA product, one per
+    row.
 
     The Laplacian, stored by diagonals, and, in 2D, the per-axis eigenpairs
     and their eigenvalue sums belong to the Grid (Grid._operators), which
@@ -280,27 +286,17 @@ class NeumannLaplacian:
         self.grid = grid
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Lap v for a flat nodal vector v (N,), or Lap applied to each
-        column of v (N, K)."""
-        lap = self.grid._operators[0]
-        if self.grid.dim == 2:
-            return lap @ v
-        if v.ndim == 1:
-            return _apply_1d(lap, v[None])[0]
-        return _apply_1d(lap, v.T).T
-
-    def apply_rows(self, v: np.ndarray) -> np.ndarray:
         """Lap applied to each row of the stack v (S, N), as a new C-order
-        array; each row is bit-identical to apply on that row alone. 1D
-        makes one correlation over the whole stack (apply on the transposed
-        stack, which hands it back without a copy). 2D makes one product
-        per row: there the multi-vector product on the transposed stack is
-        the slower, its (N, S) copies leaving cache."""
+        array. 1D makes one correlation over the whole stack; 2D makes one
+        DIA product per row, since the multi-vector product on the
+        transposed stack is the slower there, its (N, S) copies leaving
+        cache. Either way each row is bit-identical to its own product."""
+        lap = self.grid._operators[0]
         if self.grid.dim == 1:
-            return self.apply(v.T).T
+            return _apply_1d(lap, v)
         out = np.empty(v.shape)
         for i, row in enumerate(v):
-            out[i] = self.apply(row)
+            out[i] = lap @ row
         return out
 
     def shifted_factor(self, mu: float, diag: np.ndarray):
@@ -310,7 +306,7 @@ class NeumannLaplacian:
         goes through here."""
         if self.grid.dim == 1:
             return _Banded1D(mu, diag)
-        return _Cg2DRows(self.grid, mu, diag)
+        return _Cg2D(self.grid, mu, diag)
 
     def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray,
                       rtol=None) -> tuple[np.ndarray, list]:
@@ -424,24 +420,12 @@ class _Banded1D:
         return x.reshape(s, n)
 
 
-class _Cg2DRows:
-    """Stacked 2D shifted systems, one _Cg2D solve per row with that row's
-    d and, unless rtol is None, its own tolerance rtol[i]; failures land on
-    their rows (_solve_each_row)."""
-
-    def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
-        self._grid, self._mu, self._diag = grid, mu, diag
-
-    def solve(self, rhs: np.ndarray, rtol=None) -> tuple[np.ndarray, list]:
-        def solve_row(i):
-            return _Cg2D(self._grid, self._mu, self._diag[i]).solve(
-                rhs[i], None if rtol is None else rtol[i])
-        return _solve_each_row(rhs, solve_row)
-
-
 class _Cg2D:
-    """Preconditioned conjugate gradients for one 2D shifted system A x = rhs,
-    A = mu * (-Lap) + diag(d).
+    """Preconditioned conjugate gradients for the stack of 2D shifted
+    systems A x = rhs[i], A = mu * (-Lap) + diag(d[i]): one CG solve per
+    row, failures landing on their rows (_solve_each_row). The object keeps
+    what the rows share; a row's preconditioner and tolerance are made when
+    that row is solved.
 
     W * Lap is symmetric, W the diagonal of trapezoid node weights w, so A
     is self-adjoint in the trapezoid inner product <u, v>_W = u . (w v). The
@@ -471,49 +455,74 @@ class _Cg2D:
     solver's restart path from max(m) and at every stable steady state (the
     adjoint), A is a nonsingular M-matrix (see the solver module), so it is.
     A search direction p with p'WAp <= 0 proves that it is not, and the
-    solve raises numpy.linalg.LinAlgError there; the solver takes that as a
-    failed Newton step, the adjoint as an unstable state. An indefinite A
-    whose directions all keep p'WAp > 0 may still be solved, to the same
+    row's solve raises numpy.linalg.LinAlgError there; the solver takes that
+    as a failed Newton step, the adjoint as an unstable state. An indefinite
+    A whose directions all keep p'WAp > 0 may still be solved, to the same
     tolerance.
 
-    The tolerance is max(floor, rtol), where floor is the rounding floor
-    residual_floor times max(1, |d|) and rtol the optional relative
-    tolerance of solve (None: the floor alone). solve scales rhs by the
-    exact power of two 2^-e that puts max|rhs| in [1/2, 1) (_binary_exponent;
-    near the ends of double range as close as a normal 2^-e gets), makes
-    one CG pass on the scaled system and scales x back by 2^e, so x scales
-    exactly with rhs wherever it stays a normal double. It then measures
-    the true residual of the returned x, rescaled, against the scaled rhs;
-    above the tolerance (a subnormal x too coarse to meet it, or one that
-    overflowed) it raises numpy.linalg.LinAlgError naming the tolerance it enforced, as
-    the 1D gtsv solve does for a singular matrix. A zero rhs returns zeros.
+    A row's tolerance is max(floor, rtol[i]), where floor is the rounding
+    floor residual_floor times max(1, |d[i]|) and rtol the optional relative
+    tolerances of solve (None: the floor alone). A row's solve scales its
+    rhs by the exact power of two 2^-e that puts max|rhs| in [1/2, 1)
+    (_binary_exponent; near the ends of double range as close as a normal
+    2^-e gets), makes one CG pass on the scaled system and scales x back by
+    2^e, so x scales exactly with rhs wherever it stays a normal double. It
+    then measures the true residual of the returned x, rescaled, against
+    the scaled rhs; above the tolerance (a subnormal x too coarse to meet
+    it, or one that overflowed) it raises numpy.linalg.LinAlgError naming
+    the tolerance it enforced, as the 1D gtsv solve does for a singular
+    matrix. A zero rhs row returns zeros.
     """
 
     def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
-        self._mat, ((_, self._vx), (_, self._vy), lam_sum) = grid._operators
-        diag = np.asarray(diag, dtype=float)
-        abs_diag = np.abs(diag)
-        shift = max(float(np.mean(abs_diag)), 1e-12)
-        inv_eig = 1.0 / (mu * lam_sum + shift)
-        self._inv_eig = inv_eig.astype(np.float32)
-        self._work = np.empty((2,) + inv_eig.shape, dtype=np.float32)
+        self._mat, ((_, self._vx), (_, self._vy), self._lam_sum) = grid._operators
+        self._work = np.empty((2,) + self._lam_sum.shape, dtype=np.float32)
         self._w, self._mu, self._diag = grid.node_weights, mu, diag
-        self._floor = residual_floor(grid, mu) * max(1.0, float(abs_diag.max()))
+        self._floor = residual_floor(grid, mu)
 
-    def _apply(self, v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, rtol=None) -> tuple[np.ndarray, list]:
+        """(x, errors) of the stack rhs (S, N), row i solved to rtol[i], or
+        to the floor alone when rtol is None."""
+        return _solve_each_row(rhs, lambda i: self._solve_row(
+            self._diag[i], rhs[i], None if rtol is None else rtol[i]))
+
+    def _solve_row(self, diag: np.ndarray, rhs: np.ndarray, rtol) -> np.ndarray:
+        """x of one row, given its d and rhs; raises numpy.linalg.LinAlgError."""
+        _require_finite(diag, rhs)
+        if not rhs.any():
+            return np.zeros_like(rhs)
+        shift = max(float(np.mean(np.abs(diag))), 1e-12)
+        inv_eig = (1.0 / (self._mu * self._lam_sum + shift)).astype(np.float32)
+        floor = self._floor * max(1.0, _sup(diag))
+        tol = floor if rtol is None else max(floor, rtol)
+        e = _binary_exponent(rhs)
+        down = math.ldexp(1.0, -e)
+        x = self._cg(diag, inv_eig, rhs * down, tol)
+        x *= math.ldexp(1.0, e)
+        rel = self._residual(diag, x * down, rhs * down)
+        if not rel <= tol:
+            enforced = (f"the rounding floor {floor:.3e}" if rtol is None else
+                        f"the tolerance {tol:.3e} = max(requested rtol {rtol:.3e}, "
+                        f"rounding floor {floor:.3e})")
+            raise np.linalg.LinAlgError(
+                f"2D shifted solve: relative residual {rel:.3e} above {enforced}")
+        return x
+
+    def _apply(self, diag: np.ndarray, v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """A v = mu * (-Lap v) + d v, as a new array; tmp is scratch of v's size."""
         q = self._mat @ v
         q *= -self._mu
-        q += np.multiply(self._diag, v, out=tmp)
+        q += np.multiply(diag, v, out=tmp)
         return q
 
-    def _precondition(self, wr: np.ndarray, out: np.ndarray) -> None:
+    def _precondition(self, inv_eig: np.ndarray, wr: np.ndarray, out: np.ndarray) -> None:
         """out = M^(-1) r by fast diagonalization in single precision, given
-        wr = w r (flat float64 arrays). wr is scaled by 2^-e, e the binary
-        exponent of max|wr|, on its way into the two (ny, nx) float32 work
-        buffers, and the result by 2^e on its way back; both scalings are
-        exact, so the products stay inside float32's range whatever the
-        size of r, and z scales exactly with r."""
+        the row's float32 inverse eigenvalues and wr = w r (flat float64
+        arrays). wr is scaled by 2^-e, e the binary exponent of max|wr|, on
+        its way into the two (ny, nx) float32 work buffers, and the result by
+        2^e on its way back; both scalings are exact, so the products stay
+        inside float32's range whatever the size of r, and z scales exactly
+        with r."""
         vx, vy, work = self._vx, self._vy, self._work
         out_grid = out.reshape(work[0].shape)
         e = _binary_exponent(wr)
@@ -523,27 +532,29 @@ class _Cg2D:
         work[0] = out_grid
         np.matmul(vy.T, work[0], out=work[1])
         np.matmul(work[1], vx, out=work[0])
-        work[0] *= self._inv_eig
+        work[0] *= inv_eig
         np.matmul(vy, work[0], out=work[1])
         np.matmul(work[1], vx.T, out=work[0])
         out_grid[...] = work[0]
         out *= math.ldexp(1.0, e)
 
-    def _cg(self, res: np.ndarray, tol: float) -> np.ndarray:
-        """x from x = 0, given the right-hand side in res, which the pass
-        owns and overwrites with the recurred residual b - A x."""
+    def _cg(self, diag: np.ndarray, inv_eig: np.ndarray, res: np.ndarray,
+            tol: float) -> np.ndarray:
+        """x from x = 0 for the row of shift diag, given the right-hand side
+        in res, which the pass owns and overwrites with the recurred
+        residual b - A x."""
         w = self._w
         rhs_max = _sup(res)
         tmp, wr, z = np.empty_like(res), np.empty_like(res), np.empty_like(res)
-        self._precondition(np.multiply(w, res, out=wr), z)
+        self._precondition(inv_eig, np.multiply(w, res, out=wr), z)
         rz = float(wr @ z)
-        if not rz > 0.0:                    # breakdown: x = 0 fails the gate of solve
+        if not rz > 0.0:                    # breakdown: x = 0 fails the gate of the row
             return np.zeros_like(res)
         limit = 0.5 * tol
         x = np.zeros_like(res)
         p = z.copy()
         for _ in range(_KRYLOV_MAXITER):
-            q = self._apply(p, tmp)
+            q = self._apply(diag, p, tmp)
             curvature = float(p @ np.multiply(w, q, out=tmp))
             if not curvature > 0.0:
                 raise np.linalg.LinAlgError(
@@ -555,38 +566,19 @@ class _Cg2D:
             res_max, x_max = _sup(res), _sup(x)
             if res_max <= limit * max(rhs_max, x_max):
                 break
-            self._precondition(np.multiply(w, res, out=wr), z)
+            self._precondition(inv_eig, np.multiply(w, res, out=wr), z)
             rz, rz_old = float(wr @ z), rz
             p *= rz / rz_old
             p += z
         return x
 
-    def _residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
+    def _residual(self, diag: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> float:
         """Sup norm of the true residual rhs - A x relative to max(|x|, |rhs|),
-        for the scaled, nonzero rhs of solve. A NaN in x is a NaN in r,
-        which np.max propagates and idamax may skip, so no tolerance passes
-        it."""
-        r = rhs - self._apply(x, np.empty_like(x))
+        for the scaled, nonzero rhs of a row's solve. A NaN in x is a NaN in
+        r, which np.max propagates and idamax may skip, so no tolerance
+        passes it."""
+        r = rhs - self._apply(diag, x, np.empty_like(x))
         return float(np.abs(r, out=r).max()) / max(_sup(x), _sup(rhs))
-
-    def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        _require_finite(self._diag, rhs)
-        if not rhs.any():
-            return np.zeros_like(rhs)
-        tol = self._floor if rtol is None else max(self._floor, rtol)
-        e = _binary_exponent(rhs)
-        down = math.ldexp(1.0, -e)
-        x = self._cg(rhs * down, tol)
-        x *= math.ldexp(1.0, e)
-        rel = self._residual(x * down, rhs * down)
-        if not rel <= tol:
-            enforced = (f"the rounding floor {self._floor:.3e}" if rtol is None else
-                        f"the tolerance {tol:.3e} = max(requested rtol {rtol:.3e}, "
-                        f"rounding floor {self._floor:.3e})")
-            raise np.linalg.LinAlgError(
-                f"2D shifted solve: relative residual {rel:.3e} above {enforced}")
-        return x
 
 
 def _sup(v: np.ndarray) -> float:
@@ -614,7 +606,7 @@ def refine_fold_values(values: np.ndarray, grid: Grid, k: int) -> np.ndarray:
     2^k x. Every input edge is traversed exactly 2^k times per period, so
     trapezoid means are preserved exactly; used by the identity experiments.
     """
-    idx = [_fold_indices(((n - 1) << k) + 1, n - 1) for n in grid.counts]
+    idx = [_fold_indices(m, n - 1) for m, n in zip(grid.refined(k).counts, grid.counts)]
     if grid.dim == 1:
         return values[idx[0]]
     nx, ny = grid.counts

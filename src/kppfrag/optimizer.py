@@ -35,11 +35,11 @@ steady-state constraint, the sensitivity solves the shifted system
 and dF[xi] = sum_i g_i xi_i with g = (w . p . theta) / sum(w). The shifted
 matrix is the final Newton Jacobian; the adjoint solves it afresh (a direct
 LAPACK tridiagonal solve in 1D, preconditioned conjugate gradients in 2D)
-and gates the result on its residual; a failed or non-finite solve raises
-SingularAdjoint. At a stable steady state the matrix is a nonsingular
-M-matrix, positive definite in the trapezoid inner product CG uses; a 2D
-solve that finds it is not (an unstable state, such as theta ~ 0) fails,
-and so raises SingularAdjoint too.
+and gates the result on its residual; a failed solve (one whose x is not
+finite fails too) raises SingularAdjoint. At a stable steady state the
+matrix is a nonsingular M-matrix, positive definite in the trapezoid inner
+product CG uses; a 2D solve that finds it is not (an unstable state, such
+as theta ~ 0) fails, and so raises SingularAdjoint too.
 With the trapezoid weights w this g is the exact discrete gradient (not an
 O(h) approximation): w is the left null-structure of the non-symmetric
 Laplacian's boundary rows, which is what makes W * Lap symmetric.
@@ -130,16 +130,14 @@ def _adjoint_rows(grid: Grid, mu: float, m_vals: np.ndarray, theta: np.ndarray):
     lap = NeumannLaplacian(grid)
     diag = 2.0 * theta - m_vals
     p, failures = lap.solve_shifted(mu, diag, np.ones_like(diag))
-    finite = np.isfinite(p).all(axis=1)          # a failed row is NaN
-    errors = [None] * len(p)
-    for i in np.flatnonzero(~finite):
-        errors[i] = SingularAdjoint(f"adjoint solve failed: {failures[i]}"
-                                    if failures[i] else
-                                    "adjoint solve produced non-finite values")
-    rows = np.flatnonzero(finite)
+    # a row the solve accepts is finite: a failed one is NaN with its message
+    solved = np.array([f is None for f in failures])
+    errors = [None if f is None else SingularAdjoint(f"adjoint solve failed: {f}")
+              for f in failures]
+    rows = np.flatnonzero(solved)
     if rows.size:
-        pk, dk = _compact(finite, p, diag)
-        rnorm = np.abs(mu * (-lap.apply_rows(pk)) + dk * pk - 1.0).max(axis=1)
+        pk, dk = _compact(solved, p, diag)
+        rnorm = np.abs(mu * (-lap.apply(pk)) + dk * pk - 1.0).max(axis=1)
         floor = residual_floor(grid, mu) * np.maximum(1.0, np.abs(pk).max(axis=1))
         for k in np.flatnonzero(rnorm > np.maximum(1e-10, floor)):
             errors[rows[k]] = SingularAdjoint(
@@ -154,9 +152,9 @@ def solve_adjoint(
     params: ProblemParams,
 ) -> ScalarField:
     """Solve (mu * (-Lap) + diag(2 theta - m)) p = 1 and return the adjoint
-    field p. Raises SingularAdjoint when the solve fails, p is not finite,
-    or the residual ||A p - 1||_inf exceeds max(1e-10,
-    residual_floor(grid, mu) * max(1, ||p||_inf))."""
+    field p. Raises SingularAdjoint when the solve fails or the residual
+    ||A p - 1||_inf exceeds max(1e-10, residual_floor(grid, mu) *
+    max(1, ||p||_inf))."""
     p, errors = _adjoint_rows(theta.grid, params.mu, m.values[None], theta.values[None])
     if errors[0] is not None:
         raise errors[0]

@@ -111,7 +111,7 @@ class SteadyState:
 def _residual(lap, theta, m_vals, mu):
     """mu * Lap(theta) + theta * (m - theta) per row, with the rounding of
     that expression and one temporary."""
-    r = lap.apply_rows(theta)
+    r = lap.apply(theta)
     r *= mu
     growth = m_vals - theta
     growth *= theta

@@ -125,7 +125,7 @@ def largest_eigenvalue_magnitude(lap, iters: int = 2000, seed: int = 0) -> float
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
-        w = lap.apply(v)
+        w = apply_one(lap, v)
         lam = float(v @ w)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
@@ -178,6 +178,11 @@ def solve_one(lap, mu: float, diag: np.ndarray, rhs: np.ndarray, rtol=None):
     the row's message or None."""
     x, errors = lap.solve_shifted(mu, diag[None], rhs[None], None if rtol is None else [rtol])
     return x[0], errors[0]
+
+
+def apply_one(lap, v: np.ndarray) -> np.ndarray:
+    """Lap v for one nodal vector v (N,), applied as the one-row stack v[None]."""
+    return lap.apply(v[None])[0]
 
 
 def l1_distance(a: ScalarField, b: ScalarField) -> float:

@@ -16,6 +16,7 @@ from kppfrag import (
 )
 import kppfrag.grids as grids_mod
 from conftest import (
+    apply_one,
     banded_shifted_solve,
     dense_shifted,
     kron_lap2d_csr,
@@ -71,7 +72,7 @@ def test_laplacian_matrix_n3():
     # h = 1/2, scale 4; boundary rows encode mirrored ghosts
     lap = NeumannLaplacian(Grid((3,)))
     expect = 4.0 * np.array([[-2, 2, 0], [1, -2, 1], [0, 2, -2]], dtype=float)
-    dense = lap.apply(np.eye(3))
+    dense = lap.apply(np.eye(3)).T
     assert np.array_equal(dense, expect)
     assert np.all(dense.sum(axis=1) == 0.0)
 
@@ -82,13 +83,13 @@ def test_laplacian_annihilates_constants():
         lap = NeumannLaplacian(g)
         c = np.full(g.num_nodes, 3.7)
         hmin = min(g.spacings)
-        assert np.max(np.abs(lap.apply(c))) <= 1e-12 * 3.7 / hmin**2
+        assert np.max(np.abs(apply_one(lap, c))) <= 1e-12 * 3.7 / hmin**2
 
 
 def test_laplacian_spectrum_small_dense():
     # eigenvalues real and nonpositive (similar to a symmetric matrix)
     for n in (3, 10, 50):
-        lam = np.linalg.eigvals(NeumannLaplacian(Grid((n,))).apply(np.eye(n)))
+        lam = np.linalg.eigvals(NeumannLaplacian(Grid((n,))).apply(np.eye(n)).T)
         scale = 4.0 * (n - 1) ** 2
         assert np.max(np.abs(lam.imag)) <= 1e-9 * scale
         assert np.max(lam.real) <= 1e-9 * scale
@@ -108,10 +109,10 @@ def test_2d_kronecker_sum_structure():
     fx = np.sin(2.0 * np.pi * gx.axis_coords(0)) + 0.3
     fy = np.cos(np.pi * gy.axis_coords(0)) + 1.1
     sep = np.outer(fy, fx).ravel()
-    lx = NeumannLaplacian(gx).apply(fx)
-    ly = NeumannLaplacian(gy).apply(fy)
+    lx = apply_one(NeumannLaplacian(gx), fx)
+    ly = apply_one(NeumannLaplacian(gy), fy)
     expect = (np.outer(fy, lx) + np.outer(ly, fx)).ravel()
-    got = NeumannLaplacian(g2).apply(sep)
+    got = apply_one(NeumannLaplacian(g2), sep)
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-9)
 
 
@@ -125,19 +126,29 @@ def test_shifted_solve_residual(counts):
     mu = 0.37
     x, err = solve_one(lap, mu, diag, rhs)
     assert err is None
-    resid = mu * (-lap.apply(x)) + diag * x - rhs
+    resid = mu * (-apply_one(lap, x)) + diag * x - rhs
     assert np.max(np.abs(resid)) <= 1e-9 * max(1.0, np.max(np.abs(x)))
 
 
 def test_shifted_factor_reuse_matches_solve():
-    g = Grid((21,))
-    lap = NeumannLaplacian(g)
-    diag = np.linspace(0.5, 1.5, 21)
-    fac = lap.shifted_factor(0.2, diag[None])
-    rhs = np.ones((1, 21))
-    (x, errors), (expect, _) = fac.solve(rhs), lap.solve_shifted(0.2, diag[None], rhs)
-    assert errors == [None]
-    assert np.allclose(x, expect, rtol=1e-13)
+    # one factor object serves a whole stack and keeps what its rows share
+    # (in 2D the float32 work buffer too): solved twice, each time it gives
+    # a fresh solve's bytes, and the second solve leaves the first result
+    # as it was, so no returned row aliases a buffer the object reuses
+    for counts, rows in itertools.product([(21,), (9, 7)], [1, 3]):
+        g = Grid(counts)
+        lap = NeumannLaplacian(g)
+        rng = np.random.default_rng(rows)
+        diag = rng.uniform(0.5, 1.5, (rows, g.num_nodes))
+        rhs = rng.standard_normal((2, rows, g.num_nodes))
+        fac = lap.shifted_factor(0.2, diag)
+        first, errors = fac.solve(rhs[0])
+        kept = first.tobytes()
+        second, again = fac.solve(rhs[1])
+        assert errors == again == [None] * rows and first.tobytes() == kept
+        for got, b in ((first, rhs[0]), (second, rhs[1])):
+            expect, expect_errors = lap.solve_shifted(0.2, diag, b)
+            assert expect_errors == [None] * rows and got.tobytes() == expect.tobytes()
 
 
 def test_dense_oracle_matches_operator():
@@ -146,7 +157,7 @@ def test_dense_oracle_matches_operator():
     v = np.random.default_rng(3).standard_normal(g.num_nodes)
     lap = NeumannLaplacian(g)
     assert np.allclose(dense_shifted(g, 0.3, diag) @ v,
-                       0.3 * (-lap.apply(v)) + diag * v, rtol=1e-13, atol=1e-12)
+                       0.3 * (-apply_one(lap, v)) + diag * v, rtol=1e-13, atol=1e-12)
 
 
 @pytest.mark.parametrize("counts", [(9, 12), (12, 9), (40,)])
@@ -226,7 +237,7 @@ def test_shifted_solve_2d_rtol_bounds_relative_residual():
     rhs = rng.standard_normal(g.num_nodes)
     x, err = solve_one(lap, mu, diag, rhs, 1e-3)
     assert err is None
-    resid = mu * (-lap.apply(x)) + diag * x - rhs
+    resid = mu * (-apply_one(lap, x)) + diag * x - rhs
     floor = grids_mod.residual_floor(g, mu) * max(1.0, np.max(np.abs(diag)))
     rel = np.max(np.abs(resid)) / max(np.max(np.abs(x)), np.max(np.abs(rhs)))
     assert rel <= max(floor, 1e-3)
@@ -286,7 +297,7 @@ def test_shifted_solve_2d_stops_on_its_recurred_residual(monkeypatch, n, mu, kin
         assert len(passes) == 1
         return
     assert len(passes) == 1
-    resid = mu * (-lap.apply(x)) + diag * x - rhs
+    resid = mu * (-apply_one(lap, x)) + diag * x - rhs
     floor = grids_mod.residual_floor(g, mu) * max(1.0, np.max(np.abs(diag)))
     rel = np.max(np.abs(resid)) / max(np.max(np.abs(x)), np.max(np.abs(rhs)))
     assert rel <= (floor if rtol is None else 0.5 * rtol)
@@ -307,7 +318,7 @@ def test_grid_operators_are_shared_and_read_only():
         lam64, v64 = grids_mod._axis_eigenpairs(n)
         w1 = Grid((n,)).node_weights
         assert np.allclose(v64.T @ (w1[:, None] * v64), np.eye(n), atol=1e-12)
-        lap1 = NeumannLaplacian(Grid((n,))).apply(np.eye(n))
+        lap1 = NeumannLaplacian(Grid((n,))).apply(np.eye(n)).T
         assert np.allclose(-lap1 @ v64, v64 * lam64, atol=1e-9 * lam64.max())
         # the shared operators keep lam and the float32 cast of V, nothing else
         assert lam.tobytes() == lam64.tobytes()
@@ -366,7 +377,7 @@ def test_shifted_solve_2d_at_the_ends_of_double_range_fails_only_as_linalg_error
         return
     assert np.isfinite(x).all()
     x_unit, rhs_unit = x / scale, (scale * rhs) / scale
-    resid = rhs_unit - (lap.apply(x_unit) * -mu + diag * x_unit)
+    resid = rhs_unit - (apply_one(lap, x_unit) * -mu + diag * x_unit)
     floor = grids_mod.residual_floor(g, mu) * max(1.0, np.max(np.abs(diag)))
     assert np.max(np.abs(resid)) <= floor * max(np.max(np.abs(x_unit)),
                                                  np.max(np.abs(rhs_unit)))
@@ -395,7 +406,7 @@ def test_grid_operators_live_as_long_as_their_grid(monkeypatch):
     small, large = Grid((13, 13)), Grid((27, 27))
     assert NeumannLaplacian(small).grid is small and built == []
     for _ in range(3):
-        NeumannLaplacian(large).apply(np.ones(large.num_nodes))
+        NeumannLaplacian(large).apply(np.ones((1, large.num_nodes)))
         assert solve_one(NeumannLaplacian(small), 0.1, np.ones(small.num_nodes),
                          np.ones(small.num_nodes))[1] is None
     assert built == [(27, 27), (13, 13)]
@@ -417,8 +428,8 @@ def test_laplacian_products_match_sparse_oracles(counts):
     # in the CSR oracle's column order; the row-wrap zeros add +-0 to a sum
     # that starts at +0. 1D sums the same products in the same order, by
     # one correlation and the two mirror rows. So every product keeps the
-    # oracle's bytes, signed zeros included: flat operands, (N, K) columns
-    # and, through apply_rows, (S, N) stacks of one and of seven rows
+    # oracle's bytes, signed zeros included, on (S, N) stacks of one and of
+    # seven rows, strided, Fortran-ordered and C-ordered
     g = Grid(counts)
     lap = NeumannLaplacian(g)
     oracle = lil_lap1d_csr(*counts) if g.dim == 1 else kron_lap2d_csr(*counts)
@@ -426,14 +437,10 @@ def test_laplacian_products_match_sparse_oracles(counts):
     shape = (g.num_nodes, 7)
     for v in (rng.standard_normal(shape), rng.uniform(0.0, 1.0, shape),
               np.where(rng.random(shape) < 0.5, 0.0, -0.0)):
-        for operand in (v[:, 0], v, np.asfortranarray(v)):
-            got, expect = lap.apply(operand), oracle @ operand
-            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
-        if g.dim == 1:
-            for rows in (v.T[:1], v.T, np.ascontiguousarray(v.T)):
-                got, expect = lap.apply_rows(rows), (oracle @ rows.T).T
-                assert got.shape == expect.shape and got.flags.c_contiguous
-                assert got.tobytes() == expect.tobytes()
+        for rows in (v.T[:1], v.T, np.ascontiguousarray(v.T)):
+            got, expect = lap.apply(rows), (oracle @ rows.T).T
+            assert got.shape == expect.shape and got.flags.c_contiguous
+            assert got.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4, 33])
@@ -444,12 +451,12 @@ def test_1d_stack_product_keeps_a_nonfinite_row_to_itself(n, bad):
     # included, leaves every other row's bytes as they were
     lap = NeumannLaplacian(Grid((n,)))
     rows = np.random.default_rng(n).standard_normal((7, n))
-    clean = lap.apply_rows(rows)
+    clean = lap.apply(rows)
     for col in sorted({0, 1, n // 2, n - 2, n - 1}):
         dirty = rows.copy()
         dirty[3, col] = bad
         with np.errstate(invalid="ignore"):
-            got = lap.apply_rows(dirty)
+            got = lap.apply(dirty)
         keep = np.arange(7) != 3
         assert got[keep].tobytes() == clean[keep].tobytes()
         assert not np.isfinite(got[3]).all()
@@ -463,7 +470,7 @@ def test_1d_product_matches_the_csr_oracle_on_special_values():
     vals = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e-320]
     rows = np.array(list(itertools.product(vals, repeat=5)))
     with np.errstate(all="ignore"):
-        got = NeumannLaplacian(Grid((5,))).apply_rows(rows)
+        got = NeumannLaplacian(Grid((5,))).apply(rows)
         expect = (lil_lap1d_csr(5) @ rows.T).T
     nan = np.isnan(expect)
     assert np.array_equal(np.isnan(got), nan)
@@ -603,34 +610,38 @@ def test_stacked_1d_solve_matches_flat_solves_bit_for_bit(n, rows):
 @pytest.mark.parametrize("counts", [(40,), (9, 7), (60, 60)])
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_apply_rows_is_per_row_apply_bit_for_bit(counts, rows):
-    # 1D makes one multi-vector product, 2D one product per row; either way
-    # every row is the product of apply on that row alone
+    # 1D makes one correlation over the stack, 2D one product per row;
+    # either way every row is the product of that row alone
     g = Grid(counts)
     lap = NeumannLaplacian(g)
     v = np.random.default_rng(rows).standard_normal((rows, g.num_nodes))
-    out = lap.apply_rows(v)
+    out = lap.apply(v)
     assert out.shape == v.shape and out.flags.c_contiguous and out.flags.writeable
     for i in range(rows):
-        assert out[i].tobytes() == lap.apply(v[i]).tobytes()
+        assert out[i].tobytes() == apply_one(lap, v[i]).tobytes()
 
 
 def _nan_preconditioner(monkeypatch, target, call):
-    """Patch _Cg2D._precondition to put a NaN into its result on the given
-    call (1-based) of every solve whose d is the array target. The counts
-    are keyed by the solver objects themselves, which keeps each one alive:
-    keyed by id(), a later solve could reuse a freed solver's address and
-    start its count where that one stopped."""
-    real = grids_mod._Cg2D._precondition
-    calls = {}
+    """Patch _Cg2D to put a NaN into the preconditioner's result on the
+    given call (1-based) of every CG pass whose row d is the array target.
+    Each pass of _cg starts a new count and marks whether its row is the
+    target; a row's solve makes one pass."""
+    real_cg, real_precondition = grids_mod._Cg2D._cg, grids_mod._Cg2D._precondition
+    state = {"hit": False, "calls": 0}
 
-    def patched(self, wr, out):
-        real(self, wr, out)
-        if self._diag.tobytes() == target.tobytes():
-            calls[self] = calls.get(self, 0) + 1
-            if calls[self] == call:
+    def cg(self, diag, *args):
+        state.update(hit=diag.tobytes() == target.tobytes(), calls=0)
+        return real_cg(self, diag, *args)
+
+    def precondition(self, inv_eig, wr, out):
+        real_precondition(self, inv_eig, wr, out)
+        if state["hit"]:
+            state["calls"] += 1
+            if state["calls"] == call:
                 out[len(out) // 2] = np.nan
 
-    monkeypatch.setattr(grids_mod._Cg2D, "_precondition", patched)
+    monkeypatch.setattr(grids_mod._Cg2D, "_cg", cg)
+    monkeypatch.setattr(grids_mod._Cg2D, "_precondition", precondition)
 
 
 @pytest.mark.parametrize("call", [1, 3])

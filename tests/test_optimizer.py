@@ -28,7 +28,8 @@ from kppfrag import (
 import kppfrag.grids as grids_mod
 import kppfrag.optimizer as optimizer_mod
 from kppfrag.grids import NeumannLaplacian, residual_floor
-from conftest import constant_resource, interior_resource, lp_bruteforce, lp_rows_scatter
+from conftest import (apply_one, constant_resource, interior_resource, lp_bruteforce,
+                      lp_rows_scatter)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ def test_adjoint_constant_closed_form():
     p = solve_adjoint(m, state.theta, params).values
     assert np.allclose(p, 1.0 / 0.3, rtol=1e-12, atol=0.0)
     diag = 2.0 * state.theta.values - m.values
-    resid = 0.5 * (-NeumannLaplacian(g).apply(p)) + diag * p - 1.0
+    resid = 0.5 * (-apply_one(NeumannLaplacian(g), p)) + diag * p - 1.0
     assert float(np.max(np.abs(resid))) <= 1e-9
 
 
@@ -61,7 +62,7 @@ def test_adjoint_residual_gate_holds_on_2d_crenel():
     state = solve_steady_state(m, params)
     p = solve_adjoint(m, state.theta, params).values
     diag = 2.0 * state.theta.values - m.values
-    resid = 0.01 * (-NeumannLaplacian(m.grid).apply(p)) + diag * p - 1.0
+    resid = 0.01 * (-apply_one(NeumannLaplacian(m.grid), p)) + diag * p - 1.0
     gate = max(1e-10, residual_floor(m.grid, 0.01) * max(1.0, float(np.max(np.abs(p)))))
     assert float(np.max(np.abs(resid))) <= gate
     assert float(np.min(p)) > 0.0

@@ -19,7 +19,7 @@ from kppfrag import (
 )
 import kppfrag.grids as grids_mod
 import kppfrag.solver as solver_mod
-from conftest import constant_resource, l1_distance, lou_identity_residual
+from conftest import apply_one, constant_resource, l1_distance, lou_identity_residual
 
 # regression constants frozen from grid-refinement studies during oracle
 # construction (N=4000/8000 Richardson limit for the mu=0.01 crenel)
@@ -232,7 +232,7 @@ def test_inexact_newton_matches_floor_only_solve(monkeypatch):
     gate = max(SolverConfig().newton_tol, floor * np.max(np.abs(theta)))
     assert inexact.residual_norm <= gate
     assert np.max(np.abs(
-        params.mu * NeumannLaplacian(m.grid).apply(theta) + theta * (m.values - theta)
+        params.mu * apply_one(NeumannLaplacian(m.grid), theta) + theta * (m.values - theta)
     )) <= gate
 
 
