@@ -15,6 +15,9 @@ merges the settings and `parse_config` validates them; `_execute` computes
 a command's stdout lines, report body, field CSVs, plots and summary rows;
 `main` times that call, prints the lines and, given --out, makes the one
 `persist_results` call, adding `command` and `wall_time` to report.json.
+That call is the one place that writes files: field_to_csv and emit_plot
+return text, and persist_results writes every run file as UTF-8 with "\n"
+line ends and puts the sha256 of the bytes written into the manifest.
 
 Settings merge in increasing precedence: built-in defaults, --preset,
 --config JSON file, explicit flags. Unknown keys in a config file are
@@ -219,14 +222,6 @@ def _jsonable(obj):
     return obj
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def persist_results(out_dir: str, config: RunConfig, report: dict,
                     fields: dict | None = None, plots: dict | None = None,
                     summary_rows: list | None = None) -> str:
@@ -234,7 +229,8 @@ def persist_results(out_dir: str, config: RunConfig, report: dict,
     optional summary.csv, and manifest.json (written last; its presence
     marks a complete run).
 
-    The manifest maps each deterministic file to its sha256 and lists
+    Every file is UTF-8 text with "\n" line ends. The manifest maps each
+    deterministic file to the sha256 of the bytes written and lists
     timing-bearing files (report.json, summary.csv) under "volatile"
     without hashes, so same-seed reruns produce byte-identical manifests.
     Partially written files are removed if persisting fails.
@@ -242,46 +238,42 @@ def persist_results(out_dir: str, config: RunConfig, report: dict,
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     hashed: dict[str, str] = {}
-    volatile: list[str] = []
+
+    def write(name: str, text: str, digest: bool = True) -> None:
+        """Write text to out_dir/name, recording the name for cleanup and,
+        with digest, the sha256 of the bytes for the manifest."""
+        data = text.encode("utf-8")
+        written.append(name)        # before the open: a partial file is removed too
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(data)
+        if digest:
+            hashed[name] = hashlib.sha256(data).hexdigest()
+
     try:
-        report_path = os.path.join(out_dir, "report.json")
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(report_path)
-        volatile.append("report.json")
+        write("report.json", json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n",
+              digest=False)
 
         for name, field in (fields or {}).items():
-            path = os.path.join(out_dir, name)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(field_to_csv(field))
-            written.append(path)
-            hashed[name] = _sha256(path)
+            write(name, field_to_csv(field))
 
         for name, (m, theta) in (plots or {}).items():
-            path = os.path.join(out_dir, name)
-            emit_plot(m, theta, path)
-            written.append(path)
-            hashed[name] = _sha256(path)
+            write(name, emit_plot(m, theta))
 
         if summary_rows is not None:
             cols = ("mu", "best_F", "bv", "jumps", "bangbang_frac", "seconds")
-            path = os.path.join(out_dir, "summary.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(",".join(cols) + "\n")
-                for row in summary_rows:
-                    cells = []
-                    for c in cols:
-                        v = row.get(c)
-                        if v is None:
-                            cells.append("")
-                        elif isinstance(v, float):
-                            cells.append(f"{v:.17g}")
-                        else:
-                            cells.append(str(v))
-                    fh.write(",".join(cells) + "\n")
-            written.append(path)
-            volatile.append("summary.csv")
+            lines = [",".join(cols)]
+            for row in summary_rows:
+                cells = []
+                for c in cols:
+                    v = row.get(c)
+                    if v is None:
+                        cells.append("")
+                    elif isinstance(v, float):
+                        cells.append(f"{v:.17g}")
+                    else:
+                        cells.append(str(v))
+                lines.append(",".join(cells))
+            write("summary.csv", "\n".join(lines) + "\n", digest=False)
 
         # the out path names this very directory; echoing it would make
         # manifests from identical runs into different directories differ
@@ -289,18 +281,15 @@ def persist_results(out_dir: str, config: RunConfig, report: dict,
         config_echo.pop("out", None)
         manifest = {
             "config": config_echo,
-            "files": {k: hashed[k] for k in sorted(hashed)},
-            "volatile": sorted(volatile),
+            "files": hashed,
+            "volatile": sorted(set(written) - set(hashed)),
         }
-        manifest_path = os.path.join(out_dir, "manifest.json")
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(manifest_path)
+        write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+              digest=False)
     except BaseException:
-        for path in written:
+        for name in written:
             try:
-                os.remove(path)
+                os.remove(os.path.join(out_dir, name))
             except OSError:
                 pass
         raise

@@ -63,13 +63,13 @@ class LemmaBoundRow:
 @dataclass(frozen=True)
 class SweepRecord:
     mu: float
-    best_F: float | None
-    bv: float | None
-    jumps: int | None
-    bangbang_frac: float | None
-    best_m: ResourceField | None
     wall_time: float
-    termination: str | None
+    best_F: float | None = None
+    bv: float | None = None
+    jumps: int | None = None
+    bangbang_frac: float | None = None
+    best_m: ResourceField | None = None
+    termination: str | None = None
     error: str | None = None
 
 
@@ -201,13 +201,8 @@ def fragmentation_sweep(
         try:
             run = optimize(dc_replace(params, mu=mu), grid, cfg)
         except OptimizationError as exc:
-            records.append(
-                SweepRecord(
-                    mu=mu, best_F=None, bv=None, jumps=None, bangbang_frac=None,
-                    best_m=None, wall_time=time.perf_counter() - t0,
-                    termination=None, error=str(exc),
-                )
-            )
+            records.append(SweepRecord(mu=mu, wall_time=time.perf_counter() - t0,
+                                       error=str(exc)))
             continue
         best_m = run.best_m
         records.append(
@@ -220,7 +215,6 @@ def fragmentation_sweep(
                 best_m=best_m,
                 wall_time=time.perf_counter() - t0,
                 termination=run.termination,
-                error=None,
             )
         )
     bvs = [r.bv for r in records if r.bv is not None]

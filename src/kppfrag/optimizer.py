@@ -118,31 +118,22 @@ class OptimRun:
 # ---------------------------------------------------------------------------
 # adjoint and gradient
 
-def _compact(keep, *arrays):
-    """The rows of each array where keep holds: the arrays themselves, not
-    copies, when it holds on every row."""
-    return arrays if keep.all() else tuple(a[keep] for a in arrays)
-
-
 def _adjoint_rows(grid: Grid, mu: float, m_vals: np.ndarray, theta: np.ndarray):
     """solve_adjoint on every row of m_vals and theta (S, N), as (p, errors):
     errors[i] is None or the SingularAdjoint of row i."""
     lap = NeumannLaplacian(grid)
     diag = 2.0 * theta - m_vals
     p, failures = lap.solve_shifted(mu, diag, np.ones_like(diag))
-    # a row the solve accepts is finite: a failed one is NaN with its message
-    solved = np.array([f is None for f in failures])
     errors = [None if f is None else SingularAdjoint(f"adjoint solve failed: {f}")
               for f in failures]
-    rows = np.flatnonzero(solved)
-    if rows.size:
-        pk, dk = _compact(solved, p, diag)
-        rnorm = np.abs(mu * (-lap.apply(pk)) + dk * pk - 1.0).max(axis=1)
-        floor = residual_floor(grid, mu) * np.maximum(1.0, np.abs(pk).max(axis=1))
-        for k in np.flatnonzero(rnorm > np.maximum(1e-10, floor)):
-            errors[rows[k]] = SingularAdjoint(
-                f"adjoint residual {rnorm[k]:.3e} above tolerance; "
-                "steady state is not a stable branch")
+    # a row the solve accepts is finite; a failed one is NaN, so its
+    # residual fails the comparison and the row keeps its solve message
+    rnorm = np.abs(mu * (-lap.apply(p)) + diag * p - 1.0).max(axis=1)
+    floor = residual_floor(grid, mu) * np.maximum(1.0, np.abs(p).max(axis=1))
+    for k in np.flatnonzero(rnorm > np.maximum(1e-10, floor)):
+        errors[k] = SingularAdjoint(
+            f"adjoint residual {rnorm[k]:.3e} above tolerance; "
+            "steady state is not a stable branch")
     return p, errors
 
 
@@ -363,6 +354,12 @@ def _start_seed(seed: int, start_index: int):
 # ---------------------------------------------------------------------------
 # the full multi-start loop
 
+def _compact(keep, *arrays):
+    """The rows of each array where keep holds: the arrays themselves, not
+    copies, when it holds on every row."""
+    return arrays if keep.all() else tuple(a[keep] for a in arrays)
+
+
 def _ascent(job) -> list:
     """The vertex ascent of the starts in job = (params, grid, cfg, starts),
     in lockstep. m, theta and F of the live starts are stacked rows, and
@@ -465,12 +462,9 @@ def optimize(params: ProblemParams, grid: Grid, cfg: OptimConfig | None = None) 
         outcomes = _ascent(jobs[0])
 
     records = [rec for rec, _ in outcomes]
-    best = None
-    for rec, m_final in outcomes:
-        if rec.failed:
-            continue
-        if best is None or rec.F > best[0].F:
-            best = (rec, m_final)
+    # max keeps the first maximum met: the lowest start index
+    best = max((o for o in outcomes if not o[0].failed), key=lambda o: o[0].F,
+               default=None)
     if best is None:
         msgs = "; ".join(f"start {r.start_index}: {r.error}" for r in records)
         raise OptimizationError(f"all {cfg.starts} starts failed: {msgs}")

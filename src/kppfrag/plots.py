@@ -1,6 +1,6 @@
 """Dependency-free SVG rendering of resource layouts and population
 densities. Output is deterministic: fixed-precision coordinates, no
-timestamps, so repeated runs produce byte-identical files.
+timestamps, so repeated calls return identical documents.
 """
 from __future__ import annotations
 
@@ -123,9 +123,9 @@ def _panel_heat(parts: list, values: np.ndarray, grid, offset_x: float,
     )
 
 
-def emit_plot(m: ResourceField, theta: ScalarField | None, path) -> None:
-    """Write an SVG figure for a resource layout and (optionally) its
-    population density theta, a field on m's grid. 1D: one 800x500 overlay
+def emit_plot(m: ResourceField, theta: ScalarField | None) -> str:
+    """The SVG document of a figure for a resource layout and (optionally)
+    its population density theta, a field on m's grid. 1D: one 800x500 overlay
     panel. 2D: two 800x500 heatmap panels side by side (layout left,
     density right; layout only if theta is None). Raises ValueError when
     theta lives on another grid.
@@ -147,12 +147,10 @@ def emit_plot(m: ResourceField, theta: ScalarField | None, path) -> None:
             _panel_heat(parts, theta, m.grid, PANEL_W, "population density",
                         float(np.max(theta)))
     body = "\n".join(parts)
-    svg = (
+    return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{PANEL_H}" viewBox="0 0 {width} {PANEL_H}">\n'
         f'<rect width="{width}" height="{PANEL_H}" fill="#ffffff"/>\n'
         f"{body}\n</svg>\n"
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)

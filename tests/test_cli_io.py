@@ -230,7 +230,7 @@ def test_summary_csv_format(tmp_path):
 
 
 def test_persist_cleans_up_on_failure(tmp_path, monkeypatch):
-    def _boom(m, theta, path):
+    def _boom(m, theta):
         raise RuntimeError("forced by test")
 
     monkeypatch.setattr(cli, "emit_plot", _boom)
@@ -240,42 +240,61 @@ def test_persist_cleans_up_on_failure(tmp_path, monkeypatch):
     assert not out.exists() or os.listdir(out) == []
 
 
+def test_persist_removes_a_partly_written_file(tmp_path, monkeypatch):
+    # the second CSV write stops after 10 bytes, as on a full disk
+    class _FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:10])
+            raise OSError(28, "No space left on device")
+
+    def full_disk_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _FullDisk(fh) if path.endswith("best_m_01.csv") else fh
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError):
+        _synthetic_sweep_dir(tmp_path, "run")
+    assert os.listdir(tmp_path / "run") == []
+
+
 # ---------------------------------------------------------------------------
 # plots
 
-def test_svg_1d_valid_and_deterministic(tmp_path):
+def test_svg_1d_valid_and_deterministic():
     g = Grid((101,))
     m = make_crenel(g, 1.0, 0.3)
     st = solve_steady_state(m, ProblemParams(mu=0.5, kappa=1.0, m0=0.3))
-    p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    emit_plot(m, st.theta, str(p1))
-    emit_plot(m, st.theta, str(p2))
-    blob = p1.read_bytes()
-    assert blob == p2.read_bytes()
-    assert blob.startswith(b"<?xml")
-    root = ET.parse(str(p1)).getroot()
+    svg = emit_plot(m, st.theta)
+    assert svg == emit_plot(m, st.theta)
+    assert svg.startswith("<?xml")
+    root = ET.fromstring(svg.encode("utf-8"))
     assert root.tag.endswith("svg")
     assert root.get("width") == "800"
 
 
-def test_svg_2d_two_panels(tmp_path):
+def test_svg_2d_two_panels():
     g = Grid((12, 9))
     m = make_crenel(g, 1.0, 0.3)
     st = solve_steady_state(m, ProblemParams(mu=0.5, kappa=1.0, m0=0.3))
-    path = tmp_path / "c.svg"
-    emit_plot(m, st.theta, str(path))
-    root = ET.parse(str(path)).getroot()
+    root = ET.fromstring(emit_plot(m, st.theta).encode("utf-8"))
     assert root.get("width") == "1600"
-    path2 = tmp_path / "d.svg"
-    emit_plot(m, None, str(path2))
-    assert ET.parse(str(path2)).getroot().get("width") == "800"
+    assert ET.fromstring(emit_plot(m, None).encode("utf-8")).get("width") == "800"
 
 
-def test_svg_rejects_mismatched_density(tmp_path):
+def test_svg_rejects_mismatched_density():
     g = Grid((11,))
     m = make_crenel(g, 1.0, 0.3)
     with pytest.raises(ValueError):
-        emit_plot(m, ScalarField(Grid((7,)), np.zeros(7)), str(tmp_path / "bad.svg"))
+        emit_plot(m, ScalarField(Grid((7,)), np.zeros(7)))
 
 
 # ---------------------------------------------------------------------------

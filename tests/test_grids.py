@@ -609,7 +609,7 @@ def test_stacked_1d_solve_matches_flat_solves_bit_for_bit(n, rows):
 
 @pytest.mark.parametrize("counts", [(40,), (9, 7), (60, 60)])
 @pytest.mark.parametrize("rows", [1, 2, 5])
-def test_apply_rows_is_per_row_apply_bit_for_bit(counts, rows):
+def test_stacked_apply_is_per_row_apply_bit_for_bit(counts, rows):
     # 1D makes one correlation over the stack, 2D one product per row;
     # either way every row is the product of that row alone
     g = Grid(counts)

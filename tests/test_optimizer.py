@@ -474,6 +474,28 @@ def test_optimize_all_starts_failing(monkeypatch):
     assert "start 0" in str(exc.value) and "start 1" in str(exc.value)
 
 
+def test_optimize_tie_goes_to_the_lowest_start_index(monkeypatch):
+    # starts 2 and 3 share the highest F; the failed start 0 and the lower
+    # start 1 do not win
+    g = Grid((17,))
+    crenel = make_crenel(g, 1.0, 0.3).values
+    flat = np.full(g.num_nodes, 0.3)
+    rec = optimizer_mod.StartRecord
+
+    def fake_ascent(job):
+        return [(rec(0, float("-inf"), "failed", [], error="forced by test"), None),
+                (rec(1, 0.31, "lp_value", [(0.31, 0.0, 0.0)]), flat),
+                (rec(2, 0.35, "lp_value", [(0.35, 0.0, 0.0)]), crenel),
+                (rec(3, 0.35, "max_iters", [(0.35, 1.0, 0.01)]), flat)]
+
+    monkeypatch.delenv("KPPFRAG_THREADS", raising=False)
+    monkeypatch.setattr(optimizer_mod, "_ascent", fake_ascent)
+    run = optimize(ProblemParams(mu=0.1, kappa=1.0, m0=0.3), g, _small_cfg(starts=4))
+    assert (run.start_index, run.best_F, run.termination) == (2, 0.35, "lp_value")
+    assert np.array_equal(run.best_m.values, crenel)
+    assert [r.start_index for r in run.starts] == [0, 1, 2, 3]
+
+
 def _check_finished_start(rec, max_outer_iters):
     """F never drops along the trajectory of a finished start, every step
     before the last is the full step, and the termination label agrees with
