@@ -38,6 +38,7 @@ silenced, since the solver checks its own results for non-finite values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -233,9 +234,12 @@ def persist_results(out_dir: str, config: RunConfig, report: dict,
     deterministic file to the sha256 of the bytes written and lists
     timing-bearing files (report.json, summary.csv) under "volatile"
     without hashes, so same-seed reruns produce byte-identical manifests.
-    Partially written files are removed if persisting fails.
+    Partially written files, and first any earlier run's manifest.json,
+    are removed, so a directory whose persisting failed claims no run.
     """
     os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "manifest.json"))
     written: list[str] = []
     hashed: dict[str, str] = {}
 

@@ -239,20 +239,20 @@ class NeumannLaplacian:
     (mu * (-Lap) + diag(d)) x = rhs that the Newton and adjoint steps need.
     Each row of a result is bit-identical to that of the row alone. 1D
     systems are tridiagonal and go straight to LAPACK's gtsv (Gaussian
-    elimination with partial pivoting), O(N) per solve. 2D systems go through preconditioned conjugate gradients in the
-    trapezoid inner product <u, v>_W = u . (w v), in which
-    mu * (-Lap) + diag(d) is self-adjoint since W * Lap is symmetric. The
-    matrix must be positive definite in that inner product: a 2D row that
-    meets a direction of nonpositive curvature fails (see _Cg2D). The 1D
-    solve takes any nonsingular d. The preconditioner mu * (-Lap) + c I,
-    with c the mean of |d|, is inverted by fast diagonalization: the
-    eigenvectors of each axis's 1D operator turn it into a diagonal, so one
-    application is four small dense matrix products, made in single
-    precision on the residual scaled by an exact power of two. The CG
-    recurrence, its curvature test and the tolerance contract below stay in
-    double precision. Both dimensions fail a row with a non-finite d or rhs
-    before solving it, and one with a non-finite x after it: the 1D solve
-    tests x, the 2D solve its true residual.
+    elimination with partial pivoting), O(N) per solve. 2D systems go
+    through preconditioned conjugate gradients in the trapezoid inner
+    product <u, v>_W = u . (w v), in which mu * (-Lap) + diag(d) is
+    self-adjoint since W * Lap is symmetric. The matrix must be positive
+    definite in that inner product: a 2D row that meets a direction of
+    nonpositive curvature fails (see _Cg2D). The 1D solve takes any
+    nonsingular d. The preconditioner mu * (-Lap) + c I, with c the mean of
+    |d|, is inverted by fast diagonalization: the eigenvectors of each
+    axis's 1D operator turn it into a diagonal, so one application is four
+    small dense matrix products, made in single precision. The CG
+    recurrence, its curvature test and the tolerance contract below stay
+    in double precision. Both dimensions fail a row with a non-finite d or
+    rhs before solving it, and one with a non-finite x after it: the 1D
+    solve tests x, the 2D solve its true residual.
 
     A solve takes d and rhs of shape (S, N) and returns (x, errors): x of
     shape (S, N), and errors[i] the message of row i's failed solve, whose
@@ -351,19 +351,18 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _solve_each_row(rhs: np.ndarray, solve_row) -> tuple[np.ndarray, list]:
-    """(x, errors) of the stack rhs (S, N) solved row by row with
-    solve_row(i), which returns row i's x or raises
-    numpy.linalg.LinAlgError: a failed row is NaN in x with its message in
-    errors, and every other entry of errors is None."""
-    x, errors = [], [None] * len(rhs)
+    """(x, errors) of the stack rhs (S, N) solved row by row: solve_row(i,
+    x[i]) writes row i's x into its zeroed row of x or raises
+    numpy.linalg.LinAlgError, which leaves that row NaN with its message in
+    errors; every other entry of errors is None."""
+    x, errors = np.zeros(rhs.shape), [None] * len(rhs)
     for i in range(len(rhs)):
         try:
-            x.append(solve_row(i))
+            solve_row(i, x[i])
         except np.linalg.LinAlgError as exc:
-            x.append(np.full(rhs.shape[1], np.nan))
+            x[i] = np.nan
             errors[i] = str(exc)
-    # stacked after the last solve, so no buffer is alive during one
-    return (x[0][None] if len(x) == 1 else np.stack(x)), errors
+    return x, errors
 
 
 class _Banded1D:
@@ -395,7 +394,8 @@ class _Banded1D:
             return self._gtsv(diag, rhs), [None] * len(rhs)
         except np.linalg.LinAlgError:
             pass
-        return _solve_each_row(rhs, lambda i: self._gtsv(diag[i:i + 1], rhs[i:i + 1])[0])
+        return _solve_each_row(
+            rhs, lambda i, out: np.copyto(out, self._gtsv(diag[i:i + 1], rhs[i:i + 1])[0]))
 
     def _gtsv(self, diag: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """x (S, N) of one gtsv call on the block-diagonal system of rows (S, N)."""
@@ -423,9 +423,11 @@ class _Banded1D:
 class _Cg2D:
     """Preconditioned conjugate gradients for the stack of 2D shifted
     systems A x = rhs[i], A = mu * (-Lap) + diag(d[i]): one CG solve per
-    row, failures landing on their rows (_solve_each_row). The object keeps
-    what the rows share; a row's preconditioner and tolerance are made when
-    that row is solved.
+    row, each written into its row of one (S, N) result (_solve_each_row).
+    The object keeps what the rows share: the float32 preconditioner buffer
+    and one (3, N) block of CG vectors tmp (also w r), z and p (after CG,
+    the scaled x and rhs of the residual check). A row's preconditioner and
+    tolerance are made when that row is solved.
 
     W * Lap is symmetric, W the diagonal of trapezoid node weights w, so A
     is self-adjoint in the trapezoid inner product <u, v>_W = u . (w v). The
@@ -442,9 +444,9 @@ class _Cg2D:
     V' W1 V = I (_axis_eigenpairs), so M^(-1) r = V_y (E * (V_y' R V_x))
     V_x', R being w r on the (ny, nx) grid and E the inverse eigenvalues
     1 / (mu * (lam_y + lam_x) + c); then <r, z>_W = (w r) . z. It is
-    applied in single precision: V and E are float32, and R enters scaled
-    by the power of two that puts max|R| in [1/2, 1), so no residual
-    overflows float32's range and z scales exactly with r. The
+    applied in single precision: V, E and R are float32. R needs no scaling
+    of its own, since the row's rhs is scaled into [1/2, 1) below, which
+    keeps every residual CG meets inside float32's range. The
     preconditioner only shapes the search directions; x, r, p, the
     curvature p'WAp, the stopping test and the true-residual check below
     are all float64, so the tolerance is the same as with an exact M
@@ -477,84 +479,76 @@ class _Cg2D:
     def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
         self._mat, ((_, self._vx), (_, self._vy), self._lam_sum) = grid._operators
         self._work = np.empty((2,) + self._lam_sum.shape, dtype=np.float32)
+        self._tmp, self._z, self._p = np.empty((3, grid.num_nodes))
         self._w, self._mu, self._diag = grid.node_weights, mu, diag
         self._floor = residual_floor(grid, mu)
 
     def solve(self, rhs: np.ndarray, rtol=None) -> tuple[np.ndarray, list]:
         """(x, errors) of the stack rhs (S, N), row i solved to rtol[i], or
         to the floor alone when rtol is None."""
-        return _solve_each_row(rhs, lambda i: self._solve_row(
-            self._diag[i], rhs[i], None if rtol is None else rtol[i]))
+        return _solve_each_row(rhs, lambda i, out: self._solve_row(
+            self._diag[i], rhs[i], None if rtol is None else rtol[i], out))
 
-    def _solve_row(self, diag: np.ndarray, rhs: np.ndarray, rtol) -> np.ndarray:
-        """x of one row, given its d and rhs; raises numpy.linalg.LinAlgError."""
+    def _solve_row(self, diag: np.ndarray, rhs: np.ndarray, rtol, x: np.ndarray) -> None:
+        """x of one row, given its d and rhs, made in the zeroed x; raises LinAlgError."""
         _require_finite(diag, rhs)
         if not rhs.any():
-            return np.zeros_like(rhs)
+            return
         shift = max(float(np.mean(np.abs(diag))), 1e-12)
         inv_eig = (1.0 / (self._mu * self._lam_sum + shift)).astype(np.float32)
         floor = self._floor * max(1.0, _sup(diag))
         tol = floor if rtol is None else max(floor, rtol)
         e = _binary_exponent(rhs)
         down = math.ldexp(1.0, -e)
-        x = self._cg(diag, inv_eig, rhs * down, tol)
+        x = self._cg(diag, inv_eig, rhs * down, tol, x)
         x *= math.ldexp(1.0, e)
-        rel = self._residual(diag, x * down, rhs * down)
+        rel = self._residual(diag, np.multiply(x, down, out=self._z),
+                             np.multiply(rhs, down, out=self._p))
         if not rel <= tol:
             enforced = (f"the rounding floor {floor:.3e}" if rtol is None else
                         f"the tolerance {tol:.3e} = max(requested rtol {rtol:.3e}, "
                         f"rounding floor {floor:.3e})")
             raise np.linalg.LinAlgError(
                 f"2D shifted solve: relative residual {rel:.3e} above {enforced}")
-        return x
 
-    def _apply(self, diag: np.ndarray, v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-        """A v = mu * (-Lap v) + d v, as a new array; tmp is scratch of v's size."""
+    def _apply(self, diag: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A v = mu * (-Lap v) + d v, as a new array; v must not be tmp."""
         q = self._mat @ v
         q *= -self._mu
-        q += np.multiply(diag, v, out=tmp)
+        q += np.multiply(diag, v, out=self._tmp)
         return q
 
     def _precondition(self, inv_eig: np.ndarray, wr: np.ndarray, out: np.ndarray) -> None:
         """out = M^(-1) r by fast diagonalization in single precision, given
         the row's float32 inverse eigenvalues and wr = w r (flat float64
-        arrays). wr is scaled by 2^-e, e the binary exponent of max|wr|, on
-        its way into the two (ny, nx) float32 work buffers, and the result by
-        2^e on its way back; both scalings are exact, so the products stay
-        inside float32's range whatever the size of r, and z scales exactly
-        with r."""
+        arrays). wr is cast into the float32 work buffer unscaled: _solve_row
+        scales the row's rhs into [1/2, 1), and CG stops before max|r| falls
+        under a quarter of the smallest rounding floor 8 eps = 2^-49, so
+        max|w r| stays between 2^-53 and 1, far inside float32's range."""
         vx, vy, work = self._vx, self._vy, self._work
-        out_grid = out.reshape(work[0].shape)
-        e = _binary_exponent(wr)
-        # each scaling runs in double on out and the cast is a plain copy:
-        # a multiply that mixes precisions casts through a slower buffer
-        np.multiply(wr, math.ldexp(1.0, -e), out=out)
-        work[0] = out_grid
+        work[0] = wr.reshape(work[0].shape)
         np.matmul(vy.T, work[0], out=work[1])
         np.matmul(work[1], vx, out=work[0])
         work[0] *= inv_eig
         np.matmul(vy, work[0], out=work[1])
         np.matmul(work[1], vx.T, out=work[0])
-        out_grid[...] = work[0]
-        out *= math.ldexp(1.0, e)
+        out.reshape(work[0].shape)[...] = work[0]
 
     def _cg(self, diag: np.ndarray, inv_eig: np.ndarray, res: np.ndarray,
-            tol: float) -> np.ndarray:
-        """x from x = 0 for the row of shift diag, given the right-hand side
-        in res, which the pass owns and overwrites with the recurred
-        residual b - A x."""
-        w = self._w
+            tol: float, x: np.ndarray) -> np.ndarray:
+        """x from x = 0 for the row of shift diag, made in and returned as
+        the given zeroed x, given the right-hand side in res, which the pass
+        owns and overwrites with the recurred residual b - A x."""
+        w, tmp, z, p = self._w, self._tmp, self._z, self._p
         rhs_max = _sup(res)
-        tmp, wr, z = np.empty_like(res), np.empty_like(res), np.empty_like(res)
-        self._precondition(inv_eig, np.multiply(w, res, out=wr), z)
-        rz = float(wr @ z)
+        self._precondition(inv_eig, np.multiply(w, res, out=tmp), z)
+        rz = float(tmp @ z)
         if not rz > 0.0:                    # breakdown: x = 0 fails the gate of the row
-            return np.zeros_like(res)
+            return x
         limit = 0.5 * tol
-        x = np.zeros_like(res)
-        p = z.copy()
+        np.copyto(p, z)
         for _ in range(_KRYLOV_MAXITER):
-            q = self._apply(diag, p, tmp)
+            q = self._apply(diag, p)
             curvature = float(p @ np.multiply(w, q, out=tmp))
             if not curvature > 0.0:
                 raise np.linalg.LinAlgError(
@@ -566,8 +560,8 @@ class _Cg2D:
             res_max, x_max = _sup(res), _sup(x)
             if res_max <= limit * max(rhs_max, x_max):
                 break
-            self._precondition(inv_eig, np.multiply(w, res, out=wr), z)
-            rz, rz_old = float(wr @ z), rz
+            self._precondition(inv_eig, np.multiply(w, res, out=tmp), z)
+            rz, rz_old = float(tmp @ z), rz
             p *= rz / rz_old
             p += z
         return x
@@ -577,7 +571,7 @@ class _Cg2D:
         for the scaled, nonzero rhs of a row's solve. A NaN in x is a NaN in
         r, which np.max propagates and idamax may skip, so no tolerance
         passes it."""
-        r = rhs - self._apply(diag, x, np.empty_like(x))
+        r = rhs - self._apply(diag, x)
         return float(np.abs(r, out=r).max()) / max(_sup(x), _sup(rhs))
 
 

@@ -399,8 +399,7 @@ def _ascent(job) -> list:
     rows = np.array(rows, dtype=int)
     m_vals = np.array(guesses).reshape(-1, n)
     theta, _, _, _, errors = steady_rows(grid, m_vals, mu)
-    rows, m_vals, theta = _compact(survivors(errors), rows, m_vals,
-                                   np.array(theta).reshape(-1, n))
+    rows, m_vals, theta = _compact(survivors(errors), rows, m_vals, theta)
     F = np.array([grid.mean(t) for t in theta])
     for _ in range(cfg.max_outer_iters):
         if not rows.size:
@@ -424,8 +423,7 @@ def _ascent(job) -> list:
             else:
                 trajectory[j].append((float(F[k]), 0.0, float(lp[k])))
                 end(j, F[k], "step_zero", m_vals[k])
-        rows, m_vals, theta, F = _compact(accepted, rows, trial,
-                                          np.array(theta).reshape(-1, n), F_trial)
+        rows, m_vals, theta, F = _compact(accepted, rows, trial, theta, F_trial)
     for k, j in enumerate(rows):
         end(j, F[k], "max_iters", m_vals[k])
     return [out[j] for j in starts]

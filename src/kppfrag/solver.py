@@ -123,35 +123,37 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
     """Newton by full steps from each row of theta (S, N), against the same
     row of m_vals. Every row's arithmetic is that of its own run, and theta
     itself is never written to. Returns (theta, rnorm, steps, stalled,
-    errors), one entry per row: the last iterate, its residual sup norm,
-    the Newton steps, whether the run stalled, and None or the row's
-    NoConvergence. Unless monotone, a row stalls at the first step whose
-    linear solve fails, whose residual does not fall or whose iterate is
-    not strictly positive (a NaN fails both tests), and keeps the iterate
-    before that step; the failed step counts as a step. On the monotone run
-    a failed linear solve ends its row with NoConvergence; on both runs the
-    step cap does. The per-row tests run on Python floats, which costs less
-    than array calls for the few rows of a stack. Each step is one stacked
-    lap.solve_shifted on the working rows, which returns a failed row as
-    NaN with its message and raises for none."""
+    errors): theta (S, N) holding each row's last iterate, and per row its
+    residual sup norm, the Newton steps, whether the run stalled, and None
+    or the row's NoConvergence. Unless monotone, a row stalls at the first
+    step whose linear solve fails, whose residual does not fall or whose
+    iterate is not strictly positive (a NaN fails both tests), and keeps
+    the iterate before that step; the failed step counts as a step. On the
+    monotone run a failed linear solve ends its row with NoConvergence; on
+    both runs the step cap does. The per-row tests run on Python floats,
+    which costs less than array calls for the few rows of a stack. Each
+    step is one stacked lap.solve_shifted on the working rows, which
+    returns a failed row as NaN with its message and raises for none."""
     n_rows = len(theta)
-    out, errors = [None] * n_rows, [None] * n_rows
+    out, errors = None, [None] * n_rows
     rnorm_out, steps, stalled = [0.0] * n_rows, [0] * n_rows, [False] * n_rows
     live = list(range(n_rows))          # the row of each working row
     r = _residual(lap, theta, m_vals, mu)
     rnorm = np.abs(r).max(axis=1).tolist()
 
     def keep_rows(keep, *arrays):
-        """End the working rows not in keep with the current iterate, copied
-        when rows go on so that no working stack stays alive; return the
-        arrays on the rows kept."""
-        nonlocal live, rnorm
+        """End the working rows not in keep with the current iterate, written
+        into out, which the first row to end makes so that it holds no memory
+        through the steps before; return the arrays on the rows kept."""
+        nonlocal live, rnorm, out
         if len(keep) == len(live):
             return arrays
+        if out is None:
+            out = np.empty((n_rows, theta.shape[1]))
         kept = set(keep)
         for k, i in enumerate(live):
             if k not in kept:
-                out[i], rnorm_out[i] = theta[k].copy() if keep else theta[k], rnorm[k]
+                out[i], rnorm_out[i] = theta[k], rnorm[k]
         live, rnorm = [live[k] for k in keep], [rnorm[k] for k in keep]
         return tuple(a[keep] for a in arrays) if keep else arrays
 
@@ -168,10 +170,9 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
                 errors[i] = NoConvergence("Newton iteration cap exceeded", rnorm[k])
                 continue
             going.append(k)
-        if len(going) < len(live):
-            theta, m_vals, r = keep_rows(going, theta, m_vals, r)
-            if not live:
-                break
+        theta, m_vals, r = keep_rows(going, theta, m_vals, r)
+        if not live:
+            break
         for i in live:
             steps[i] += 1
         # the direct 1D solve ignores its tolerance
@@ -199,7 +200,8 @@ def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
                 rtn = [rtn[k] for k in better]
                 trial, rt, m_vals = keep_rows(better, trial, rt, m_vals)
         theta, r, rnorm = trial, rt, rtn
-    return out, rnorm_out, steps, stalled, errors
+    # out is None only for a stack of no rows
+    return (theta if out is None else out), rnorm_out, steps, stalled, errors
 
 
 def _below_mean(theta, grid, mbar):
@@ -212,9 +214,10 @@ def steady_rows(grid, m_vals, mu, cfg=None, theta0=None):
     """The positive steady state of every row of m_vals (S, N) on grid, by
     the rule of solve_steady_state, warm started from the rows of theta0
     when it is given (read, never written). Each row's arithmetic is that
-    of its own solve. Returns lists (theta, rnorm, iterations, restarted,
-    errors), one entry per row; errors[i] is None or the NoConvergence that
-    solve_steady_state would raise for row i. Raises
+    of its own solve. Returns (theta, rnorm, iterations, restarted,
+    errors): theta (S, N) holding each row's final iterate, the others
+    lists; errors[i] is None or the NoConvergence that solve_steady_state
+    would raise for row i. Raises
     NonPositiveMeanResource when a row's mean is not positive."""
     cfg = cfg or SolverConfig()
     mbar = [grid.mean(v) for v in m_vals]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -170,6 +172,21 @@ def banded_shifted_solve(grid: Grid, mu: float, diag: np.ndarray,
     ab[1, :] = 2.0 * inv + diag
     ab[2, n - 2] = -2.0 * inv
     return solve_banded((1, 1), ab, rhs)
+
+
+def scaled_precondition(cg, inv_eig: np.ndarray, wr: np.ndarray) -> np.ndarray:
+    """M^(-1) r of the 2D CG object cg with its own scaling on every call:
+    w r scaled by 2^-e, e the binary exponent of max|w r|, cast to float32
+    for the four products and the inverse eigenvalues, and the result
+    scaled back by 2^e. Byte oracle for _Cg2D._precondition, which casts
+    w r unscaled."""
+    e = min(max(math.frexp(float(np.max(np.abs(wr))))[1], -1022), 1022)
+    shape = cg._lam_sum.shape
+    r = (wr * math.ldexp(1.0, -e)).reshape(shape).astype(np.float32)
+    r = np.matmul(np.matmul(cg._vy.T, r), cg._vx)
+    r *= inv_eig
+    r = np.matmul(np.matmul(cg._vy, r), cg._vx.T)
+    return r.astype(np.float64).ravel() * math.ldexp(1.0, e)
 
 
 def solve_one(lap, mu: float, diag: np.ndarray, rhs: np.ndarray, rtol=None):

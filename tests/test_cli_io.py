@@ -416,6 +416,22 @@ def test_exit_four_on_io_failure(tmp_path, capsys):
     assert "io failure" in capsys.readouterr().err
 
 
+def test_failed_rerun_leaves_no_earlier_manifest(tmp_path, monkeypatch, capsys):
+    # a run that fails to persist into the directory of a complete earlier
+    # run must not leave that run's manifest claiming the directory complete
+    out = tmp_path / "run"
+    argv = ["sweep", "--grid", "33", "--mu", "1,0.1", "--starts", "2", "--out", str(out)]
+    assert main(argv) == 0 and (out / "manifest.json").exists()
+
+    def full_disk(field):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "field_to_csv", full_disk)
+    assert main(argv) == 4
+    assert "io failure" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # command smoke (small instances)
 

@@ -22,6 +22,7 @@ from conftest import (
     kron_lap2d_csr,
     largest_eigenvalue_magnitude,
     lil_lap1d_csr,
+    scaled_precondition,
     solve_one,
 )
 
@@ -132,9 +133,10 @@ def test_shifted_solve_residual(counts):
 
 def test_shifted_factor_reuse_matches_solve():
     # one factor object serves a whole stack and keeps what its rows share
-    # (in 2D the float32 work buffer too): solved twice, each time it gives
-    # a fresh solve's bytes, and the second solve leaves the first result
-    # as it was, so no returned row aliases a buffer the object reuses
+    # (in 2D the float32 work buffer and the CG vectors too): solved twice,
+    # each time it gives a fresh solve's bytes, and the second solve leaves
+    # the first result as it was, so no returned row aliases a buffer the
+    # object reuses
     for counts, rows in itertools.product([(21,), (9, 7)], [1, 3]):
         g = Grid(counts)
         lap = NeumannLaplacian(g)
@@ -347,9 +349,10 @@ def test_grid_operators_are_shared_and_read_only():
 
 @pytest.mark.parametrize("scale", [2.0**-140, 2.0**140])
 def test_shifted_solve_2d_is_scale_equivariant_beyond_float32_range(scale):
-    # the single-precision preconditioner sees r scaled by a power of two
-    # into float32's range, so a right-hand side far outside that range
-    # gives exactly the scaled solution
+    # each row solve scales its rhs by a power of two into [1/2, 1), so the
+    # single-precision preconditioner sees r inside float32's range, and a
+    # right-hand side far outside that range gives exactly the scaled
+    # solution
     g = Grid((20, 17))
     lap = NeumannLaplacian(g)
     rng = np.random.default_rng(5)
@@ -358,6 +361,25 @@ def test_shifted_solve_2d_is_scale_equivariant_beyond_float32_range(scale):
                                       solve_one(lap, 0.05, diag, scale * rhs))
     assert err is None and scaled_err is None
     assert scaled.tobytes() == (scale * x).tobytes()
+
+
+@pytest.mark.parametrize("counts", [(60, 60), (120, 120), (33, 17)])
+def test_preconditioner_matches_the_scaled_oracle_bit_for_bit(counts):
+    # w r goes into float32 unscaled; for every max|w r| from 2^-60 to 1,
+    # wider than CG meets on a row whose rhs is scaled into [1/2, 1), that
+    # gives the bytes of scaling w r by its binary exponent on every call
+    g = Grid(counts)
+    rng = np.random.default_rng(g.num_nodes)
+    mu, diag = 0.01, rng.uniform(0.2, 2.0, (1, g.num_nodes))
+    cg = NeumannLaplacian(g).shifted_factor(mu, diag)
+    inv_eig = (1.0 / (mu * cg._lam_sum + float(np.mean(diag)))).astype(np.float32)
+    r = rng.standard_normal(g.num_nodes)
+    r /= np.max(np.abs(r))
+    out = np.empty(g.num_nodes)
+    for e in range(61):
+        wr = np.ldexp(r, -e)
+        cg._precondition(inv_eig, wr, out)
+        assert out.tobytes() == scaled_precondition(cg, inv_eig, wr).tobytes(), e
 
 
 @pytest.mark.parametrize("scale", [2.0**-1074, 2.0**-1040, 2.0**-1000, 2.0**1020])

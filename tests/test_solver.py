@@ -565,6 +565,29 @@ def test_nonfinite_warm_start_restarts_from_max_m(counts):
     assert np.allclose(warm.theta.values, state.theta.values, rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("counts", [(1000,), (24, 24), (33, 17)])
+def test_steady_rows_solve_each_row_as_alone(counts):
+    # a stack of a row that converges from mean(m), a row whose every
+    # linear solve fails (a NaN resource: it stalls, restarts and fails)
+    # and a crenel that restarts from max(m): one (S, N) float64 result,
+    # whose converged rows have the bytes of their one-row solves
+    grid, mu = Grid(counts), 0.01
+    fourier, crenel = random_fourier_guess(grid, 1.0, 0.3, 1), make_crenel(grid, 1.0, 0.3)
+    m_vals = np.vstack([fourier.values, np.full(grid.num_nodes, np.nan), crenel.values])
+    with np.errstate(invalid="ignore"):
+        theta, rnorm, iterations, restarted, errors = solver_mod.steady_rows(grid, m_vals, mu)
+    assert type(theta) is np.ndarray and theta.dtype == np.float64
+    assert theta.shape == m_vals.shape
+    assert restarted == [False, True, True]
+    assert isinstance(errors[1], NoConvergence)
+    assert str(errors[1]).startswith("linear solve failed: shifted solve: non-finite")
+    for i, m in ((0, fourier), (2, crenel)):
+        alone = solve_steady_state(m, ProblemParams(mu=mu, kappa=1.0, m0=0.3))
+        assert errors[i] is None and theta[i].tobytes() == alone.theta.values.tobytes()
+        assert (rnorm[i], iterations[i], restarted[i]) == (
+            alone.residual_norm, alone.iterations, alone.used_fallback)
+
+
 def test_continuity_ratio_battery_reported(capsys):
     # ratio ||theta_a - theta_b||_1 / ||a - b||_1^(1/3) over random pairs;
     # no known constant, so record the max and sanity-bound it loosely
