@@ -85,8 +85,9 @@ class Grid:
         # operators stay behind
         return Grid, (self.counts,)
 
-    @property
+    @cached_property
     def dim(self) -> int:
+        # read on every Newton step and residual
         return len(self.counts)
 
     @property
@@ -258,7 +259,10 @@ class NeumannLaplacian:
     shape (S, N), and errors[i] the message of row i's failed solve, whose
     x row is then NaN, or None. No row failure raises; each is tried and
     lands on its own row. A 1D stack is one gtsv call on its block-diagonal
-    system, a 2D stack one CG solve per row.
+    system, a 2D stack one CG solve per row. apply and the solves write
+    their result into out, a C-order (S, N) float64 array distinct from
+    their inputs, when it is given, and return a new array otherwise; the
+    inputs are never written.
 
     A 1D product is one correlation of the flattened rows with the stencil
     (s, -2s, s), followed by the two mirror rows written over the first and
@@ -270,8 +274,11 @@ class NeumannLaplacian:
 
     The Laplacian, stored by diagonals, and, in 2D, the per-axis eigenpairs
     and their eigenvalue sums belong to the Grid (Grid._operators), which
-    builds them on first use; an instance holds nothing but its grid, so
-    constructing one is free and every solve depends only on its arguments.
+    builds them on first use. An instance holds its grid and the buffers
+    of its 2D CG solves, made with the buffers of the run that made it or
+    by its first 2D solve and reused by every later one: constructing one
+    is free, its 2D solves run one at a time, and every solve depends only
+    on its arguments. The Newton runs of one steady solve share one.
 
     Tolerance contract of solve_shifted(mu, d, rhs, rtol): rtol is None or
     one value per row, and each 2D row solved returns its x with a residual
@@ -284,47 +291,79 @@ class NeumannLaplacian:
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        self._cg = None                 # 2D CG buffers, made by _run_buffers
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Lap applied to each row of the stack v (S, N), as a new C-order
-        array. 1D makes one correlation over the whole stack; 2D makes one
-        DIA product per row, since the multi-vector product on the
+    def apply(self, v: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+        """Lap applied to each row of the stack v (S, N), written into out (an
+        (S, N) C-order float64 array other than v) and returned, or as a new
+        C-order array. 1D makes one correlation over the whole stack; 2D
+        makes one DIA product per row, since the multi-vector product on the
         transposed stack is the slower there, its (N, S) copies leaving
         cache. Either way each row is bit-identical to its own product."""
         lap = self.grid._operators[0]
         if self.grid.dim == 1:
-            return _apply_1d(lap, v)
-        out = np.empty(v.shape)
+            return _apply_1d(lap, v, out)
+        out = np.empty(v.shape) if out is None else out
         for i, row in enumerate(v):
             out[i] = lap @ row
         return out
 
     def shifted_factor(self, mu: float, diag: np.ndarray):
         """Solver object for the stack of systems mu * (-Lap) + diag(d[i]), d
-        of shape (S, N); its .solve(rhs, rtol=None) takes rhs of d's shape
-        and returns (x, errors) as solve_shifted does. Every shifted solve
-        goes through here."""
+        of shape (S, N); its .solve(rhs, rtol=None, out=None) takes rhs of
+        d's shape and returns (x, errors) as solve_shifted does. Every
+        shifted solve goes through here. In 2D every object this instance
+        returns shares the instance's CG buffers, so their solves run one
+        at a time."""
         if self.grid.dim == 1:
             return _Banded1D(mu, diag)
-        return _Cg2D(self.grid, mu, diag)
+        if self._cg is None:
+            self._run_buffers(0, 0)
+        return _Cg2D(self.grid, mu, diag, self._cg)
+
+    def _run_buffers(self, count: int, rows: int) -> list:
+        """count (rows, N) float64 buffers for a run that solves on this
+        instance. In 2D they and the instance's CG buffers (see _Cg2D) are
+        one allocation: a run then frees one block, and glibc trims a freed
+        block from the heap only when it is over twice the largest block it
+        has unmapped, so the next run of the same size reuses the pages
+        instead of faulting them in again (a 240^2 solve frees 4.4 MB). In
+        1D each buffer is its own array, no larger than the arrays a 1D step
+        makes: a block of four is over glibc's mmap threshold at 8193 nodes,
+        and the 1D squeeze campaigns trimmed and faulted it in again on
+        every call."""
+        n = self.grid.num_nodes
+        if self.grid.dim == 1:
+            return [np.empty((rows, n)) for _ in range(count)]
+        size = count * rows * n
+        block = np.empty(size + 4 * n + (3 * n + 1) // 2)
+        single = block[size + 4 * n:].view(np.float32)[:3 * n]
+        self._cg = (block[size:size + 4 * n].reshape(4, n),
+                    single.reshape((3,) + self.grid.counts[::-1]))
+        return list(block[:size].reshape(count, rows, n))
 
     def solve_shifted(self, mu: float, diag: np.ndarray, rhs: np.ndarray,
-                      rtol=None) -> tuple[np.ndarray, list]:
-        return self.shifted_factor(mu, diag).solve(rhs, rtol)
+                      rtol=None, *, out: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+        return self.shifted_factor(mu, diag).solve(rhs, rtol, out=out)
 
 
-def _apply_1d(bands: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Lap applied to each row of rows (S, N) in 1D, as a new C-order array,
-    from the Laplacian's band data (see the module docstring): one
-    correlation of the flattened stack with the interior stencil, then the
-    two mirror rows, which overwrite the outputs at the row joins. The mirror
-    rows take Python floats, whose arithmetic is IEEE double as numpy's is,
-    and which cost a one-row product less than column operations do."""
+def _apply_1d(bands: np.ndarray, rows: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Lap applied to each row of rows (S, N) in 1D, written into out or as
+    a new C-order array, from the Laplacian's band data (see the module
+    docstring): one correlation of the flattened stack with the interior
+    stencil, then the two mirror rows, which overwrite the outputs at the
+    row joins. The mirror rows take Python floats, whose arithmetic is IEEE
+    double as numpy's is, and which cost a one-row product less than column
+    operations do."""
     s, n = rows.shape
     if not rows.size:
-        return np.empty((s, n))
+        return np.empty((s, n)) if out is None else out
     # the bands' diagonal holds matrix row 1, interior at every n >= 3
-    out = np.correlate(rows.ravel(), bands.diagonal(), "same").reshape(s, n)
+    product = np.correlate(rows.ravel(), bands.diagonal(), "same").reshape(s, n)
+    if out is None:
+        out = product
+    else:
+        np.copyto(out, product)
     first, up = bands.item(1, 0), bands.item(2, 1)
     low, last = bands.item(0, n - 2), bands.item(1, n - 1)
     out[:, 0] = [(0.0 + first * a) + up * b for a, b in rows[:, :2].tolist()]
@@ -350,12 +389,12 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(ddot(v, v)) or bool(np.isfinite(v).all())
 
 
-def _solve_each_row(rhs: np.ndarray, solve_row) -> tuple[np.ndarray, list]:
-    """(x, errors) of the stack rhs (S, N) solved row by row: solve_row(i,
-    x[i]) writes row i's x into its zeroed row of x or raises
+def _solve_each_row(x: np.ndarray, rhs: np.ndarray, solve_row) -> tuple[np.ndarray, list]:
+    """(x, errors) of the stack rhs (S, N) solved row by row into x (S, N):
+    solve_row(i, x[i]) writes row i's x into its row of x or raises
     numpy.linalg.LinAlgError, which leaves that row NaN with its message in
     errors; every other entry of errors is None."""
-    x, errors = np.zeros(rhs.shape), [None] * len(rhs)
+    errors = [None] * len(rhs)
     for i in range(len(rhs)):
         try:
             solve_row(i, x[i])
@@ -386,19 +425,22 @@ class _Banded1D:
     def __init__(self, mu: float, diag: np.ndarray):
         self._mu, self._diag = mu, diag
 
-    def solve(self, rhs: np.ndarray, rtol=None) -> tuple[np.ndarray, list]:
-        """Direct solve as (x, errors); rtol is accepted for the common
-        interface and ignored."""
-        diag = self._diag
+    def solve(self, rhs: np.ndarray, rtol=None, *,
+              out: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+        """Direct solve as (x, errors), x written into out (a C-order (S, N)
+        float64 array other than rhs) or made; rtol is accepted for the
+        common interface and ignored."""
+        diag, x = self._diag, np.empty(rhs.shape) if out is None else out
         try:
-            return self._gtsv(diag, rhs), [None] * len(rhs)
+            return self._gtsv(diag, rhs, x), [None] * len(rhs)
         except np.linalg.LinAlgError:
             pass
         return _solve_each_row(
-            rhs, lambda i, out: np.copyto(out, self._gtsv(diag[i:i + 1], rhs[i:i + 1])[0]))
+            x, rhs, lambda i, row: self._gtsv(diag[i:i + 1], rhs[i:i + 1], row[None]))
 
-    def _gtsv(self, diag: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """x (S, N) of one gtsv call on the block-diagonal system of rows (S, N)."""
+    def _gtsv(self, diag: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """x (S, N) of one gtsv call on the block-diagonal system of rows (S, N),
+        made in the given C-contiguous x: gtsv overwrites a copy of rows there."""
         s, n = rows.shape
         h = 1.0 / (n - 1)                   # Grid.spacings of the rows' grid
         inv = self._mu / (h * h)
@@ -411,23 +453,30 @@ class _Banded1D:
         off.fill(-inv)
         off[0, n - 2::n] = off[1, ::n] = -2.0 * inv
         off[:, n - 1::n] = 0.0
-        x, info = _GTSV(off[0, :-1], d, off[1, :-1], rows.ravel(),
-                        overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
+        np.copyto(x, rows)
+        x_flat, info = _GTSV(off[0, :-1], d, off[1, :-1], x.reshape(-1), overwrite_dl=1,
+                             overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
-        if not _all_finite(x):
+        if not _all_finite(x_flat):
             raise np.linalg.LinAlgError("shifted solve: non-finite solution")
-        return x.reshape(s, n)
+        return x
 
 
 class _Cg2D:
     """Preconditioned conjugate gradients for the stack of 2D shifted
     systems A x = rhs[i], A = mu * (-Lap) + diag(d[i]): one CG solve per
     row, each written into its row of one (S, N) result (_solve_each_row).
-    The object keeps what the rows share: the float32 preconditioner buffer
-    and one (3, N) block of CG vectors tmp (also w r), z and p (after CG,
-    the scaled x and rhs of the residual check). A row's preconditioner and
-    tolerance are made when that row is solved.
+    The CG state is made once per NeumannLaplacian, so once per steady
+    solve's Newton runs (NeumannLaplacian._run_buffers), and shared by
+    every _Cg2D that instance returns: a (4, N) float64 block of the CG
+    vectors tmp (also w r), z and p (after CG, the scaled x and rhs of the
+    residual check) and res, the scaled rhs that CG overwrites with its
+    residual, and a (3, ny, nx) float32 block of the preconditioner's two
+    work planes and the row's inverse eigenvalues. A row's preconditioner
+    and tolerance are made in them when that row is solved, and x in its
+    row of the result, so a solve allocates nothing but scipy's DIA
+    products.
 
     W * Lap is symmetric, W the diagonal of trapezoid node weights w, so A
     is self-adjoint in the trapezoid inner product <u, v>_W = u . (w v). The
@@ -436,8 +485,7 @@ class _Cg2D:
     runs on A itself with W-weighted dot products and carries the residual
     r = b - A x that CG recurs anyway. It stops as soon as that residual is
     under half the tolerance times the larger of |x| and |rhs| (sup norms).
-    x, r and the search direction are updated in place, and the loop
-    allocates nothing but the sparse product.
+    x, r and the search direction are updated in place.
 
     The preconditioner M = mu * (-Lap) + c I, c = mean|d|, is self-adjoint
     in the same inner product. Per axis -Lap1 = V diag(lam) V' W1 with
@@ -476,31 +524,40 @@ class _Cg2D:
     matrix. A zero rhs row returns zeros.
     """
 
-    def __init__(self, grid: Grid, mu: float, diag: np.ndarray):
+    def __init__(self, grid: Grid, mu: float, diag: np.ndarray, buffers: tuple):
         self._mat, ((_, self._vx), (_, self._vy), self._lam_sum) = grid._operators
-        self._work = np.empty((2,) + self._lam_sum.shape, dtype=np.float32)
-        self._tmp, self._z, self._p = np.empty((3, grid.num_nodes))
+        (self._tmp, self._z, self._p, self._res), single = buffers
+        self._work, self._inv_eig = single[:2], single[2]
         self._w, self._mu, self._diag = grid.node_weights, mu, diag
         self._floor = residual_floor(grid, mu)
 
-    def solve(self, rhs: np.ndarray, rtol=None) -> tuple[np.ndarray, list]:
+    def solve(self, rhs: np.ndarray, rtol=None, *,
+              out: np.ndarray | None = None) -> tuple[np.ndarray, list]:
         """(x, errors) of the stack rhs (S, N), row i solved to rtol[i], or
-        to the floor alone when rtol is None."""
-        return _solve_each_row(rhs, lambda i, out: self._solve_row(
-            self._diag[i], rhs[i], None if rtol is None else rtol[i], out))
+        to the floor alone when rtol is None; x is written into out (an (S,
+        N) float64 array other than rhs) or made."""
+        return _solve_each_row(
+            np.empty(rhs.shape) if out is None else out, rhs,
+            lambda i, x: self._solve_row(self._diag[i], rhs[i],
+                                         None if rtol is None else rtol[i], x))
 
     def _solve_row(self, diag: np.ndarray, rhs: np.ndarray, rtol, x: np.ndarray) -> None:
-        """x of one row, given its d and rhs, made in the zeroed x; raises LinAlgError."""
+        """x of one row, given its d and rhs, made in x; raises LinAlgError."""
+        x.fill(0.0)
         _require_finite(diag, rhs)
         if not rhs.any():
             return
-        shift = max(float(np.mean(np.abs(diag))), 1e-12)
-        inv_eig = (1.0 / (self._mu * self._lam_sum + shift)).astype(np.float32)
+        tmp, inv_eig = self._tmp, self._inv_eig
+        shift = max(float(np.mean(np.abs(diag, out=tmp))), 1e-12)
+        # 1 / (mu * (lam_y + lam_x) + shift) in double, then cast once
+        eig = np.multiply(self._lam_sum, self._mu, out=tmp.reshape(inv_eig.shape))
+        eig += shift
+        inv_eig[...] = np.divide(1.0, eig, out=eig)
         floor = self._floor * max(1.0, _sup(diag))
         tol = floor if rtol is None else max(floor, rtol)
         e = _binary_exponent(rhs)
         down = math.ldexp(1.0, -e)
-        x = self._cg(diag, inv_eig, rhs * down, tol, x)
+        x = self._cg(diag, inv_eig, np.multiply(rhs, down, out=self._res), tol, x)
         x *= math.ldexp(1.0, e)
         rel = self._residual(diag, np.multiply(x, down, out=self._z),
                              np.multiply(rhs, down, out=self._p))
@@ -571,7 +628,8 @@ class _Cg2D:
         for the scaled, nonzero rhs of a row's solve. A NaN in x is a NaN in
         r, which np.max propagates and idamax may skip, so no tolerance
         passes it."""
-        r = rhs - self._apply(diag, x)
+        r = self._apply(diag, x)
+        np.subtract(rhs, r, out=r)
         return float(np.abs(r, out=r).max()) / max(_sup(x), _sup(rhs))
 
 

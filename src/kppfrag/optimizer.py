@@ -55,7 +55,7 @@ import numpy as np
 
 from .fields import ProblemParams, ResourceField, ScalarField
 from .grids import Grid, NeumannLaplacian, residual_floor
-from .solver import SteadyState, steady_rows
+from .solver import SteadyState, _RowStack, steady_rows
 
 
 class SingularAdjoint(RuntimeError):
@@ -225,15 +225,16 @@ def best_perturbation(g: ScalarField, m: ResourceField) -> tuple[ScalarField, fl
 # vertex step
 
 def _vertex_step_rows(grid: Grid, mu: float, kappa: float, m_vals: np.ndarray,
-                      xi: np.ndarray, F: np.ndarray, lp: np.ndarray, theta0):
+                      xi: np.ndarray, F: np.ndarray, lp: np.ndarray, theta0, out=None):
     """The full step of armijo_ascent_step on every row of m_vals and xi
     (S, N), all with positive LP values lp. Returns (trial, F_trial,
     accepted, steady): the clipped trials, their objectives, whether each
     gains at least ARMIJO_C times its LP value over F, and the steady_rows
-    result of the trials, warm started from theta0. A trial whose steady
-    solve ends in NoConvergence is not accepted."""
+    result of the trials, warm started from theta0, with its states
+    written into out when it is given. A trial whose steady solve ends in
+    NoConvergence is not accepted."""
     trial = np.clip(m_vals + xi, 0.0, kappa)
-    steady = steady_rows(grid, trial, mu, None, theta0)
+    steady = steady_rows(grid, trial, mu, None, theta0, out)
     converged = np.array([e is None for e in steady[4]], dtype=bool)
     F_trial = np.array([grid.mean(t) if ok else np.nan
                         for t, ok in zip(steady[0], converged)]).reshape(len(trial))
@@ -354,20 +355,18 @@ def _start_seed(seed: int, start_index: int):
 # ---------------------------------------------------------------------------
 # the full multi-start loop
 
-def _compact(keep, *arrays):
-    """The rows of each array where keep holds: the arrays themselves, not
-    copies, when it holds on every row."""
-    return arrays if keep.all() else tuple(a[keep] for a in arrays)
-
-
 def _ascent(job) -> list:
     """The vertex ascent of the starts in job = (params, grid, cfg, starts),
-    in lockstep. m, theta and F of the live starts are stacked rows, and
-    every outer step makes one adjoint, one gradient and LP, and one trial
-    steady solve over all of them. A start leaves the stack when it ends
-    (lp_value, step_zero, max_iters or failed); each row's arithmetic is
-    that of its start run alone. Returns (StartRecord, final m values or
-    None) per start, in start order."""
+    in lockstep. m, theta and F of the live starts are the working rows of
+    a _RowStack with three (S, N) buffers, m, theta and the trial states,
+    made once per call; every outer step makes one adjoint, one gradient
+    and LP, and one trial steady solve, written into the trial buffer, over
+    all of them. An accepted trial's m is copied into m and its state
+    buffer swaps with theta. A start leaves the stack when it ends
+    (lp_value, step_zero, max_iters or failed), and the starts that go on
+    move to the front of the buffers; each row's arithmetic is that of its
+    start run alone. Returns (StartRecord, final m values or None) per
+    start, in start order."""
     params, grid, cfg, starts = job
     mu, kappa, w, n = params.mu, float(params.kappa), grid.node_weights, grid.num_nodes
     out, trajectory = {}, {j: [] for j in starts}
@@ -377,16 +376,16 @@ def _ascent(job) -> list:
                                    trajectory=[], error=f"{type(exc).__name__}: {exc}"), None)
 
     def end(j, F, termination, m_final):
-        # a copy: a view would keep the whole stack of its step alive
+        # a copy: the buffer row is reused
         out[int(j)] = (StartRecord(start_index=int(j), F=float(F), termination=termination,
                                    trajectory=trajectory[j]), m_final.copy())
 
     def survivors(errors):
-        """Fail the rows that have an error; True on the others."""
-        for j, e in zip(rows, errors):
+        """Fail the rows that have an error; the positions of the others."""
+        for j, e in zip(stack.rows, errors):
             if e is not None:
                 fail(j, e)
-        return np.array([e is None for e in errors], dtype=bool)
+        return [k for k, e in enumerate(errors) if e is None]
 
     rows, guesses = [], []
     for j in starts:
@@ -396,36 +395,42 @@ def _ascent(job) -> list:
             rows.append(j)
         except DegenerateSample as exc:
             fail(j, exc)
-    rows = np.array(rows, dtype=int)
-    m_vals = np.array(guesses).reshape(-1, n)
-    theta, _, _, _, errors = steady_rows(grid, m_vals, mu)
-    rows, m_vals, theta = _compact(survivors(errors), rows, m_vals, theta)
+    stack = _RowStack(rows, list(np.empty((3, len(rows), n))))
+    m, theta, spare = stack.buffers
+    for k, guess in enumerate(guesses):
+        m[k] = guess
+    del guesses
+    errors = steady_rows(grid, m, mu, out=theta)[4]
+    m, theta = stack.keep(survivors(errors), m, theta)
     F = np.array([grid.mean(t) for t in theta])
     for _ in range(cfg.max_outer_iters):
-        if not rows.size:
+        if not stack.rows:
             break
-        p, errors = _adjoint_rows(grid, mu, m_vals, theta)
-        rows, m_vals, theta, F, p = _compact(survivors(errors), rows, m_vals, theta, F, p)
-        xi, lp = _lp_rows(w, _gradient(w, theta, p), m_vals, kappa)
+        p, errors = _adjoint_rows(grid, mu, m, theta)
+        m, theta, F, p = stack.keep(survivors(errors), m, theta, F, p)
+        xi, lp = _lp_rows(w, _gradient(w, theta, p), m, kappa)
         del p                           # not kept alive through the trial solve
         vertex = lp < STOP_LP_VALUE
         for k in np.flatnonzero(vertex):
-            trajectory[rows[k]].append((float(F[k]), 0.0, float(lp[k])))
-            end(rows[k], F[k], "lp_value", m_vals[k])
-        rows, m_vals, theta, F, xi, lp = _compact(~vertex, rows, m_vals, theta, F, xi, lp)
-        if not rows.size:
+            j = stack.rows[k]
+            trajectory[j].append((float(F[k]), 0.0, float(lp[k])))
+            end(j, F[k], "lp_value", m[k])
+        m, theta, F, xi, lp = stack.keep(np.flatnonzero(~vertex).tolist(), m, theta, F, xi, lp)
+        if not stack.rows:
             break
-        trial, F_trial, accepted, (theta, *_) = _vertex_step_rows(
-            grid, mu, kappa, m_vals, xi, F, lp, theta)
-        for k, j in enumerate(rows):
+        trial, F_trial, accepted, _ = _vertex_step_rows(
+            grid, mu, kappa, m, xi, F, lp, theta, spare[:len(theta)])
+        for k, j in enumerate(stack.rows):
             if accepted[k]:
                 trajectory[j].append((float(F_trial[k]), 1.0, float(lp[k])))
             else:
                 trajectory[j].append((float(F[k]), 0.0, float(lp[k])))
-                end(j, F[k], "step_zero", m_vals[k])
-        rows, m_vals, theta, F = _compact(accepted, rows, trial, theta, F_trial)
-    for k, j in enumerate(rows):
-        end(j, F[k], "max_iters", m_vals[k])
+                end(j, F[k], "step_zero", m[k])
+        np.copyto(m, trial)
+        theta, spare = spare[:len(theta)], theta
+        m, theta, F = stack.keep(np.flatnonzero(accepted).tolist(), m, theta, F_trial)
+    for k, j in enumerate(stack.rows):
+        end(j, F[k], "max_iters", m[k])
     return [out[j] for j in starts]
 
 

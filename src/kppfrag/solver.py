@@ -55,6 +55,14 @@ fields (the optimizer's starts) together, one stacked linear solve per
 Newton step, and each row stops, stalls, restarts or fails by the rule
 above on its own, with the arithmetic of its own solve.
 solve_steady_state is its one-row case.
+
+A steady_rows call owns the arrays its runs work in (see _newton): four
+(S, N) buffers shared by both runs, with the 2D CG state in the same
+allocation, made once per call and freed with it; nothing is cached on the
+Grid or the module. The caller's m_vals and theta0 are read and never
+written. A Newton step allocates no (S, N) array but, in 1D, the gtsv
+diagonals and the Laplacian's correlation product; in 2D only scipy's DIA
+product returns a new vector.
 """
 from __future__ import annotations
 
@@ -108,100 +116,153 @@ class SteadyState:
     used_fallback: bool = False        # restarted from max(m)
 
 
-def _residual(lap, theta, m_vals, mu):
+class _RowStack:
+    """The working rows of one run over a stack of S rows: buffers, its
+    (S, N) float64 arrays, made once for the run and freed with it, and
+    rows, the label of each working row (its index in the run's stack), in
+    buffer order. The working rows are the first len(rows) rows of every
+    buffer, so a step works on C-contiguous views v[:live], which one 1D
+    gtsv call on the block-diagonal system needs. When rows end, keep moves
+    the rows that go on to the front, in place and in order."""
+
+    def __init__(self, rows, buffers: list):
+        self.rows = list(rows)
+        self.buffers = buffers
+
+    def keep(self, keep, *arrays):
+        """Keep the working rows at the ascending positions keep and drop the
+        others: move the kept rows of each array (the views of the working
+        rows, or per-row vectors) to its front, in place, and return the
+        arrays' views of them."""
+        moves = [(dst, src) for dst, src in enumerate(keep) if dst != src]
+        for a in arrays:
+            for dst, src in moves:
+                a[dst] = a[src]
+        self.rows = [self.rows[k] for k in keep]
+        return tuple(a[:len(keep)] for a in arrays)
+
+
+def _residual(lap, theta, m_vals, mu, r, growth):
     """mu * Lap(theta) + theta * (m - theta) per row, with the rounding of
-    that expression and one temporary."""
-    r = lap.apply(theta)
-    r *= mu
-    growth = m_vals - theta
+    that expression, written into r and returned; growth is scratch of
+    r's shape."""
+    # a 1D product is a new correlation in any case, so it is scaled into r
+    np.multiply(lap.apply(theta, out=None if lap.grid.dim == 1 else r), mu, out=r)
+    np.subtract(m_vals, theta, out=growth)
     growth *= theta
     r += growth
     return r
 
 
-def _newton(lap, theta, m_vals, mu, cfg, floor_limit, *, monotone):
-    """Newton by full steps from each row of theta (S, N), against the same
-    row of m_vals. Every row's arithmetic is that of its own run, and theta
-    itself is never written to. Returns (theta, rnorm, steps, stalled,
-    errors): theta (S, N) holding each row's last iterate, and per row its
-    residual sup norm, the Newton steps, whether the run stalled, and None
-    or the row's NoConvergence. Unless monotone, a row stalls at the first
-    step whose linear solve fails, whose residual does not fall or whose
-    iterate is not strictly positive (a NaN fails both tests), and keeps
-    the iterate before that step; the failed step counts as a step. On the
-    monotone run a failed linear solve ends its row with NoConvergence; on
-    both runs the step cap does. The per-row tests run on Python floats,
-    which costs less than array calls for the few rows of a stack. Each
-    step is one stacked lap.solve_shifted on the working rows, which
-    returns a failed row as NaN with its message and raises for none."""
-    n_rows = len(theta)
-    out, errors = None, [None] * n_rows
+def _newton(lap, theta, m_vals, mu, cfg, floor_limit, out=None, stack=None, *, monotone):
+    """Newton by full steps from each row of theta (S, N, or S, 1 for
+    constant starts), against the same row of m_vals (S, N); theta and
+    m_vals are read, never written. Every row's arithmetic is that of its
+    own run. Returns (out, rnorm, steps, stalled, errors): out (S, N)
+    holding each row's last iterate (made here unless given), and per row
+    its residual sup norm, the Newton steps, whether the run stalled, and
+    None or the row's NoConvergence. Unless monotone, a row
+    stalls at the first step whose linear solve fails, whose residual does
+    not fall or whose iterate is not strictly positive (a NaN fails both
+    tests), and keeps the iterate before that step; the failed step counts
+    as a step. On the monotone run a failed linear solve ends its row with
+    NoConvergence; on both runs the step cap does. The per-row tests run on
+    Python floats, which costs less than array calls for the few rows of a
+    stack.
+
+    The run works in the four buffers of stack (a _RowStack of at least S
+    rows, made here unless given): the iterate theta, the residual r, one
+    scratch for 2 theta - m and the growth term, and delta, the linear
+    solve's x, which the trial theta + delta overwrites; an accepted trial
+    becomes the iterate by swapping the two. A row that ends writes its
+    iterate into out, and the rows that go on move to the front. m_vals is
+    read in place until the first row ends, then its rows that go on are
+    copied once. Each step is one stacked lap.solve_shifted on the working
+    rows, which writes x into delta, returns a failed row as NaN with its
+    message and raises for none."""
+    n_rows = len(m_vals)
+    out = np.empty(m_vals.shape) if out is None else out
+    stack = _RowStack((), lap._run_buffers(4, n_rows)) if stack is None else stack
+    stack.rows = list(range(n_rows))
+    errors = [None] * n_rows
     rnorm_out, steps, stalled = [0.0] * n_rows, [0] * n_rows, [False] * n_rows
-    live = list(range(n_rows))          # the row of each working row
-    r = _residual(lap, theta, m_vals, mu)
-    rnorm = np.abs(r).max(axis=1).tolist()
+    start, m = theta, m_vals
+    theta, r, scratch, delta = (b[:n_rows] for b in stack.buffers)
+    np.copyto(theta, start)
+    r = _residual(lap, theta, m, mu, r, scratch)
+    rnorm = np.abs(r, out=scratch).max(axis=1).tolist()
 
-    def keep_rows(keep, *arrays):
-        """End the working rows not in keep with the current iterate, written
-        into out, which the first row to end makes so that it holds no memory
-        through the steps before; return the arrays on the rows kept."""
-        nonlocal live, rnorm, out
-        if len(keep) == len(live):
-            return arrays
-        if out is None:
-            out = np.empty((n_rows, theta.shape[1]))
-        kept = set(keep)
-        for k, i in enumerate(live):
-            if k not in kept:
-                out[i], rnorm_out[i] = theta[k], rnorm[k]
-        live, rnorm = [live[k] for k in keep], [rnorm[k] for k in keep]
-        return tuple(a[keep] for a in arrays) if keep else arrays
+    def end(k):
+        """End working row k with the current iterate and residual norm."""
+        i = stack.rows[k]
+        out[i], rnorm_out[i] = theta[k], rnorm[k]
 
-    while live:
-        top = np.abs(theta).max(axis=1).tolist()
+    def keep(going, *arrays):
+        """Keep the working rows in going: move their rows of arrays and of m
+        to the front, and their residual norms. The caller's m_vals is never
+        written, so the first drop copies its rows that go on."""
+        nonlocal m, rnorm
+        rnorm = [rnorm[k] for k in going]
+        if m is m_vals:
+            m = m_vals[going]
+            return stack.keep(going, *arrays)
+        *arrays, m = stack.keep(going, *arrays, m)
+        return arrays
+
+    while True:
+        top = np.abs(theta, out=scratch).max(axis=1).tolist()
         going = []
-        for k, i in enumerate(live):
+        for k, i in enumerate(stack.rows):
             # an overflowed iterate has max|theta| = inf, and its floor test
             # would read inf <= inf
             if rnorm[k] <= cfg.newton_tol or (math.isfinite(rnorm[k])
                                               and rnorm[k] <= floor_limit * top[k]):
-                continue
-            if steps[i] >= MAX_NEWTON_ITERS:
+                end(k)
+            elif steps[i] >= MAX_NEWTON_ITERS:
                 errors[i] = NoConvergence("Newton iteration cap exceeded", rnorm[k])
-                continue
-            going.append(k)
-        theta, m_vals, r = keep_rows(going, theta, m_vals, r)
-        if not live:
+                end(k)
+            else:
+                going.append(k)
+        if not going:
             break
-        for i in live:
+        if len(going) < len(stack.rows):
+            theta, r, scratch, delta = keep(going, theta, r, scratch, delta)
+        for i in stack.rows:
             steps[i] += 1
         # the direct 1D solve ignores its tolerance
         forcing = [min(NEWTON_FORCING, 0.5 * x) for x in rnorm] if lap.grid.dim == 2 else None
-        delta, failures = lap.solve_shifted(mu, 2.0 * theta - m_vals, r, forcing)
+        np.multiply(theta, 2.0, out=scratch)
+        scratch -= m
+        x, failures = lap.solve_shifted(mu, scratch, r, forcing, out=delta)
+        trial = np.add(theta, x, out=delta)
         if any(e is not None for e in failures):
-            for k, e in enumerate(failures):
-                if e is not None and monotone:
-                    errors[live[k]] = NoConvergence(f"linear solve failed: {e}", rnorm[k])
-                elif e is not None:
-                    stalled[live[k]] = True
-            theta, m_vals, delta = keep_rows(
-                [k for k, e in enumerate(failures) if e is None], theta, m_vals, delta)
-            if not live:
+            for k, (i, e) in enumerate(zip(stack.rows, failures)):
+                if e is None:
+                    continue
+                if monotone:
+                    errors[i] = NoConvergence(f"linear solve failed: {e}", rnorm[k])
+                else:
+                    stalled[i] = True
+                end(k)
+            going = [k for k, e in enumerate(failures) if e is None]
+            if not going:
                 break
-        trial = theta + delta
-        rt = _residual(lap, trial, m_vals, mu)
-        rtn = np.abs(rt).max(axis=1).tolist()
+            theta, r, scratch, trial = keep(going, theta, r, scratch, trial)
+        r = _residual(lap, trial, m, mu, r, scratch)
+        rtn = np.abs(r, out=scratch).max(axis=1).tolist()
         if not monotone:
             low = trial.min(axis=1).tolist()
-            better = [k for k in range(len(live)) if rtn[k] < rnorm[k] and low[k] > 0.0]
-            if len(better) < len(live):
-                for k in set(range(len(live))).difference(better):
-                    stalled[live[k]] = True
+            better = [k for k in range(len(rtn)) if rtn[k] < rnorm[k] and low[k] > 0.0]
+            if len(better) < len(rtn):
+                for k in set(range(len(rtn))).difference(better):
+                    stalled[stack.rows[k]] = True
+                    end(k)
+                if not better:
+                    break
+                theta, r, scratch, trial = keep(better, theta, r, scratch, trial)
                 rtn = [rtn[k] for k in better]
-                trial, rt, m_vals = keep_rows(better, trial, rt, m_vals)
-        theta, r, rnorm = trial, rt, rtn
-    # out is None only for a stack of no rows
-    return (theta if out is None else out), rnorm_out, steps, stalled, errors
+        theta, delta, rnorm = trial, theta, rtn
+    return out, rnorm_out, steps, stalled, errors
 
 
 def _below_mean(theta, grid, mbar):
@@ -210,15 +271,21 @@ def _below_mean(theta, grid, mbar):
     return grid.mean(theta) < (1.0 - 1e-8) * mbar
 
 
-def steady_rows(grid, m_vals, mu, cfg=None, theta0=None):
+def steady_rows(grid, m_vals, mu, cfg=None, theta0=None, out=None):
     """The positive steady state of every row of m_vals (S, N) on grid, by
     the rule of solve_steady_state, warm started from the rows of theta0
-    when it is given (read, never written). Each row's arithmetic is that
-    of its own solve. Returns (theta, rnorm, iterations, restarted,
-    errors): theta (S, N) holding each row's final iterate, the others
-    lists; errors[i] is None or the NoConvergence that solve_steady_state
-    would raise for row i. Raises
-    NonPositiveMeanResource when a row's mean is not positive."""
+    when it is given. m_vals and theta0 are read, never written. Each row's
+    arithmetic is that of its own solve. Returns (theta, rnorm, iterations,
+    restarted, errors): theta (S, N) holding each row's final iterate,
+    written into out when it is given, the others lists; errors[i] is None
+    or the NoConvergence that solve_steady_state would raise for row i.
+    Raises NonPositiveMeanResource when a row's mean is not positive.
+
+    Both Newton runs work in one _RowStack of four (S, N) buffers and one
+    NeumannLaplacian, whose 2D CG buffers share the buffers' allocation
+    (NeumannLaplacian._run_buffers); all of them are freed when the call
+    returns. Each row's final iterate is written straight into theta, the
+    restart's too when every row restarts."""
     cfg = cfg or SolverConfig()
     mbar = [grid.mean(v) for v in m_vals]
     for b in mbar:
@@ -226,22 +293,24 @@ def steady_rows(grid, m_vals, mu, cfg=None, theta0=None):
             raise NonPositiveMeanResource(f"mean(m) = {b} must be positive")
     lap = NeumannLaplacian(grid)
     grid._operators                     # built before any iterate exists
-    n = m_vals.shape[1]
     floor_limit = residual_floor(grid, mu)
-    # the start arrays are passed, not named, so none outlives its first step
+    stack = _RowStack((), lap._run_buffers(4, len(m_vals)))
+    start = np.array(mbar)[:, None] if theta0 is None else np.asarray(theta0, dtype=float)
     theta, rnorm, iterations, stalled, errors = _newton(
-        lap, np.repeat(np.array(mbar)[:, None], n, axis=1) if theta0 is None
-        else np.asarray(theta0, dtype=float), m_vals, mu, cfg, floor_limit, monotone=False)
+        lap, start, m_vals, mu, cfg, floor_limit, out, stack, monotone=False)
     again = [i for i, (t, s, e, b) in enumerate(zip(theta, stalled, errors, mbar))
              if e is None and (s or _below_mean(t, grid, b))]
     restarted = [False] * len(mbar)
     if again:
-        m_again = m_vals if len(again) == len(mbar) else m_vals[again]
+        every = len(again) == len(mbar)
+        m_again = m_vals if every else m_vals[again]
         th, rn, steps, _, errs = _newton(
-            lap, np.repeat(m_again.max(axis=1)[:, None], n, axis=1), m_again, mu, cfg,
-            floor_limit, monotone=True)
+            lap, m_again.max(axis=1)[:, None], m_again, mu, cfg, floor_limit,
+            theta if every else None, stack, monotone=True)
         for k, i in enumerate(again):
-            theta[i], rnorm[i], errors[i], restarted[i] = th[k], rn[k], errs[k], True
+            if not every:
+                theta[i] = th[k]
+            rnorm[i], errors[i], restarted[i] = rn[k], errs[k], True
             iterations[i] += steps[k]
             if errors[i] is None and _below_mean(theta[i], grid, mbar[i]):
                 errors[i] = NoConvergence(

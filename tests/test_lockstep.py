@@ -92,9 +92,9 @@ def test_a_start_failing_mid_ascent_fails_alone(monkeypatch):
     real_gtsv = grids_mod._Banded1D._gtsv
     adjoint_diags = []
 
-    def recording(self, diag, rows):
+    def recording(self, diag, rows, *args):
         adjoint_diags.extend(d.copy() for d, r in zip(diag, rows) if (r == 1.0).all())
-        return real_gtsv(self, diag, rows)
+        return real_gtsv(self, diag, rows, *args)
 
     with monkeypatch.context() as mp:
         mp.setattr(grids_mod._Banded1D, "_gtsv", recording)
@@ -102,10 +102,10 @@ def test_a_start_failing_mid_ascent_fails_alone(monkeypatch):
     assert healthy.iterations > 3
     target = adjoint_diags[2].tobytes()
 
-    def failing(self, diag, rows):
+    def failing(self, diag, rows, *args):
         if any(d.tobytes() == target and (r == 1.0).all() for d, r in zip(diag, rows)):
             raise np.linalg.LinAlgError("forced failure")
-        return real_gtsv(self, diag, rows)
+        return real_gtsv(self, diag, rows, *args)
 
     monkeypatch.setattr(grids_mod._Banded1D, "_gtsv", failing)
     run = assert_matches_reference(params, grid, cfg)

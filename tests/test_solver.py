@@ -213,17 +213,17 @@ def test_inexact_newton_matches_floor_only_solve(monkeypatch):
     rtols = []
     real_solve = NeumannLaplacian.solve_shifted
 
-    def recording_solve(self, mu, diag, rhs, rtol=None):
+    def recording_solve(self, mu, diag, rhs, rtol=None, **kwargs):
         rtols.extend([None] * len(rhs) if rtol is None else rtol)
-        return real_solve(self, mu, diag, rhs, rtol)
+        return real_solve(self, mu, diag, rhs, rtol, **kwargs)
 
     monkeypatch.setattr(NeumannLaplacian, "solve_shifted", recording_solve)
     inexact = solve_steady_state(m, params)
     floor = grids_mod.residual_floor(m.grid, params.mu)
     assert any(r is not None and r > floor for r in rtols)
 
-    def floor_only_solve(self, mu, diag, rhs, rtol=None):
-        return real_solve(self, mu, diag, rhs)
+    def floor_only_solve(self, mu, diag, rhs, rtol=None, **kwargs):
+        return real_solve(self, mu, diag, rhs, **kwargs)
 
     monkeypatch.setattr(NeumannLaplacian, "solve_shifted", floor_only_solve)
     reference = solve_steady_state(m, params)
@@ -260,11 +260,11 @@ def test_first_run_solve_failure_restarts_from_max_m(monkeypatch, counts):
     real_solve = NeumannLaplacian.solve_shifted
     calls = []
 
-    def failing_once(self, mu, diag, rhs, rtol=None):
+    def failing_once(self, mu, diag, rhs, rtol=None, **kwargs):
         calls.append(1)
         if len(calls) == 1:
             return np.full(rhs.shape, np.nan), ["forced failure"]
-        return real_solve(self, mu, diag, rhs, rtol)
+        return real_solve(self, mu, diag, rhs, rtol, **kwargs)
 
     monkeypatch.setattr(NeumannLaplacian, "solve_shifted", failing_once)
     runs = _newton_runs(monkeypatch)
@@ -294,8 +294,8 @@ def _newton_runs(monkeypatch):
         (run["steps"],), (run["stalled"],) = out[2], out[3]    # one-row solves
         return out
 
-    def recording_residual(lap, theta, m_vals, mu):
-        r = real_residual(lap, theta, m_vals, mu)
+    def recording_residual(lap, theta, *args):
+        r = real_residual(lap, theta, *args)
         runs[-1]["norms"].append(float(np.abs(r).max()))
         runs[-1]["iterates"].append(theta.copy())
         return r
@@ -360,8 +360,8 @@ def test_non_positive_trial_restarts_though_its_residual_falls(monkeypatch):
     real_solve = NeumannLaplacian.solve_shifted
     forced = []
 
-    def forced_solve(self, mu, diag, rhs, rtol=None):
-        delta, errors = real_solve(self, mu, diag, rhs, rtol)
+    def forced_solve(self, mu, diag, rhs, rtol=None, **kwargs):
+        delta, errors = real_solve(self, mu, diag, rhs, rtol, **kwargs)
         if not forced:
             forced.append(True)
             delta[:, -1] = -0.5 * diag[:, -1]   # diag = 2 theta - m = 2 theta here
